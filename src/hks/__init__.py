@@ -10,7 +10,7 @@ from .construction import (Bump, InitialData, carrier_frequency, expanded_v0,
                            make_bump, make_initial_data)
 from .ksf import read_field, write_field
 from .littlewood_paley import (BesovParams, BlockDecomposition,
-                               DyadicPartition, besov_norm, commutator,
+                               DyadicPartition, besov_norm, block_norms, commutator,
                                decompose, lp_block, make_partition)
 from .probe import (InflationError, calibrate_eps0, commutator_check,
                     c0_anchor, fit_loglog, h_field, inflation_sweep,
@@ -30,7 +30,7 @@ __all__ = [
     "BesovParams", "BlockDecomposition", "BlowUpError", "Bump",
     "DyadicPartition", "Field", "Grid", "InflationError", "InitialData",
     "MultiplierSymbol", "ResultStore", "SolverConfig", "SpectralField",
-    "Trajectory", "apply_multiplier", "band_limited_noise", "besov_norm",
+    "Trajectory", "apply_multiplier", "band_limited_noise", "besov_norm", "block_norms",
     "c0_anchor", "calibrate_eps0", "carrier_frequency", "commutator",
     "commutator_check", "dealiased_product", "decompose", "derivative",
     "evolve", "expanded_v0", "fit_loglog", "h_field", "helmholtz_inverse",

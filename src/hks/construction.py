@@ -49,7 +49,6 @@ __all__ = [
     "make_fn",
     "InitialData",
     "make_initial_data",
-    "make_v0",
     "expanded_v0",
 ]
 
@@ -224,21 +223,14 @@ def make_initial_data(
     )
 
 
-def make_v0(data: InitialData, dealias_fraction: float = 2.0 / 3.0) -> Field:
-    """Drift v0 = div(u0 (1-u0) grad S0) in conservative form.
-
-    Recomputes from the stored fields through the solver's flux routine;
-    identical to ``data.v0`` when called with the construction fraction.
-    """
-    return transport_divergence(data.u0, data.S0, dealias_fraction)
-
-
 def expanded_v0(data: InitialData, dealias_fraction: float = 2.0 / 3.0) -> Field:
     """The drift in expanded form (1-2u0) grad S0 . grad u0 + u0(1-u0) Lap S0.
 
-    Agrees with :func:`make_v0` to roundoff once the grid retains every
-    pairwise product of packet frequencies below the dealias cutoff; on
-    coarser grids the two differ by the truncation the products suffer.
+    Agrees with the conservative form ``data.v0``, which is
+    ``transport_divergence(data.u0, data.S0)``, to roundoff once the grid
+    retains every pairwise product of packet frequencies below the dealias
+    cutoff; on coarser grids the two differ by the truncation the products
+    suffer.
     """
     g = data.grid
     u0, S0 = data.u0, data.S0

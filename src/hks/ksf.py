@@ -9,6 +9,7 @@ loaded without any side channel.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -30,25 +31,23 @@ def write_field(path, field: Field) -> None:
 def read_field(path, grid: Grid | None = None) -> Field:
     """Load a field; if ``grid`` is given the file must match it exactly."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + _HEADER.size or raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a KSF1 file")
-    d, m, n, reserved = _HEADER.unpack_from(raw, len(MAGIC))
-    if reserved != 0:
-        raise ValueError(f"{path}: reserved header word must be 0")
-    if d < 1 or m < 1 or n < 2:
-        raise ValueError(f"{path}: invalid geometry d={d} M={m} N={n}")
-    payload = raw[len(MAGIC) + _HEADER.size :]
-    expected = n**d * 8
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
-        )
-    if grid is None:
-        grid = make_grid(d, m, n)
-    elif (grid.d, grid.M, grid.N) != (d, m, n):
-        raise ValueError(
-            f"{path}: geometry ({d},{m},{n}) does not match the target grid"
-        )
-    vals = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).astype(np.float64)
-    return Field(grid, vals)
+        head = fh.read(len(MAGIC) + _HEADER.size)
+        if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
+            raise ValueError(f"{path}: not a KSF1 file")
+        d, m, n, reserved = _HEADER.unpack_from(head, len(MAGIC))
+        if reserved != 0:
+            raise ValueError(f"{path}: reserved header word must be 0")
+        try:
+            file_grid = make_grid(d, m, n)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid geometry d={d} M={m} N={n}: {exc}") from None
+        if grid is not None and (grid.d, grid.M, grid.N) != (d, m, n):
+            raise ValueError(
+                f"{path}: geometry ({d},{m},{n}) does not match the target grid"
+            )
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        expected = n**d * 8
+        if size != expected:
+            raise ValueError(f"{path}: payload holds {size} bytes, expected {expected}")
+        vals = np.fromfile(fh, dtype="<f8", count=n**d)
+    return Field(grid or file_grid, vals.reshape(file_grid.shape))

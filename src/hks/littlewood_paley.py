@@ -14,22 +14,13 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    Grid,
-    SpectralField,
-    dealiased_product,
-    derivative,
-    apply_multiplier,
-    inverse_transform,
-    lp_norm,
-    transform,
-)
+from .spectral import Field, Grid, SpectralField, dealiased_product, half_spectrum, lp_norm
 
 __all__ = [
     "smooth_step",
@@ -37,6 +28,7 @@ __all__ = [
     "annulus_profile",
     "DyadicPartition",
     "make_partition",
+    "block_norms",
     "lp_block",
     "BlockDecomposition",
     "decompose",
@@ -49,8 +41,8 @@ __all__ = [
 # largest lattice set where the partition sums to exactly 1 is
 # |xi| <= RESOLVED_FACTOR * 2**j_max
 RESOLVED_FACTOR = 1.5
-
-_MASK_CACHE_MAX_SIZE = 1 << 20  # cache block masks only for grids up to 1M samples
+# largest unresolved coefficient mass fraction of a resolved field
+_RESOLVED_TOL = 1e-12
 
 
 def smooth_step(t: np.ndarray | float) -> np.ndarray:
@@ -80,7 +72,8 @@ class DyadicPartition:
 
     j_max is the largest j with (3/2)*2^j strictly below the grid Nyquist
     frequency, so the partition sums to 1 on every lattice point with
-    |xi| <= (3/2)*2^j_max.
+    |xi| <= (3/2)*2^j_max.  The windows live on the grid's real-FFT half
+    spectrum and are built together at the first block request.
     """
 
     grid: Grid
@@ -96,45 +89,105 @@ class DyadicPartition:
                 f"grid too coarse for any dyadic block (N={self.grid.N}, M={self.grid.M})"
             )
         object.__setattr__(self, "j_max", j)
-        object.__setattr__(self, "_mask_cache", {})
 
-    def _radius(self) -> np.ndarray:
+    def _tables(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Half-spectrum windows of blocks -1..j_max and the modes beyond
+        (3/2)*2^j_max, cached on the grid at the first block request.  One chi
+        per block: phi(2^-j xi) = chi(xi/2^(j+1)) - chi(xi/2^j), and dividing by
+        a power of two is exact, so each window is annulus_profile's bit for bit.
+        """
         cache = self.grid._cache
-        if "xi_radius" not in cache:
-            cache["xi_radius"] = np.sqrt(self.grid.frequency_norm2())
-        return cache["xi_radius"]
+        if "lp_tables" not in cache:
+            r = np.sqrt(half_spectrum(self.grid).xi2)
+            chi = low_cutoff_profile(r)
+            windows = [chi]
+            for j in range(self.j_max + 1):
+                chi_next = low_cutoff_profile(r / float(2 ** (j + 1)))
+                windows.append(chi_next - chi)
+                chi = chi_next
+            cache["lp_tables"] = (tuple(windows), r > RESOLVED_FACTOR * 2**self.j_max)
+        return cache["lp_tables"]
+
+    def _half_window(self, j: int) -> np.ndarray:
+        if j < -1 or j > self.j_max:
+            raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
+        return self._tables()[0][j + 1]
+
+    def _full_lattice(self, half: np.ndarray) -> np.ndarray:
+        """A radial half-spectrum table mirrored onto the full fft-ordered lattice."""
+        n = self.grid.N
+        return np.concatenate([half, half[..., n // 2 - 1:0:-1]], axis=-1)
 
     def block_window(self, j: int) -> np.ndarray:
         """Window values on the lattice for block j (j = -1 is the low ball)."""
-        if j < -1 or j > self.j_max:
-            raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
-        cache_ok = self.grid.N**self.grid.d <= _MASK_CACHE_MAX_SIZE
-        if cache_ok and j in self._mask_cache:
-            return self._mask_cache[j]
-        r = self._radius()
-        w = low_cutoff_profile(r) if j == -1 else annulus_profile(r / float(2**j))
-        if cache_ok:
-            self._mask_cache[j] = w
-        return w
+        return self._full_lattice(self._half_window(j))
 
     def resolved_mass_fraction(self, F: SpectralField) -> float:
         """l2 coefficient mass fraction beyond (3/2)*2^j_max."""
-        r = self._radius()
-        c2 = np.abs(F.coefficients) ** 2
-        total = float(np.sum(c2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(c2[r > RESOLVED_FACTOR * 2**self.j_max]) / total)
+        return _tail_fraction(np.abs(F.coefficients) ** 2,
+                              self._full_lattice(self._tables()[1]))
 
 
 def make_partition(grid: Grid) -> DyadicPartition:
-    return DyadicPartition(grid)
+    """The dyadic partition of ``grid``: one object per grid while in use."""
+    # Held weakly: a grid <-> partition cycle would keep the grid's cached
+    # arrays alive until a full garbage collection.
+    ref = grid._cache.get("partition")
+    part = ref() if ref is not None else None
+    if part is None:
+        part = DyadicPartition(grid)
+        grid._cache["partition"] = weakref.ref(part)
+    return part
+
+
+def _tail_fraction(c2: np.ndarray, beyond: np.ndarray) -> float:
+    total = float(np.sum(c2))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(c2[beyond]) / total)
+
+
+def _half_power(Fh: np.ndarray) -> np.ndarray:
+    """|F|^2 on the half spectrum, weighted by each mode's multiplicity on
+    the full lattice: 1 on the zero and Nyquist planes of the last axis,
+    2 elsewhere."""
+    c2 = Fh.real**2 + Fh.imag**2
+    c2[..., 1:-1] *= 2.0
+    return c2
+
+
+def _check_resolved(part: DyadicPartition, Fh: np.ndarray, message: str) -> tuple[bool, float]:
+    """Resolvedness flag and unresolved mass fraction; warns when unresolved."""
+    frac = _tail_fraction(_half_power(Fh), part._tables()[1])
+    if frac > _RESOLVED_TOL:
+        warnings.warn(message.format(frac), stacklevel=3)
+    return frac <= _RESOLVED_TOL, frac
+
+
+def _block_norms(part: DyadicPartition, Fh: np.ndarray, p: float) -> np.ndarray:
+    g = part.grid
+    if p == 2:
+        c2 = _half_power(Fh)
+        sums = np.array([np.sum(c2 * (w * w)) for w in part._tables()[0]])
+        return np.sqrt(sums * (g.spacing ** g.d / g.N ** g.d))
+    hs = half_spectrum(g)
+    return np.array([lp_norm(Field(g, hs.irfftn(Fh * w)), p)
+                     for w in part._tables()[0]])
+
+
+def block_norms(part: DyadicPartition, f: Field, p: float) -> np.ndarray:
+    """L^p norm of every block of f, index 0 holding block -1.
+
+    One real FFT of f; at p = 2 Parseval gives the norms without any
+    inverse transform, other p take one inverse real FFT per block.
+    """
+    return _block_norms(part, np.fft.rfftn(f.values), p)
 
 
 def lp_block(part: DyadicPartition, f: Field, j: int) -> Field:
     """The j-th dyadic block of f as a physical field."""
-    F = transform(f)
-    return inverse_transform(SpectralField(part.grid, F.coefficients * part.block_window(j)))
+    hs = half_spectrum(part.grid)
+    return Field(part.grid, hs.irfftn(np.fft.rfftn(f.values) * part._half_window(j)))
 
 
 @dataclass
@@ -154,27 +207,17 @@ class BlockDecomposition:
         return out
 
 
-_RESOLVED_TOL = 1e-12
-
-
 def decompose(part: DyadicPartition, f: Field) -> BlockDecomposition:
     """All blocks j = -1..j_max of f, plus a resolvedness flag.
 
     When the unresolved coefficient mass fraction exceeds 1e-12 the block
     sum no longer reconstructs f and a warning is emitted.
     """
-    F = transform(f)
-    blocks = [
-        inverse_transform(SpectralField(part.grid, F.coefficients * part.block_window(j)))
-        for j in range(-1, part.j_max + 1)
-    ]
-    frac = part.resolved_mass_fraction(F)
-    resolved = frac <= _RESOLVED_TOL
-    if not resolved:
-        warnings.warn(
-            f"field has {frac:.3e} of its spectral mass beyond the resolved band",
-            stacklevel=2,
-        )
+    g, hs = part.grid, half_spectrum(part.grid)
+    Fh = np.fft.rfftn(f.values)
+    blocks = [Field(g, hs.irfftn(Fh * w)) for w in part._tables()[0]]
+    resolved, frac = _check_resolved(
+        part, Fh, "field has {:.3e} of its spectral mass beyond the resolved band")
     return BlockDecomposition(part, blocks, resolved, frac)
 
 
@@ -211,21 +254,11 @@ def besov_norm(part: DyadicPartition, f: Field, params: BesovParams) -> BesovNor
     l^r aggregation of the profile (sup for r = inf).  Block -1 is always
     included.
     """
-    F = transform(f)
-    frac = part.resolved_mass_fraction(F)
-    resolved = frac <= _RESOLVED_TOL
-    if not resolved:
-        warnings.warn(
-            f"besov_norm on under-resolved field ({frac:.3e} mass beyond band)",
-            stacklevel=2,
-        )
+    Fh = np.fft.rfftn(f.values)
+    resolved, _ = _check_resolved(
+        part, Fh, "besov_norm on under-resolved field ({:.3e} mass beyond band)")
     js = np.arange(-1, part.j_max + 1)
-    profile = np.empty(len(js))
-    for i, j in enumerate(js):
-        blk = inverse_transform(
-            SpectralField(part.grid, F.coefficients * part.block_window(int(j)))
-        )
-        profile[i] = 2.0 ** (params.s * j) * lp_norm(blk, params.p)
+    profile = 2.0 ** (params.s * js) * _block_norms(part, Fh, params.p)
     if params.r == math.inf:
         value = float(np.max(profile))
     else:
@@ -247,7 +280,9 @@ def commutator(
     g = part.grid
     if len(velocity) != g.d:
         raise ValueError(f"velocity must have {g.d} components, got {len(velocity)}")
-    grad = [inverse_transform(apply_multiplier(derivative(a), transform(f))) for a in range(g.d)]
+    hs = half_spectrum(g)
+    Fh = np.fft.rfftn(f.values)
+    grad = [Field(g, hs.irfftn(Fh * (1j * xi))) for xi in hs.xi]
     adv = dealiased_product(velocity[0], grad[0], fraction)
     for a in range(1, g.d):
         adv = adv + dealiased_product(velocity[a], grad[a], fraction)

@@ -26,7 +26,7 @@ import numpy as np
 from . import littlewood_paley as lpmod
 from . import spectral as sp
 from .construction import InitialData
-from .littlewood_paley import BesovParams, DyadicPartition, make_partition
+from .littlewood_paley import BesovParams, block_norms, make_partition
 from .solver import BlowUpError, SolverConfig, evolve
 
 # Frozen tolerance bands of the acceptance suite.  Slope bands are a priori
@@ -59,20 +59,9 @@ def fit_loglog(xs, ys) -> float:
 
 def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
     """Second-order remainder u(t) - u0 + t*v0 of the short-time expansion."""
-    if u_t.grid is not u0.grid and (u_t.grid.d, u_t.grid.M, u_t.grid.N) != (
-            u0.grid.d, u0.grid.M, u0.grid.N):
-        raise ValueError("fields live on different grids")
-    if v0.grid.shape != u0.grid.shape:
-        raise ValueError("fields live on different grids")
+    sp._check_same_grid(u_t.grid, u0.grid)
+    sp._check_same_grid(v0.grid, u0.grid)
     return sp.Field(u0.grid, u_t.values - u0.values + t * v0.values)
-
-
-def _block_norms(part: DyadicPartition, f: sp.Field, p: float) -> np.ndarray:
-    """L^p norm of every block, index 0 holding block -1."""
-    out = np.empty(part.j_max + 2)
-    for i, j in enumerate(range(-1, part.j_max + 1)):
-        out[i] = sp.lp_norm(lpmod.lp_block(part, f, j), p)
-    return out
 
 
 def _weighted_sup(norms: np.ndarray, s: float) -> float:
@@ -132,8 +121,8 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     for t in times:
         u_t = traj.state_at(t)
         diff = sp.Field(data.grid, u_t.values - data.u0.values)
-        dn = _block_norms(part, diff, p)
-        hn = _block_norms(part, h_field(u_t, data.u0, data.v0, t), p)
+        dn = block_norms(part, diff, p)
+        hn = block_norms(part, h_field(u_t, data.u0, data.v0, t), p)
         records.append(RateRecord(
             t=t,
             dev_s=_weighted_sup(dn, s),
@@ -223,10 +212,8 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
                          f"got s={s}, p={p}, d={data.grid.d}")
 
     part = make_partition(data.grid)
-    for j in range(-1, part.j_max + 1):   # prime the mask cache before fan-out
-        part.block_window(j)
-    v0_blocks = {j: sp.lp_norm(lpmod.lp_block(part, data.v0, j), p) for j in js}
-    u0_norms = _block_norms(part, data.u0, p)
+    v0_norms = block_norms(part, data.v0, p)
+    u0_norms = block_norms(part, data.u0, p)
     u0_norm = _weighted_sup(u0_norms, s)
 
     def run(j: int) -> InflationRecord:
@@ -234,9 +221,9 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
         traj = evolve(data.u0, SolverConfig(t_final=t_j, cfl=cfl))
         u_t = traj.states[-1]
         diff = sp.Field(data.grid, u_t.values - data.u0.values)
-        dn = _block_norms(part, diff, p)
-        hn = _block_norms(part, h_field(u_t, data.u0, data.v0, t_j), p)
-        un = _block_norms(part, u_t, p)
+        dn = block_norms(part, diff, p)
+        hn = block_norms(part, h_field(u_t, data.u0, data.v0, t_j), p)
+        un = block_norms(part, u_t, p)
         w = 2.0 ** (j * s)
         rec = InflationRecord(
             j=j, t=t_j,
@@ -245,7 +232,7 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
             dev_s2=_weighted_sup(dn, s - 2),
             h_s2=_weighted_sup(hn, s - 2),
             block_j=w * dn[j + 1],
-            tv0_block_j=w * t_j * v0_blocks[j],
+            tv0_block_j=w * t_j * v0_norms[j + 1],
             h_block_j=w * hn[j + 1],
         )
         # Triangle chain, each side computed independently.
@@ -665,8 +652,8 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
                 break
             u_t = traj.states[-1]
             diff = sp.Field(data.grid, u_t.values - data.u0.values)
-            dn = _block_norms(part, diff, p)
-            hn = _block_norms(part, h_field(u_t, data.u0, data.v0, t_j), p)
+            dn = block_norms(part, diff, p)
+            hn = block_norms(part, h_field(u_t, data.u0, data.v0, t_j), p)
             ratio = _weighted_sup(hn, s - 2) / max(_weighted_sup(dn, s - 2),
                                                    1e-300)
             detail[f"j{j}"] = f"h-ratio {ratio:.4f}"

@@ -12,28 +12,19 @@ either fixed or chosen per step from a CFL condition on the advective
 speed |1 - 2u| |grad S|.
 
 Internally the hot path works on raw arrays with real-to-complex
-transforms; the phase convention of :func:`hks.spectral.transform` is
-irrelevant for diagonal multipliers, so plain rfftn/irfftn pairs agree
-with the Field-level operators.
+transforms on the grid's :class:`hks.spectral.HalfSpectrum`; the phase
+convention of :func:`hks.spectral.transform` is irrelevant for diagonal
+multipliers, so plain rfftn/irfftn pairs agree with the Field-level operators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    Grid,
-    apply_multiplier,
-    dealias_cutoff_index,
-    helmholtz_inverse,
-    transform,
-    inverse_transform,
-)
+from .spectral import Field, Grid, HalfSpectrum, half_spectrum
 
 __all__ = [
     "SolverConfig",
@@ -102,66 +93,30 @@ class Trajectory:
         raise KeyError(f"no snapshot at t={t}")
 
 
-def _workspace(grid: Grid, fraction: float) -> dict:
-    """Cached half-spectrum helpers for rfftn-based evaluation."""
-    key = ("solver_ws", fraction)
-    if key not in grid._cache:
-        d, N = grid.d, grid.N
-        axes = tuple(range(d))
-        step = grid.freq_step
-        k_full = np.fft.fftfreq(N, d=1.0 / N)
-        k_half = np.arange(N // 2 + 1, dtype=np.float64)
-        xi = []
-        for a in range(d):
-            k = k_half if a == d - 1 else k_full
-            shp = [1] * d
-            shp[a] = len(k)
-            xi.append((k * step).reshape(shp))
-        kc = dealias_cutoff_index(grid, fraction)
-        keep = np.array(1.0)
-        for a in range(d):
-            k = k_half if a == d - 1 else k_full
-            shp = [1] * d
-            shp[a] = len(k)
-            keep = keep * (np.abs(k) <= kc).astype(np.float64).reshape(shp)
-        xi2 = np.array(0.0)
-        for ax in xi:
-            xi2 = xi2 + ax**2
-        grid._cache[key] = {
-            "axes": axes,
-            "shape": grid.shape,
-            "xi": xi,
-            "keep": keep,
-            "helm_inv": 1.0 / (1.0 + xi2),
-            "minus_xi2": -xi2,
-        }
-    return grid._cache[key]
-
-
 def _check_stage(values: np.ndarray, stage: str) -> None:
     if not np.all(np.isfinite(values)):
         raise BlowUpError(f"non-finite values produced at stage '{stage}'")
 
 
-def _div_flux_half(u: np.ndarray, S_half: np.ndarray, ws: dict) -> np.ndarray:
+def _div_flux_half(u: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum,
+                   fraction: float) -> np.ndarray:
     """Half-spectrum of div(u(1-u) grad S) with dealiased products."""
-    axes, shape, keep = ws["axes"], ws["shape"], ws["keep"]
-    uh = np.fft.rfftn(u, axes=axes)
-    ud = np.fft.irfftn(uh * keep, s=shape, axes=axes)
+    keep = hs.keep(fraction)
+    ud = hs.truncate(u, fraction)
     _check_stage(ud, "dealias(u)")
-    u2 = np.fft.irfftn(np.fft.rfftn(ud * ud, axes=axes) * keep, s=shape, axes=axes)
-    g = ud - u2  # dealiased u(1-u)
+    g = ud - hs.truncate(ud * ud, fraction)  # dealiased u(1-u)
     out = np.zeros_like(S_half)
-    for a, xia in enumerate(ws["xi"]):
-        ds = np.fft.irfftn(S_half * (1j * xia) * keep, s=shape, axes=axes)
+    for a, xia in enumerate(hs.xi):
+        ds = hs.irfftn(S_half * (1j * xia) * keep)
         _check_stage(ds, f"grad_S[{a}]")
-        out = out + (1j * xia) * (np.fft.rfftn(g * ds, axes=axes) * keep)
+        out = out + (1j * xia) * (np.fft.rfftn(g * ds) * keep)
     return out
 
 
 def solve_S(u: Field) -> Field:
     """Chemoattractant from density: S = (1 - Laplacian)^{-1} u."""
-    return inverse_transform(apply_multiplier(helmholtz_inverse(), transform(u)))
+    hs = half_spectrum(u.grid)
+    return Field(u.grid, hs.irfftn(np.fft.rfftn(u.values) * hs.helm_inv))
 
 
 def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Field:
@@ -171,41 +126,36 @@ def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Fie
     applied to the initial data, so building it here keeps the solver and
     the construction bit-consistent.
     """
-    ws = _workspace(u.grid, fraction)
-    S_half = np.fft.rfftn(S.values, axes=ws["axes"])
-    div_half = _div_flux_half(u.values, S_half, ws)
-    out = np.fft.irfftn(div_half, s=ws["shape"], axes=ws["axes"])
+    hs = half_spectrum(u.grid)
+    div_half = _div_flux_half(u.values, np.fft.rfftn(S.values), hs, fraction)
+    out = hs.irfftn(div_half)
     _check_stage(out, "divergence")
     return Field(u.grid, out)
 
 
 def rhs(u: Field, cfg: SolverConfig) -> Field:
     """Right-hand side -div(u(1-u) grad S) + eps*Laplacian(u)."""
-    ws = _workspace(u.grid, cfg.dealias_fraction)
-    vals = _rhs_values(u.values, cfg.eps, ws)
-    return Field(u.grid, vals)
+    hs = half_spectrum(u.grid)
+    return Field(u.grid, _rhs_values(u.values, cfg.eps, hs, cfg.dealias_fraction))
 
 
-def _rhs_values(u: np.ndarray, eps: float, ws: dict) -> np.ndarray:
-    axes, shape = ws["axes"], ws["shape"]
-    uh = np.fft.rfftn(u, axes=axes)
-    S_half = uh * ws["helm_inv"]
-    out_half = -_div_flux_half(u, S_half, ws)
+def _rhs_values(u: np.ndarray, eps: float, hs: HalfSpectrum,
+                fraction: float) -> np.ndarray:
+    uh = np.fft.rfftn(u)
+    out_half = -_div_flux_half(u, uh * hs.helm_inv, hs, fraction)
     if eps > 0.0:
-        out_half = out_half + eps * ws["minus_xi2"] * uh
-    out = np.fft.irfftn(out_half, s=shape, axes=axes)
+        out_half = out_half - (eps * hs.xi2) * uh
+    out = hs.irfftn(out_half)
     _check_stage(out, "rhs")
     return out
 
 
-def _max_speed(u: np.ndarray, ws: dict) -> float:
+def _max_speed(u: np.ndarray, hs: HalfSpectrum) -> float:
     """max over the grid of |1 - 2u| |grad S|, the advective speed."""
-    axes, shape = ws["axes"], ws["shape"]
-    uh = np.fft.rfftn(u, axes=axes)
-    S_half = uh * ws["helm_inv"]
-    g2 = np.zeros(shape)
-    for xia in ws["xi"]:
-        ds = np.fft.irfftn(S_half * (1j * xia), s=shape, axes=axes)
+    S_half = np.fft.rfftn(u) * hs.helm_inv
+    g2 = np.zeros(hs.shape)
+    for xia in hs.xi:
+        ds = hs.irfftn(S_half * (1j * xia))
         g2 += ds * ds
     return float(np.max(np.abs(1.0 - 2.0 * u) * np.sqrt(g2)))
 
@@ -217,7 +167,7 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     initial value or any stage produces non-finite values.
     """
     g = u0.grid
-    ws = _workspace(g, cfg.dealias_fraction)
+    hs, fraction = half_spectrum(g), cfg.dealias_fraction
     targets = sorted(set(cfg.snapshot_times) | {cfg.t_final})
     max0 = float(np.max(np.abs(u0.values)))
     guard = 10.0 * (max0 if max0 > 0.0 else 1.0)
@@ -230,15 +180,15 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
             if cfg.dt is not None:
                 dt = cfg.dt
             else:
-                speed = _max_speed(u, ws)
+                speed = _max_speed(u, hs)
                 dt = cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
             hit = t + dt >= target - 1e-15 * target
             if hit:
                 dt = target - t
-            k1 = _rhs_values(u, cfg.eps, ws)
-            k2 = _rhs_values(u + (0.5 * dt) * k1, cfg.eps, ws)
-            k3 = _rhs_values(u + (0.5 * dt) * k2, cfg.eps, ws)
-            k4 = _rhs_values(u + dt * k3, cfg.eps, ws)
+            k1 = _rhs_values(u, cfg.eps, hs, fraction)
+            k2 = _rhs_values(u + (0.5 * dt) * k1, cfg.eps, hs, fraction)
+            k3 = _rhs_values(u + (0.5 * dt) * k2, cfg.eps, hs, fraction)
+            k4 = _rhs_values(u + dt * k3, cfg.eps, hs, fraction)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = target if hit else t + dt
             amax = float(np.max(np.abs(u)))
@@ -255,7 +205,7 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
                     "dt": dt,
                     "mean": float(np.mean(u)),
                     "max_abs": amax,
-                    "max_speed": _max_speed(u, ws) if cfg.dt is not None else speed,
+                    "max_speed": _max_speed(u, hs) if cfg.dt is not None else speed,
                 }
             )
         traj.times.append(target)

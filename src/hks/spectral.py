@@ -12,13 +12,18 @@ arithmetic mean of the field.  The inverse is a plain coefficient sum,
 f(x) = sum_xi F(xi) e^{i x.xi}.  A continuum pair (with inverse carrying
 (2*pi)^{-d}) maps onto this normalization by F_disc(xi) ~ fhat(xi) / |box|;
 we never compare absolute continuum constants, only lattice quantities.
+
+Real fields also live on the real-FFT half spectrum, whose tables (one
+:class:`HalfSpectrum` per grid) the solver, the dealiased product and the
+dyadic block layer share.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +43,8 @@ __all__ = [
     "laplacian",
     "identity_symbol",
     "dealias_cutoff_index",
+    "HalfSpectrum",
+    "half_spectrum",
     "dealias_field",
     "dealiased_product",
     "band_limited_noise",
@@ -326,32 +333,60 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dealiasing helpers (shared by the solver and the commutator)
+# half-spectrum tables and dealiasing (shared by the solver, the block layer
+# and the commutator)
 
 def dealias_cutoff_index(grid: Grid, fraction: float = 2.0 / 3.0) -> int:
     """Largest retained |k| per axis under the given dealias fraction."""
     return int(math.floor(fraction * (grid.N // 2)))
 
-def _dealias_keep(grid: Grid, fraction: float) -> np.ndarray:
-    key = ("dealias", fraction)
-    if key not in grid._cache:
-        kc = dealias_cutoff_index(grid, fraction)
-        k = np.abs(grid.axis_wavenumbers())
-        keep1 = (k <= kc).astype(np.float64)
-        out = np.ones(grid.shape)
-        for a in range(grid.d):
-            shp = [1] * grid.d
-            shp[a] = grid.N
-            out = out * keep1.reshape(shp)
-        grid._cache[key] = out
-    return grid._cache[key]
+
+class HalfSpectrum:
+    """Frequency tables on the ``rfftn`` half spectrum (last axis k = 0..N/2).
+
+    ``k`` and ``xi = k/(12 M)`` are broadcast-ready per axis, ``xi2`` is
+    |xi|^2 and ``helm_inv`` is 1/(1+|xi|^2).  :func:`half_spectrum` holds
+    the one table of each grid; the table keeps no reference to the grid,
+    so the grid's cache forms no reference cycle.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        k_half = np.arange(grid.N // 2 + 1, dtype=np.float64)
+        axes = [grid.axis_wavenumbers()] * (grid.d - 1) + [k_half]
+        self.shape, self._half_n = grid.shape, grid.N // 2
+        self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+        self.xi = tuple(k * grid.freq_step for k in self.k)
+        self.xi2 = sum(ax**2 for ax in self.xi)
+        self.helm_inv = 1.0 / (1.0 + self.xi2)
+        self._keep: dict[float, np.ndarray] = {}
+
+    def keep(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
+        """1 on modes with every |k_a| at or below the dealias cutoff, else 0."""
+        if fraction not in self._keep:
+            kc = int(math.floor(fraction * self._half_n))  # rule of dealias_cutoff_index
+            inside = functools.reduce(np.logical_and, [np.abs(k) <= kc for k in self.k])
+            self._keep[fraction] = inside.astype(np.float64)
+        return self._keep[fraction]
+
+    def irfftn(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real field on the grid from its half-spectrum coefficients."""
+        return np.fft.irfftn(coeffs, s=self.shape, axes=range(len(self.shape)))
+
+    def truncate(self, values: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:
+        """Zero every mode of ``values`` with an axis index above the cutoff."""
+        return self.irfftn(np.fft.rfftn(values) * self.keep(fraction))
+
+
+def half_spectrum(grid: Grid) -> HalfSpectrum:
+    """The half-spectrum tables of ``grid``, built once per grid."""
+    if "half" not in grid._cache:
+        grid._cache["half"] = HalfSpectrum(grid)
+    return grid._cache["half"]
 
 
 def dealias_field(f: Field, fraction: float = 2.0 / 3.0) -> Field:
     """Zero all modes with any axis index above the dealias cutoff."""
-    g = f.grid
-    vals = np.fft.ifftn(np.fft.fftn(f.values) * _dealias_keep(g, fraction)).real
-    return Field(g, vals)
+    return Field(f.grid, half_spectrum(f.grid).truncate(f.values, fraction))
 
 
 def dealiased_product(a: Field, b: Field, fraction: float = 2.0 / 3.0) -> Field:
@@ -362,12 +397,9 @@ def dealiased_product(a: Field, b: Field, fraction: float = 2.0 / 3.0) -> Field:
     modes never alias back into the retained band.
     """
     _check_same_grid(a.grid, b.grid)
-    g = a.grid
-    keep = _dealias_keep(g, fraction)
-    av = np.fft.ifftn(np.fft.fftn(a.values) * keep).real
-    bv = np.fft.ifftn(np.fft.fftn(b.values) * keep).real
-    pv = np.fft.ifftn(np.fft.fftn(av * bv) * keep).real
-    return Field(g, pv)
+    hs = half_spectrum(a.grid)
+    prod = hs.truncate(a.values, fraction) * hs.truncate(b.values, fraction)
+    return Field(a.grid, hs.truncate(prod, fraction))
 
 
 def band_limited_noise(grid: Grid, kmax: int, seed: int, kmin: int = 0) -> Field:

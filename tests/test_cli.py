@@ -80,6 +80,15 @@ class TestKsf:
         with pytest.raises(ValueError, match="invalid geometry"):
             ksf.read_field(path)
 
+    def test_rejects_header_the_grid_rejects(self, tmp_path):
+        # N = 8 passes the bare field checks but is not a valid Grid; the
+        # error names the file and comes before any payload is read.
+        path = tmp_path / "f.ksf"
+        path.write_bytes(b"KSF1" + struct.pack("<IIII", 1, 1, 8, 0))
+        with pytest.raises(ValueError, match="power of two") as exc:
+            ksf.read_field(path)
+        assert str(exc.value).startswith(f"{path}: invalid geometry")
+
     def test_rejects_short_payload(self, tmp_path):
         g, f = self._sample()
         path = tmp_path / "f.ksf"

@@ -1,13 +1,17 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dft_oracle as oracle
 from hks.littlewood_paley import (
     BesovParams,
     annulus_profile,
     besov_norm,
+    block_norms,
     commutator,
     decompose,
     low_cutoff_profile,
@@ -15,7 +19,16 @@ from hks.littlewood_paley import (
     make_partition,
     smooth_step,
 )
-from hks.spectral import Field, band_limited_noise, lp_norm, make_grid
+from hks.spectral import (
+    Field,
+    SpectralField,
+    band_limited_noise,
+    half_spectrum,
+    inverse_transform,
+    lp_norm,
+    make_grid,
+    transform,
+)
 
 
 class TestProfiles:
@@ -218,3 +231,92 @@ class TestCommutator:
         fast = commutator(part, 1, [v], f).values
         slow = oracle.slow_commutator([v.values], f.values, 1, 1)
         assert np.max(np.abs(fast - slow)) <= 1e-11
+
+
+# Random grids small enough for a few hundred block transforms: every
+# dimension, box scales 1-3, and N from the coarsest grid with a block.
+_LOG2_N = {1: (7, 12), 2: (7, 8), 3: (6, 6)}
+
+
+@st.composite
+def grids(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    M = draw(st.integers(1, 3))
+    N = 2 ** draw(st.integers(*_LOG2_N[d]))
+    assume(36 * M < N)  # at least block 0
+    return make_grid(d, M, N)
+
+
+def white_noise(g, seed):
+    # Every lattice mode is excited, the zero and Nyquist planes included,
+    # so all three half-spectrum Parseval weights are exercised.
+    return Field(g, np.random.default_rng(seed).standard_normal(g.shape))
+
+
+class TestHalfSpectrumBlocks:
+    def test_partition_memoized_per_grid(self):
+        g = make_grid(2, 1, 128)
+        part = make_partition(g)
+        assert make_partition(g) is part
+        assert make_partition(make_grid(2, 1, 128)) is not part
+
+    def test_grid_does_not_keep_partition_alive(self):
+        # No grid <-> partition cycle: dropping the last reference frees it.
+        g = make_grid(1, 1, 512)
+        ref = weakref.ref(make_partition(g))
+        assert ref() is None
+
+    def test_windows_built_at_first_block_request(self):
+        g = make_grid(1, 1, 512)
+        part = make_partition(g)
+        assert "lp_tables" not in g._cache
+        lp_block(part, band_limited_noise(g, 30, seed=1), 0)
+        assert "lp_tables" in g._cache
+
+    @pytest.mark.parametrize("d,N", [(1, 1024), (2, 256), (3, 128)])
+    def test_block_window_is_the_window_formula(self, d, N):
+        g = make_grid(d, 1, N)
+        part = make_partition(g)
+        r = np.sqrt(g.frequency_norm2())
+        assert np.array_equal(part.block_window(-1), low_cutoff_profile(r))
+        for j in range(part.j_max + 1):
+            assert np.array_equal(part.block_window(j), annulus_profile(r / 2.0**j))
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=grids())
+    def test_half_windows_sum_to_one(self, g):
+        part = make_partition(g)
+        windows, beyond = part._tables()
+        r = np.sqrt(half_spectrum(g).xi2)
+        total = sum(windows)
+        covered = np.broadcast_to(r <= 1.5 * 2.0**part.j_max, total.shape)
+        assert np.array_equal(beyond, ~covered)
+        assert np.max(np.abs(total[covered] - 1.0)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=grids(), p=st.sampled_from((1.0, 2.0, 3.0, math.inf)),
+           seed=st.integers(0, 2**16))
+    def test_block_norms_match_per_block_norms(self, g, p, seed):
+        part = make_partition(g)
+        f = white_noise(g, seed)
+        fast = block_norms(part, f, p)
+        per_block = [lp_norm(lp_block(part, f, j), p) for j in range(-1, part.j_max + 1)]
+        # the same blocks through the full-lattice complex transform pair
+        F = transform(f).coefficients
+        full = [lp_norm(inverse_transform(SpectralField(g, F * part.block_window(j))), p)
+                for j in range(-1, part.j_max + 1)]
+        assert fast.shape == (part.j_max + 2,)
+        assert np.allclose(fast, per_block, rtol=1e-12, atol=0.0)
+        assert np.allclose(fast, full, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(g=grids(), seed=st.integers(0, 2**16))
+    def test_besov_profile_is_weighted_block_norms(self, g, seed):
+        part = make_partition(g)
+        f = white_noise(g, seed)
+        with pytest.warns(UserWarning, match="under-resolved"):
+            res = besov_norm(part, f, BesovParams(1.5, 2.0))
+        assert not res.resolved
+        assert np.array_equal(res.js, np.arange(-1, part.j_max + 1))
+        expected = 2.0 ** (1.5 * res.js) * block_norms(part, f, 2.0)
+        assert np.array_equal(res.profile, expected)

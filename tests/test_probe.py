@@ -64,6 +64,14 @@ class TestHField:
         with pytest.raises(ValueError, match="different grids"):
             probe.h_field(d.u0, d.u0, stranger, 0.1)
 
+    def test_v0_on_other_box_with_same_shape(self, data_2048_5):
+        # Same N, different M: the shapes agree but the geometry does not.
+        d = data_2048_5
+        other = make_grid(1, 2, d.grid.N)
+        stranger = Field(other, np.zeros(other.shape))
+        with pytest.raises(ValueError, match="different grids"):
+            probe.h_field(d.u0, d.u0, stranger, 0.1)
+
 
 class TestRateSweep:
     def test_too_few_times(self, data_2048_5):
