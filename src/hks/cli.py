@@ -352,7 +352,7 @@ def _cmd_probe_jk(args, argv) -> int:
                                    [r.K for r in window])
         k_ok = k_slope <= probe.FLATNESS_MAX
         k_info = {"k_slope": k_slope}
-    anchor_ok = rep.anchor.rel_error <= 0.01
+    anchor_ok = rep.anchor.rel_error <= probe.ANCHOR_REL_MAX
     # The dyadic growth band for the forcing profile is a d=1 statement;
     # higher-d smoke runs are judged on K flatness instead.
     v0_ok = (data.grid.d > 1

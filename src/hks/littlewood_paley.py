@@ -186,8 +186,7 @@ def block_norms(part: DyadicPartition, f: Field, p: float) -> np.ndarray:
 
 def lp_block(part: DyadicPartition, f: Field, j: int) -> Field:
     """The j-th dyadic block of f as a physical field."""
-    hs = half_spectrum(part.grid)
-    return Field(part.grid, hs.irfftn(np.fft.rfftn(f.values) * part._half_window(j)))
+    return Field(part.grid, half_spectrum(part.grid).apply(f.values, part._half_window(j)))
 
 
 @dataclass
@@ -281,8 +280,7 @@ def commutator(
     if len(velocity) != g.d:
         raise ValueError(f"velocity must have {g.d} components, got {len(velocity)}")
     hs = half_spectrum(g)
-    Fh = np.fft.rfftn(f.values)
-    grad = [Field(g, hs.irfftn(Fh * (1j * xi))) for xi in hs.xi]
+    grad = [Field(g, v) for v in hs.apply(f.values, hs.gradient_symbol())]
     adv = dealiased_product(velocity[0], grad[0], fraction)
     for a in range(1, g.d):
         adv = adv + dealiased_product(velocity[a], grad[a], fraction)

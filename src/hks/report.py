@@ -58,26 +58,14 @@ def _summary_section(summary) -> tuple[list[str], list[bool]]:
     if not summary:
         lines += ["_no results: summary.json missing_", ""]
         return lines, flags
-    if "slope_dev_s1" in summary:
-        line, ok = _band_line("slope_dev_s1", summary["slope_dev_s1"],
-                              probe.RATE1_BAND)
-        lines.append(line)
-        flags.append(ok)
-    if "slope_h_s2" in summary:
-        line, ok = _band_line("slope_h_s2", summary["slope_h_s2"],
-                              probe.RATE2_BAND)
-        lines.append(line)
-        flags.append(ok)
-    if "slope_j1" in summary:
-        line, ok = _band_line("slope_j1", summary["slope_j1"],
-                              probe.J1_SLOPE_BAND)
-        lines.append(line)
-        flags.append(ok)
-    if "v0_slope" in summary:
-        line, ok = _band_line("v0_slope", summary["v0_slope"],
-                              probe.V0_SLOPE_BAND)
-        lines.append(line)
-        flags.append(ok)
+    for key, band in (("slope_dev_s1", probe.RATE1_BAND),
+                      ("slope_h_s2", probe.RATE2_BAND),
+                      ("slope_j1", probe.J1_SLOPE_BAND),
+                      ("v0_slope", probe.V0_SLOPE_BAND)):
+        if key in summary:
+            line, ok = _band_line(key, summary[key], band)
+            lines.append(line)
+            flags.append(ok)
     if "commutator_slope" in summary:
         ok = summary["commutator_slope"] <= probe.FLATNESS_MAX
         lines.append(f"- commutator_slope = {summary['commutator_slope']:.6g}, "
@@ -94,12 +82,13 @@ def _summary_section(summary) -> tuple[list[str], list[bool]]:
             floor = probe.INFLATION_FLOOR_FRACTION * summary["u0_norm"]
             ok = summary.get("min_dev", 0.0) >= floor
             lines.append(f"- inflation floor: min_dev >= {floor:.6g} "
-                         f"(0.01 x u0 norm): {'PASS' if ok else 'FAIL'}")
+                         f"({probe.INFLATION_FLOOR_FRACTION} x u0 norm): "
+                         f"{'PASS' if ok else 'FAIL'}")
             flags.append(ok)
     if "anchor_rel_error" in summary:
-        ok = summary["anchor_rel_error"] <= 0.01
+        ok = summary["anchor_rel_error"] <= probe.ANCHOR_REL_MAX
         lines.append(f"- c0 anchor relative error = "
-                     f"{summary['anchor_rel_error']:.3e} <= 1e-2: "
+                     f"{summary['anchor_rel_error']:.3e} <= {probe.ANCHOR_REL_MAX}: "
                      f"{'PASS' if ok else 'FAIL'}")
         flags.append(ok)
     if "c0" in summary:

@@ -12,9 +12,7 @@ either fixed or chosen per step from a CFL condition on the advective
 speed |1 - 2u| |grad S|.
 
 Internally the hot path works on raw arrays with real-to-complex
-transforms on the grid's :class:`hks.spectral.HalfSpectrum`; the phase
-convention of :func:`hks.spectral.transform` is irrelevant for diagonal
-multipliers, so plain rfftn/irfftn pairs agree with the Field-level operators.
+transforms on the grid's :class:`hks.spectral.HalfSpectrum` tables.
 """
 
 from __future__ import annotations
@@ -79,7 +77,12 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots of an evolve run plus per-step diagnostics."""
+    """Snapshots of an evolve run plus per-step diagnostics.
+
+    ``steps`` holds one record per accepted step: its dt, the time, mean
+    and max|u| at its end, and max_speed, the advective speed at its start
+    (the speed a CFL step is sized from), under either step policy.
+    """
 
     grid: Grid
     times: list[float]
@@ -116,7 +119,7 @@ def _div_flux_half(u: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum,
 def solve_S(u: Field) -> Field:
     """Chemoattractant from density: S = (1 - Laplacian)^{-1} u."""
     hs = half_spectrum(u.grid)
-    return Field(u.grid, hs.irfftn(np.fft.rfftn(u.values) * hs.helm_inv))
+    return Field(u.grid, hs.apply(u.values, hs.helm_inv))
 
 
 def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Field:
@@ -177,10 +180,9 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     traj = Trajectory(g, [0.0], [Field(g, u.copy())], [])
     for target in targets:
         while t < target:
-            if cfg.dt is not None:
-                dt = cfg.dt
-            else:
-                speed = _max_speed(u, hs)
+            speed = _max_speed(u, hs)
+            dt = cfg.dt
+            if dt is None:
                 dt = cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
             hit = t + dt >= target - 1e-15 * target
             if hit:
@@ -205,7 +207,7 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
                     "dt": dt,
                     "mean": float(np.mean(u)),
                     "max_abs": amax,
-                    "max_speed": _max_speed(u, hs) if cfg.dt is not None else speed,
+                    "max_speed": speed,
                 }
             )
         traj.times.append(target)

@@ -13,9 +13,16 @@ f(x) = sum_xi F(xi) e^{i x.xi}.  A continuum pair (with inverse carrying
 (2*pi)^{-d}) maps onto this normalization by F_disc(xi) ~ fhat(xi) / |box|;
 we never compare absolute continuum constants, only lattice quantities.
 
-Real fields also live on the real-FFT half spectrum, whose tables (one
-:class:`HalfSpectrum` per grid) the solver, the dealiased product and the
-dyadic block layer share.
+The anchor at x = -12*pi*M puts the spatial origin at index N/2, so the
+pair is numpy's fftn/ifftn with the samples rotated by ifftshift/fftshift.
+
+Real fields live on the real-FFT half spectrum: one :class:`HalfSpectrum`
+per grid holds the tables, and :meth:`HalfSpectrum.apply` applies a
+diagonal multiplier to a real field (rfftn, multiply, irfftn).  Every
+package routine that differentiates, smooths, truncates or blocks a real
+field goes through it; the anchor is irrelevant there, since a diagonal
+multiplier commutes with the rotation.  The complex pair serves fields
+given by their coefficients and the public :class:`SpectralField` API.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ __all__ = [
     "one_minus_laplacian",
     "derivative",
     "laplacian",
-    "identity_symbol",
     "dealias_cutoff_index",
     "HalfSpectrum",
     "half_spectrum",
@@ -114,39 +120,14 @@ class Grid:
         """Per-axis frequency arrays xi_a = k_a/(12 M), broadcast-ready."""
         key = "xi_axes"
         if key not in self._cache:
-            k = self.axis_wavenumbers() * self.freq_step
-            axes = []
-            for a in range(self.d):
-                shp = [1] * self.d
-                shp[a] = self.N
-                axes.append(k.reshape(shp))
-            self._cache[key] = tuple(axes)
+            self._cache[key] = np.ix_(*[self.axis_wavenumbers() * self.freq_step] * self.d)
         return self._cache[key]
 
     def frequency_norm2(self) -> np.ndarray:
         """|xi|^2 on the full lattice."""
         key = "xi_norm2"
         if key not in self._cache:
-            axes = self.frequency_axes()
-            out = np.zeros(self.shape)
-            for ax in axes:
-                out = out + ax**2
-            self._cache[key] = out
-        return self._cache[key]
-
-    def phase(self) -> np.ndarray:
-        """(-1)**(k_1+...+k_d): relates numpy's origin-at-index-0 DFT to
-        the transform anchored at x = -12*pi*M."""
-        key = "phase"
-        if key not in self._cache:
-            k = self.axis_wavenumbers().astype(np.int64)
-            p1 = 1.0 - 2.0 * (np.abs(k) % 2)
-            out = np.ones(self.shape)
-            for a in range(self.d):
-                shp = [1] * self.d
-                shp[a] = self.N
-                out = out * p1.reshape(shp)
-            self._cache[key] = out
+            self._cache[key] = _norm2(self.frequency_axes())
         return self._cache[key]
 
     def origin_index(self) -> tuple[int, ...]:
@@ -217,8 +198,7 @@ def transform(f: Field) -> SpectralField:
     The coefficient at frequency zero equals mean(f).
     """
     g = f.grid
-    coeff = np.fft.fftn(f.values) * (g.phase() / g.N**g.d)
-    return SpectralField(g, coeff)
+    return SpectralField(g, np.fft.fftn(np.fft.ifftshift(f.values)) / g.N**g.d)
 
 
 def inverse_transform(F: SpectralField) -> Field:
@@ -228,7 +208,7 @@ def inverse_transform(F: SpectralField) -> Field:
     symmetry (every transform of a real field) it is at roundoff level.
     """
     g = F.grid
-    vals = np.fft.ifftn(F.coefficients * g.phase()) * g.N**g.d
+    vals = np.fft.fftshift(np.fft.ifftn(F.coefficients)) * g.N**g.d
     return Field(g, np.ascontiguousarray(vals.real))
 
 
@@ -236,13 +216,12 @@ def inverse_transform(F: SpectralField) -> Field:
 class MultiplierSymbol:
     """Fourier multiplier xi -> sigma(xi).
 
-    ``fn`` receives the tuple of broadcast-ready per-axis frequency arrays
-    and must return the symbol evaluated on the lattice.  ``order`` is the
-    growth order m in the S^m class (bookkeeping only).
+    ``fn`` receives a tuple of broadcast-ready per-axis frequency arrays,
+    the full lattice's (``Grid.frequency_axes``) or the half spectrum's
+    (``HalfSpectrum.xi``), and returns the symbol evaluated on them.
     """
 
     name: str
-    order: float
     fn: Callable[[tuple[np.ndarray, ...]], np.ndarray]
 
     def evaluate(self, grid: Grid) -> np.ndarray:
@@ -256,37 +235,23 @@ class MultiplierSymbol:
         f1, f2 = self.fn, other.fn
         return MultiplierSymbol(
             name=f"{self.name}*{other.name}",
-            order=self.order + other.order,
             fn=lambda axes: np.asarray(f1(axes)) * np.asarray(f2(axes)),
         )
 
 
-def identity_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("one", 0.0, lambda axes: np.array(1.0))
+def _norm2(axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """|xi|^2 from broadcast-ready per-axis frequency arrays."""
+    return sum(a**2 for a in axes)
 
 
 def helmholtz_inverse() -> MultiplierSymbol:
     """Symbol of (1 - Laplacian)^{-1}, i.e. 1/(1+|xi|^2)."""
-
-    def fn(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        s = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
-        for a in axes:
-            s = s + a**2
-        return 1.0 / (1.0 + s)
-
-    return MultiplierSymbol("helmholtz_inverse", -2.0, fn)
+    return MultiplierSymbol("helmholtz_inverse", lambda axes: 1.0 / (1.0 + _norm2(axes)))
 
 
 def one_minus_laplacian() -> MultiplierSymbol:
     """Symbol of (1 - Laplacian), i.e. 1 + |xi|^2."""
-
-    def fn(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        s = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
-        for a in axes:
-            s = s + a**2
-        return 1.0 + s
-
-    return MultiplierSymbol("one_minus_laplacian", 2.0, fn)
+    return MultiplierSymbol("one_minus_laplacian", lambda axes: 1.0 + _norm2(axes))
 
 
 def derivative(axis: int) -> MultiplierSymbol:
@@ -297,17 +262,12 @@ def derivative(axis: int) -> MultiplierSymbol:
             raise ValueError(f"axis {axis} out of range for d={len(axes)}")
         return 1j * axes[axis]
 
-    return MultiplierSymbol(f"d/dx{axis + 1}", 1.0, fn)
+    return MultiplierSymbol(f"d/dx{axis + 1}", fn)
 
 
 def laplacian() -> MultiplierSymbol:
-    def fn(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        s = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
-        for a in axes:
-            s = s + a**2
-        return -s
-
-    return MultiplierSymbol("laplacian", 2.0, fn)
+    """Symbol of the Laplacian, i.e. -|xi|^2."""
+    return MultiplierSymbol("laplacian", lambda axes: -_norm2(axes))
 
 
 def apply_multiplier(symbol: MultiplierSymbol, F: SpectralField) -> SpectralField:
@@ -345,9 +305,10 @@ class HalfSpectrum:
     """Frequency tables on the ``rfftn`` half spectrum (last axis k = 0..N/2).
 
     ``k`` and ``xi = k/(12 M)`` are broadcast-ready per axis, ``xi2`` is
-    |xi|^2 and ``helm_inv`` is 1/(1+|xi|^2).  :func:`half_spectrum` holds
-    the one table of each grid; the table keeps no reference to the grid,
-    so the grid's cache forms no reference cycle.
+    |xi|^2 and ``helm_inv`` is 1/(1+|xi|^2); a :class:`MultiplierSymbol`'s
+    ``fn(hs.xi)`` samples it here.  :func:`half_spectrum` holds the one
+    table of each grid; the table keeps no reference to the grid, so the
+    grid's cache forms no reference cycle.
     """
 
     def __init__(self, grid: Grid) -> None:
@@ -356,7 +317,7 @@ class HalfSpectrum:
         self.shape, self._half_n = grid.shape, grid.N // 2
         self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
         self.xi = tuple(k * grid.freq_step for k in self.k)
-        self.xi2 = sum(ax**2 for ax in self.xi)
+        self.xi2 = _norm2(self.xi)
         self.helm_inv = 1.0 / (1.0 + self.xi2)
         self._keep: dict[float, np.ndarray] = {}
 
@@ -368,13 +329,25 @@ class HalfSpectrum:
             self._keep[fraction] = inside.astype(np.float64)
         return self._keep[fraction]
 
+    def gradient_symbol(self) -> np.ndarray:
+        """The symbols i*xi_a of the d partial derivatives, stacked on a first axis."""
+        return np.stack(np.broadcast_arrays(*(1j * xi for xi in self.xi)))
+
     def irfftn(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real field on the grid from its half-spectrum coefficients."""
-        return np.fft.irfftn(coeffs, s=self.shape, axes=range(len(self.shape)))
+        """Real field on the grid from its half-spectrum coefficients; leading
+        axes beyond the grid's d give a stack of fields."""
+        d = len(self.shape)
+        return np.fft.irfftn(coeffs, s=self.shape, axes=range(-d, 0))
+
+    def apply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """The multiplier ``symbol``, sampled on the half spectrum, applied to
+        the real field ``values``: one rfftn, a product, one irfftn.  A
+        symbol with a leading stack axis gives one field per symbol."""
+        return self.irfftn(np.fft.rfftn(values) * symbol)
 
     def truncate(self, values: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """Zero every mode of ``values`` with an axis index above the cutoff."""
-        return self.irfftn(np.fft.rfftn(values) * self.keep(fraction))
+        return self.apply(values, self.keep(fraction))
 
 
 def half_spectrum(grid: Grid) -> HalfSpectrum:
@@ -412,12 +385,7 @@ def band_limited_noise(grid: Grid, kmax: int, seed: int, kmin: int = 0) -> Field
         raise ValueError("kmax must stay below the Nyquist index")
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    k = np.abs(grid.axis_wavenumbers())
-    kinf = np.zeros(grid.shape)
-    for a in range(grid.d):
-        shp = [1] * grid.d
-        shp[a] = grid.N
-        kinf = np.maximum(kinf, k.reshape(shp))
+    kinf = functools.reduce(np.maximum, np.ix_(*[np.abs(grid.axis_wavenumbers())] * grid.d))
     coeff *= (kinf <= kmax) & (kinf >= kmin)
     vals = np.fft.ifftn(coeff).real
     vals /= max(np.max(np.abs(vals)), 1e-300)

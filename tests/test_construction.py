@@ -202,6 +202,17 @@ class TestInitialData:
             assert np.max(np.abs(blk_u.values - d.amplitude(j) * helm.values)) \
                 <= 1e-10
 
+    def test_top_blocks_of_u0_carry_no_amplified_roundoff(self):
+        # The top blocks of u0 are ~1e-6 of max|u0| here; roundoff of the low
+        # packets amplified by 1 + |xi|^2 would show at 1e-7 relative.
+        d = build_data(1, 1, 65536, 10)
+        part = make_partition(d.grid)
+        for j in (9, 10):
+            blk = lp_block(part, d.u0, j).values
+            target = d.amplitude(j) * inverse_transform(apply_multiplier(
+                one_minus_laplacian(), transform(d.packet(j)))).values
+            assert np.max(np.abs(blk - target)) <= 1e-10 * np.max(np.abs(target))
+
     def test_odd_symmetry_and_origin_values(self, data_8192_6):
         d = data_8192_6
         for f in (d.S0, d.u0):

@@ -201,6 +201,16 @@ class TestBlockAnatomy:
         assert report.c0 == report.anchor.c0
         assert report.delta == report.anchor.delta
 
+    @pytest.mark.parametrize("d,N,n_max", [(1, 2048, 5), (2, 1024, 4)])
+    def test_report_rows_are_single_rows(self, d, N, n_max):
+        data = build_data(d, 1, N, n_max)
+        params = BesovParams(2.0, 2.0)
+        js = range(3, n_max + 1)
+        rows = probe.jk_report(data, params, js).rows
+        assert rows == [probe.jk_decomposition(data, params, j) for j in js]
+        if d > 1:
+            assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
+
     def test_anchor_closed_form(self, data_8192_6):
         anchor = probe.c0_anchor(data_8192_6)
         assert anchor.rel_error <= 1e-10

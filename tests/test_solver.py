@@ -176,3 +176,10 @@ class TestEvolve:
         assert first["dt"] == pytest.approx(expected, rel=1e-12)
         assert first["dt"] < 2.5 * expected
         assert set(first) == {"t", "dt", "mean", "max_abs", "max_speed"}
+
+    def test_max_speed_is_taken_before_the_step(self):
+        g = make_grid(1, 1, 256)
+        u0 = Field(g, 0.05 * band_limited_noise(g, 40, seed=45).values)
+        cfl = evolve(u0, SolverConfig(t_final=0.5, cfl=0.3)).steps[0]
+        fixed = evolve(u0, SolverConfig(t_final=0.5, dt=0.5)).steps[0]
+        assert fixed["max_speed"] == cfl["max_speed"]
