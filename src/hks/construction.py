@@ -192,6 +192,16 @@ class InitialData:
         """Coefficient 2^{-n(s+2)} of packet n inside S0."""
         return 2.0 ** (-n * (self.s + 2.0))
 
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        """(1 - 2 u0) d_a S0 for every axis a, stacked on a first axis: the
+        transport coefficients of the linearization, built once per datum
+        and read-only."""
+        hs = half_spectrum(self.grid)
+        w = (1.0 - 2.0 * self.u0.values) * hs.apply(self.S0.values, hs.gradient_symbol())
+        w.flags.writeable = False
+        return w
+
 
 def _packet_sum_half(s: float, n_max: int, bump: Bump, grid: Grid) -> np.ndarray:
     """Half-spectrum coefficients of S0 in the anchored convention of

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import Field, Grid, SpectralField, dealiased_product, half_spectrum, lp_norm
+from .spectral import Field, Grid, SpectralField, _check_same_grid, half_spectrum, lp_norm
 
 __all__ = [
     "smooth_step",
@@ -267,25 +267,37 @@ def besov_norm(part: DyadicPartition, f: Field, params: BesovParams) -> BesovNor
 
 def commutator(
     part: DyadicPartition,
-    j: int,
+    js: Sequence[int],
     velocity: Sequence[Field],
     f: Field,
     fraction: float = 2.0 / 3.0,
-) -> Field:
-    """Block commutator [Delta_j, v . grad] f = Delta_j(v . grad f) - v . Delta_j grad f.
+) -> list[Field]:
+    """Block commutators [Delta_j, v . grad] f = Delta_j(v . grad f) - v . Delta_j grad f,
+    one field for every j in js.
 
-    All pointwise products are dealiased with the given fraction.
+    All pointwise products are dealiased with the given fraction.  grad f,
+    v . grad f and the truncated velocity do not depend on j and are built
+    once for all blocks.
     """
     g = part.grid
     if len(velocity) != g.d:
         raise ValueError(f"velocity must have {g.d} components, got {len(velocity)}")
+    for c in velocity:
+        _check_same_grid(c.grid, g)
     hs = half_spectrum(g)
-    grad = [Field(g, v) for v in hs.apply(f.values, hs.gradient_symbol())]
-    adv = dealiased_product(velocity[0], grad[0], fraction)
-    for a in range(1, g.d):
-        adv = adv + dealiased_product(velocity[a], grad[a], fraction)
-    first = lp_block(part, adv, j)
-    second = dealiased_product(velocity[0], lp_block(part, grad[0], j), fraction)
-    for a in range(1, g.d):
-        second = second + dealiased_product(velocity[a], lp_block(part, grad[a], j), fraction)
-    return first - second
+    v = [hs.truncate(c.values, fraction) for c in velocity]
+
+    def advect(b) -> np.ndarray:
+        """v . b with the truncate-multiply-truncate rule of dealiased_product."""
+        total = hs.truncate(v[0] * hs.truncate(b[0], fraction), fraction)
+        for a in range(1, g.d):
+            total = total + hs.truncate(v[a] * hs.truncate(b[a], fraction), fraction)
+        return total
+
+    grad = hs.apply(f.values, hs.gradient_symbol())
+    adv = advect(grad)
+    out = []
+    for j in js:
+        w = part._half_window(j)
+        out.append(Field(g, hs.apply(adv, w) - advect([hs.apply(c, w) for c in grad])))
+    return out

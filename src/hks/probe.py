@@ -1,7 +1,10 @@
 """Measurement layer: rates, inflation signature, block anatomy, lemma checks.
 
 Everything here turns an analytic claim into a number with a frozen
-tolerance band:
+tolerance band, and ``checks`` is the one place that judges those numbers:
+it maps the ``summary.json`` scalars of ``rates``, ``inflation`` and ``jk``
+to their bands, and the result objects, the CLI and the report all take
+their pass/fail verdicts from it.
 
 * ``rate_sweep``     first-order deviation rate and second-order remainder
 * ``inflation_sweep`` the non-vanishing-deviation signature along t_j = eps0*2^-j
@@ -17,6 +20,7 @@ fan out across a thread pool and records merge in ascending j order.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +50,49 @@ DEFAULT_EPS0 = 0.05
 
 TABLE_HEADER = ("j", "t", "dev_s", "dev_s1", "dev_s2", "h_s2",
                 "block_j", "tv0_block_j")
+
+
+@dataclass(frozen=True)
+class Check:
+    """A measured number against its frozen band [lo, hi]; a one-sided band
+    has an infinite end."""
+
+    name: str
+    value: float
+    lo: float
+    hi: float
+
+    @property
+    def passed(self) -> bool:
+        return self.lo <= self.value <= self.hi
+
+    def __str__(self) -> str:
+        return (f"{self.name} = {self.value:.6g}, band [{self.lo:.6g}, {self.hi:.6g}]: "
+                f"{'PASS' if self.passed else 'FAIL'}")
+
+
+def checks(summary: dict, d: int = 1) -> list[Check]:
+    """The band checks of a ``rates``, ``inflation`` or ``jk`` summary.
+
+    Keys the summary lacks give no check.  The dimension d selects the
+    jk checks (the rates and inflation checks do not depend on it): the
+    dyadic growth band of the forcing profile and the vanishing transverse
+    term K are d = 1 statements, and higher-d runs are judged on the
+    flatness of K instead.
+    """
+    bands = [("slope_dev_s1", *RATE1_BAND),
+             ("slope_h_s2", *RATE2_BAND),
+             ("slope_j1", *J1_SLOPE_BAND)]
+    if d == 1:
+        bands += [("v0_slope", *V0_SLOPE_BAND), ("k_zero", True, True)]
+    else:
+        bands.append(("k_slope", -math.inf, FLATNESS_MAX))
+    bands += [("commutator_slope", -math.inf, FLATNESS_MAX),
+              ("ratio", INFLATION_MIN_RATIO, math.inf)]
+    if "u0_norm" in summary:
+        bands.append(("min_dev", INFLATION_FLOOR_FRACTION * summary["u0_norm"], math.inf))
+    bands.append(("anchor_rel_error", -math.inf, ANCHOR_REL_MAX))
+    return [Check(name, summary[name], lo, hi) for name, lo, hi in bands if name in summary]
 
 
 def fit_loglog(xs, ys) -> float:
@@ -91,9 +138,12 @@ class RateSweep:
     slope_h_s2: float
 
     @property
+    def summary(self) -> dict:
+        return {"slope_dev_s1": self.slope_dev_s1, "slope_h_s2": self.slope_h_s2}
+
+    @property
     def passed(self) -> bool:
-        return (RATE1_BAND[0] <= self.slope_dev_s1 <= RATE1_BAND[1]
-                and RATE2_BAND[0] <= self.slope_h_s2 <= RATE2_BAND[1])
+        return all(c.passed for c in checks(self.summary))
 
 
 def rate_sweep(data: InitialData, params: BesovParams, times,
@@ -168,16 +218,13 @@ class InflationSweep:
     kappa: float
 
     @property
-    def passed_ratio(self) -> bool:
-        return self.ratio >= INFLATION_MIN_RATIO
-
-    @property
-    def passed_floor(self) -> bool:
-        return self.min_dev >= INFLATION_FLOOR_FRACTION * self.u0_norm
+    def summary(self) -> dict:
+        return {"eps0": self.eps0, "u0_norm": self.u0_norm, "min_dev": self.min_dev,
+                "max_dev": self.max_dev, "ratio": self.ratio, "kappa": self.kappa}
 
     @property
     def passed(self) -> bool:
-        return self.passed_ratio and self.passed_floor
+        return all(c.passed for c in checks(self.summary))
 
 
 class InflationError(RuntimeError):
@@ -313,23 +360,17 @@ class JKReport:
         return self.anchor.delta
 
 
-def _coefficient_fields(data: InitialData) -> np.ndarray:
-    """(1 - 2 u0) * d_a S0 for every axis a, stacked on a first axis: the
-    transport coefficients of the linearization."""
-    hs = sp.half_spectrum(data.grid)
-    return (1.0 - 2.0 * data.u0.values) * hs.apply(data.S0.values, hs.gradient_symbol())
-
-
-def _jk_rows(data: InitialData, params: BesovParams, js, w: np.ndarray) -> list:
-    """Rows of the lower-bound anatomy for the blocks js, given the transport
-    coefficients w; the half spectrum of grad u0 is taken once for all rows,
-    so each row costs one rfftn of its packet plus inverse transforms."""
+def _jk_rows(data: InitialData, params: BesovParams, js) -> list:
+    """Rows of the lower-bound anatomy for the blocks js; the half spectrum
+    of grad u0 is taken once for all rows, so each row costs one rfftn of
+    its packet plus inverse transforms."""
     js = [int(j) for j in js]
     if any(not 3 <= j <= data.n_max for j in js):
         raise ValueError(f"block index must lie in [3, n_max] = [3, {data.n_max}]")
     g, hs = data.grid, sp.half_spectrum(data.grid)
     s, p = params.s, params.p
     part = make_partition(g)
+    w = data.coefficients
     grad = hs.gradient_symbol()
     du_half = np.fft.rfftn(data.u0.values) * grad
     d1 = grad[0]
@@ -371,7 +412,7 @@ def jk_decomposition(data: InitialData, params: BesovParams, j: int) -> JKRow:
     pointwise identity behind the split gives
     J >= 2^{-2j} (J1 - J2 - J3), which is asserted as computed.
     """
-    return _jk_rows(data, params, [j], _coefficient_fields(data))[0]
+    return _jk_rows(data, params, [j])[0]
 
 
 def c0_anchor(data: InitialData) -> AnchorReport:
@@ -382,13 +423,8 @@ def c0_anchor(data: InitialData) -> AnchorReport:
     delta is the radius up to which the function stays above half its
     origin value on the lattice.
     """
-    return _anchor(data, _coefficient_fields(data)[0])
-
-
-def _anchor(data: InitialData, w: np.ndarray) -> AnchorReport:
-    """:func:`c0_anchor` from the x1 transport coefficient w."""
     g = data.grid
-    anchor = np.abs(w * data.bump.envelope(g).values)
+    anchor = np.abs(data.coefficients[0] * data.bump.envelope(g).values)
     measured = float(anchor[g.origin_index()])
     phi0 = float(data.bump.value_at_origin())
     formula = (17.0 / 12.0) * phi0 ** (2 * g.d) * sum(
@@ -406,12 +442,10 @@ def _anchor(data: InitialData, w: np.ndarray) -> AnchorReport:
 
 
 def jk_report(data: InitialData, params: BesovParams, js=None) -> JKReport:
-    """Anatomy rows for js (default 3..n_max) and the origin anchor, sharing
-    one set of transport coefficients."""
+    """Anatomy rows for js (default 3..n_max) and the origin anchor."""
     if js is None:
         js = range(3, data.n_max + 1)
-    w = _coefficient_fields(data)
-    return JKReport(rows=_jk_rows(data, params, js, w), anchor=_anchor(data, w[0]))
+    return JKReport(rows=_jk_rows(data, params, js), anchor=c0_anchor(data))
 
 
 @dataclass(frozen=True)
@@ -422,7 +456,7 @@ class CommutatorReport:
 
     @property
     def passed(self) -> bool:
-        return self.slope <= FLATNESS_MAX
+        return all(c.passed for c in checks({"commutator_slope": self.slope}))
 
 
 def commutator_check(data: InitialData, params: BesovParams,
@@ -433,12 +467,10 @@ def commutator_check(data: InitialData, params: BesovParams,
     part = make_partition(data.grid)
     if not js or js[0] < -1 or js[-1] > part.j_max:
         raise ValueError("block range outside the partition")
-    vel = [sp.Field(data.grid, w) for w in _coefficient_fields(data)]
+    vel = [sp.Field(data.grid, w) for w in data.coefficients]
     s, p = params.s, params.p
-    values = []
-    for j in js:
-        c = lpmod.commutator(part, j, vel, data.u0)
-        values.append(2.0 ** (j * s) * sp.lp_norm(c, p))
+    values = [2.0 ** (j * s) * sp.lp_norm(c, p)
+              for j, c in zip(js, lpmod.commutator(part, js, vel, data.u0))]
     slope = fit_loglog([2.0 ** j for j in js], values)
     return CommutatorReport(js=js, values=values, slope=slope)
 
@@ -488,10 +520,9 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     part = make_partition(grid)
     v = _matched_noise(grid, kmax, seed)
     f = _matched_noise(grid, kmax, seed + 1)
-    num = 0.0
-    for j in range(0, part.j_max + 1):
-        c = lpmod.commutator(part, j, [v], f)
-        num = max(num, 2.0 ** (j * s) * sp.lp_norm(c, 2.0))
+    js = range(0, part.j_max + 1)
+    num = max(2.0 ** (j * s) * sp.lp_norm(c, 2.0)
+              for j, c in zip(js, lpmod.commutator(part, js, [v], f)))
     hs = sp.half_spectrum(grid)
     dv = sp.Field(grid, hs.apply(v.values, sp.derivative(0).fn(hs.xi)))
     df = sp.Field(grid, hs.apply(f.values, sp.derivative(0).fn(hs.xi)))

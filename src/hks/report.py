@@ -1,10 +1,11 @@
 """Markdown report rendering from a result store.
 
 The report inlines every table (for external plotting, no plotting
-dependency here), echoes the resolved configuration, restates slope fits
-against their frozen bands, and reduces all table-level pass flags to a
-single conjunction.  Missing pieces are listed rather than fatal: a
-partial store still renders.
+dependency here), echoes the resolved configuration, lists the band
+checks that :func:`hks.probe.checks` makes of the stored summary (the
+same checks the CLI judged the run by), and reduces them and the stored
+pass flag to a single conjunction.  Missing pieces are listed rather
+than fatal: a partial store still renders.
 """
 
 from __future__ import annotations
@@ -46,51 +47,14 @@ def _table_section(store: ResultStore, name: str) -> list[str]:
     return lines
 
 
-def _band_line(label: str, value, band) -> tuple[str, bool]:
-    ok = band[0] <= value <= band[1]
-    return (f"- {label} = {value:.6g}, band [{band[0]}, {band[1]}]: "
-            f"{'PASS' if ok else 'FAIL'}", ok)
-
-
-def _summary_section(summary) -> tuple[list[str], list[bool]]:
+def _summary_section(summary, d: int) -> tuple[list[str], list[bool]]:
     lines = ["## Checks", ""]
-    flags: list[bool] = []
     if not summary:
         lines += ["_no results: summary.json missing_", ""]
-        return lines, flags
-    for key, band in (("slope_dev_s1", probe.RATE1_BAND),
-                      ("slope_h_s2", probe.RATE2_BAND),
-                      ("slope_j1", probe.J1_SLOPE_BAND),
-                      ("v0_slope", probe.V0_SLOPE_BAND)):
-        if key in summary:
-            line, ok = _band_line(key, summary[key], band)
-            lines.append(line)
-            flags.append(ok)
-    if "commutator_slope" in summary:
-        ok = summary["commutator_slope"] <= probe.FLATNESS_MAX
-        lines.append(f"- commutator_slope = {summary['commutator_slope']:.6g}, "
-                     f"max {probe.FLATNESS_MAX}: {'PASS' if ok else 'FAIL'}")
-        flags.append(ok)
-    if "ratio" in summary:
-        ok = summary["ratio"] >= probe.INFLATION_MIN_RATIO
-        lines.append(f"- inflation min/max = {summary.get('min_dev', 0):.6g}"
-                     f"/{summary.get('max_dev', 0):.6g}, ratio = "
-                     f"{summary['ratio']:.6g} >= {probe.INFLATION_MIN_RATIO}: "
-                     f"{'PASS' if ok else 'FAIL'}")
-        flags.append(ok)
-        if "u0_norm" in summary:
-            floor = probe.INFLATION_FLOOR_FRACTION * summary["u0_norm"]
-            ok = summary.get("min_dev", 0.0) >= floor
-            lines.append(f"- inflation floor: min_dev >= {floor:.6g} "
-                         f"({probe.INFLATION_FLOOR_FRACTION} x u0 norm): "
-                         f"{'PASS' if ok else 'FAIL'}")
-            flags.append(ok)
-    if "anchor_rel_error" in summary:
-        ok = summary["anchor_rel_error"] <= probe.ANCHOR_REL_MAX
-        lines.append(f"- c0 anchor relative error = "
-                     f"{summary['anchor_rel_error']:.3e} <= {probe.ANCHOR_REL_MAX}: "
-                     f"{'PASS' if ok else 'FAIL'}")
-        flags.append(ok)
+        return lines, []
+    judged = probe.checks(summary, d)
+    lines += [f"- {c}" for c in judged]
+    flags = [c.passed for c in judged]
     if "c0" in summary:
         lines.append(f"- c0 = {summary['c0']!r}, delta = "
                      f"{summary.get('delta')!r}")
@@ -119,7 +83,8 @@ def render_report(store: ResultStore) -> str:
             lines += _table_section(store, name)
     else:
         lines += ["## Tables", "", "_no results: no tables present_", ""]
-    check_lines, flags = _summary_section(summary)
+    d = manifest.get("config", {}).get("d", 1) if manifest else 1
+    check_lines, flags = _summary_section(summary, d)
     lines += check_lines
 
     missing = [n for n in ("manifest.json", "summary.json")

@@ -18,6 +18,7 @@ from hks import ksf, probe
 from hks.cli import build_parser, dispatch
 from hks.littlewood_paley import BesovParams, besov_norm, make_partition
 from hks.spectral import Field, band_limited_noise, make_grid
+from hks.store import ResultStore
 
 
 def run(argv, capsys):
@@ -394,6 +395,50 @@ class TestReportCli:
         assert "- slope_dev_s1 = " in text
         assert "band [0.8, 1.2]: PASS" in text
         assert "**Overall: PASS**" in text
+
+    @staticmethod
+    def _jk_store_2d(root, **summary):
+        store = ResultStore.create(root)
+        store.write_summary({"slope_j1": 3.04, "v0_slope": 2.98,
+                             "commutator_slope": 0.1,
+                             "anchor_rel_error": 1.4e-15, "c0": 0.32,
+                             "delta": 0.037, "k_slope": -0.15, "pass": True,
+                             **summary})
+        store.write_manifest(["probe", "jk", "--d", "2"], {"d": 2})
+
+    def test_report_judges_d2_jk_store_on_k_slope(self, tmp_path, capsys):
+        out = tmp_path / "jk2"
+        self._jk_store_2d(out)
+        rc, stdout, _ = run(["report", "--store", out], capsys)
+        assert rc == 0
+        assert "- k_slope = -0.15, band [-inf, 0.3]: PASS" in stdout
+        assert "v0_slope = 2.98" not in stdout
+        assert stdout.rstrip().endswith("**Overall: PASS**")
+
+    def test_report_fails_d2_k_slope_out_of_band(self, tmp_path, capsys):
+        out = tmp_path / "jk2"
+        self._jk_store_2d(out, k_slope=0.5)
+        rc, stdout, _ = run(["report", "--store", out], capsys)
+        assert rc == 0
+        assert "- k_slope = 0.5, band [-inf, 0.3]: FAIL" in stdout
+        assert "**Overall: FAIL**" in stdout
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--n", 4096, "--nmax", 5, "--times", "1e-4,2e-4,5e-4,1e-3"],
+        ["inflation", "--n", 8192, "--nmax", 6, "--jmin", 5, "--jmax", 5,
+         "--eps0", "2.0"],
+        ["jk"],
+        ["jk", "--n", 8192, "--nmax", 6, "--jmin", 4, "--jmax", 6],
+        ["jk", "--d", 2, "--n", 1024, "--nmax", 4, "--jmin", 3, "--jmax", 4],
+    ], ids=["rates", "inflation", "jk", "jk-fail", "jk-d2"])
+    def test_exit_code_agrees_with_report(self, argv, tmp_path, capsys):
+        out = tmp_path / "store"
+        rc, _, _ = run(["probe", *argv, "--outdir", out], capsys)
+        assert rc in (0, 1)
+        _, stdout, _ = run(["report", "--store", out], capsys)
+        overall = "PASS" if rc == 0 else "FAIL"
+        assert stdout.rstrip().endswith(f"**Overall: {overall}**")
 
     def test_report_empty_store(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -213,14 +213,14 @@ class TestCommutator:
         part = make_partition(g)
         f = band_limited_noise(g, 30, seed=28)
         with pytest.raises(ValueError, match="components"):
-            commutator(part, 1, [f, f], f)
+            commutator(part, [1], [f, f], f)
 
     def test_constant_velocity_commutes(self):
         g = make_grid(1, 1, 256)
         part = make_partition(g)
         f = band_limited_noise(g, 30, seed=29)
         v = Field(g, np.full(g.shape, 0.7))
-        out = commutator(part, 1, [v], f)
+        (out,) = commutator(part, [1], [v], f)
         assert np.max(np.abs(out.values)) <= 1e-13
 
     def test_matches_oracle(self):
@@ -228,9 +228,19 @@ class TestCommutator:
         v = band_limited_noise(g, 40, seed=30)
         f = band_limited_noise(g, 40, seed=31)
         part = make_partition(g)
-        fast = commutator(part, 1, [v], f).values
+        fast = commutator(part, [1], [v], f)[0].values
         slow = oracle.slow_commutator([v.values], f.values, 1, 1)
         assert np.max(np.abs(fast - slow)) <= 1e-11
+
+    @pytest.mark.parametrize("d, N", [(1, 256), (2, 64)])
+    def test_block_list_equals_single_blocks(self, d, N):
+        g = make_grid(d, 1, N)
+        part = make_partition(g)
+        v = [band_limited_noise(g, N // 4, seed=32 + a) for a in range(d)]
+        f = band_limited_noise(g, N // 4, seed=35)
+        js = list(range(-1, part.j_max + 1))
+        for j, c in zip(js, commutator(part, js, v, f)):
+            assert np.array_equal(c.values, commutator(part, [j], v, f)[0].values)
 
 
 # Random grids small enough for a few hundred block transforms: every

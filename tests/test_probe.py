@@ -136,7 +136,9 @@ class TestInflationSweep:
         assert sweep.kappa == pytest.approx(1.0254355290936037, rel=1e-9)
         assert sweep.ratio == 1.0
         assert sweep.max_dev == sweep.min_dev
-        assert sweep.passed_ratio and sweep.passed_floor and sweep.passed
+        judged = {c.name: c for c in probe.checks(sweep.summary)}
+        assert judged["ratio"].passed and judged["min_dev"].passed
+        assert sweep.passed
 
     def test_record_consistency(self, data_8192_6):
         sweep = probe.inflation_sweep(data_8192_6, BesovParams(2.0, 2.0),
