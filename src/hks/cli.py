@@ -239,9 +239,12 @@ def _cmd_evolve(args, argv) -> int:
         [(i, st["t"], st["dt"], st["mean"], st["max_abs"], st["max_speed"])
          for i, st in enumerate(traj.steps)])
     config["times"] = [float(t) for t in traj.times]
+    config["unevolved_share"] = traj.unevolved_share
     store.write_manifest(argv, config)
     print(f"evolved to t={args.t}: {len(traj.steps)} steps, "
           f"{len(traj.states)} states")
+    print(f"unevolved share of u0's L2 mass above the dealias cutoff: "
+          f"{traj.unevolved_share!r}")
     print(f"store: {store.root}")
     return 0
 

@@ -16,11 +16,12 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .spectral import Field, Grid, SpectralField, _check_same_grid, half_spectrum, lp_norm
+from .spectral import (Field, Grid, SpectralField, _check_same_grid, _half_power,
+                       _tail_fraction, half_spectrum, lp_norm)
 
 __all__ = [
     "smooth_step",
@@ -138,22 +139,6 @@ def make_partition(grid: Grid) -> DyadicPartition:
         part = DyadicPartition(grid)
         grid._cache["partition"] = weakref.ref(part)
     return part
-
-
-def _tail_fraction(c2: np.ndarray, beyond: np.ndarray) -> float:
-    total = float(np.sum(c2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(c2[beyond]) / total)
-
-
-def _half_power(Fh: np.ndarray) -> np.ndarray:
-    """|F|^2 on the half spectrum, weighted by each mode's multiplicity on
-    the full lattice: 1 on the zero and Nyquist planes of the last axis,
-    2 elsewhere."""
-    c2 = Fh.real**2 + Fh.imag**2
-    c2[..., 1:-1] *= 2.0
-    return c2
 
 
 def _check_resolved(part: DyadicPartition, Fh: np.ndarray, message: str) -> tuple[bool, float]:
@@ -276,9 +261,20 @@ def commutator(
     one field for every j in js.
 
     All pointwise products are dealiased with the given fraction.  grad f,
-    v . grad f and the truncated velocity do not depend on j and are built
-    once for all blocks.
+    v . grad f, their half spectra and the truncated velocity do not depend
+    on j and are built once for all blocks.
     """
+    return list(_commutator_blocks(part, js, velocity, f, fraction))
+
+
+def _commutator_blocks(
+    part: DyadicPartition,
+    js: Sequence[int],
+    velocity: Sequence[Field],
+    f: Field,
+    fraction: float = 2.0 / 3.0,
+) -> Iterator[Field]:
+    """The blocks of :func:`commutator`, one at a time."""
     g = part.grid
     if len(velocity) != g.d:
         raise ValueError(f"velocity must have {g.d} components, got {len(velocity)}")
@@ -295,9 +291,10 @@ def commutator(
         return total
 
     grad = hs.apply(f.values, hs.gradient_symbol())
-    adv = advect(grad)
-    out = []
+    adv_half = np.fft.rfftn(advect(grad))
+    grad_half = [np.fft.rfftn(c) for c in grad]
+    del grad  # the blocks need only its half spectra
     for j in js:
         w = part._half_window(j)
-        out.append(Field(g, hs.apply(adv, w) - advect([hs.apply(c, w) for c in grad])))
-    return out
+        block_grad = [hs.irfftn(c * w) for c in grad_half]
+        yield Field(g, hs.irfftn(adv_half * w) - advect(block_grad))

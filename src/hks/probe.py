@@ -470,7 +470,7 @@ def commutator_check(data: InitialData, params: BesovParams,
     vel = [sp.Field(data.grid, w) for w in data.coefficients]
     s, p = params.s, params.p
     values = [2.0 ** (j * s) * sp.lp_norm(c, p)
-              for j, c in zip(js, lpmod.commutator(part, js, vel, data.u0))]
+              for j, c in zip(js, lpmod._commutator_blocks(part, js, vel, data.u0))]
     slope = fit_loglog([2.0 ** j for j in js], values)
     return CommutatorReport(js=js, values=values, slope=slope)
 
@@ -522,7 +522,7 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     f = _matched_noise(grid, kmax, seed + 1)
     js = range(0, part.j_max + 1)
     num = max(2.0 ** (j * s) * sp.lp_norm(c, 2.0)
-              for j, c in zip(js, lpmod.commutator(part, js, [v], f)))
+              for j, c in zip(js, lpmod._commutator_blocks(part, js, [v], f)))
     hs = sp.half_spectrum(grid)
     dv = sp.Field(grid, hs.apply(v.values, sp.derivative(0).fn(hs.xi)))
     df = sp.Field(grid, hs.apply(f.values, sp.derivative(0).fn(hs.xi)))

@@ -11,18 +11,23 @@ truncate).  Time integration is classical fixed-stage RK4; the step is
 either fixed or chosen per step from a CFL condition on the advective
 speed |1 - 2u| |grad S|.
 
-Internally the hot path works on raw arrays with real-to-complex
-transforms on the grid's :class:`hks.spectral.HalfSpectrum` tables.
+Internally :func:`evolve` carries the state as its real-FFT half spectrum
+on the grid's :class:`hks.spectral.HalfSpectrum` tables: a right-hand side
+evaluation goes from half spectrum to half spectrum in 3 + 2d real FFTs,
+the RK4 stages and update stay on the half spectrum, and one inverse
+transform per step gives the state's diagnostics and snapshots.  The CFL
+speed is taken from the first stage's dealiased state.  Modes above the
+dealias cutoff get no flux, so u0's part there is carried unevolved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, HalfSpectrum, half_spectrum
+from .spectral import Field, Grid, HalfSpectrum, _half_power, _tail_fraction, half_spectrum
 
 __all__ = [
     "SolverConfig",
@@ -80,14 +85,19 @@ class Trajectory:
     """Snapshots of an evolve run plus per-step diagnostics.
 
     ``steps`` holds one record per accepted step: its dt, the time, mean
-    and max|u| at its end, and max_speed, the advective speed at its start
-    (the speed a CFL step is sized from), under either step policy.
+    and max|u| at its end, and max_speed, the advective speed
+    |1 - 2u| |grad S| of the dealiased state at its start, taken from the
+    first RK4 stage (the speed a CFL step is sized from), under either
+    step policy.  ``unevolved_share`` is the share of u0's spectral L2 mass
+    (squared coefficients) above the dealias cutoff: the solver carries
+    those modes without evolving them.
     """
 
     grid: Grid
     times: list[float]
     states: list[Field]
     steps: list[dict]  # per accepted step: t, dt, mean, max_abs, max_speed
+    unevolved_share: float = field(default=0.0, init=False)
 
     def state_at(self, t: float) -> Field:
         for ti, ui in zip(self.times, self.states):
@@ -101,19 +111,28 @@ def _check_stage(values: np.ndarray, stage: str) -> None:
         raise BlowUpError(f"non-finite values produced at stage '{stage}'")
 
 
-def _div_flux_half(u: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum,
-                   fraction: float) -> np.ndarray:
-    """Half-spectrum of div(u(1-u) grad S) with dealiased products."""
+def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum, fraction: float,
+                   with_speed: bool = False) -> tuple[np.ndarray, float | None]:
+    """Half spectrum of div(u(1-u) grad S) with dealiased products, from the
+    half spectra of u and S: 3 + 2d real FFTs.
+
+    With ``with_speed`` it also returns the advective speed
+    max|1 - 2u| |grad S| of the dealiased state, from the same arrays.
+    """
     keep = hs.keep(fraction)
-    ud = hs.truncate(u, fraction)
+    ud = hs.irfftn(uh * keep)
     _check_stage(ud, "dealias(u)")
     g = ud - hs.truncate(ud * ud, fraction)  # dealiased u(1-u)
     out = np.zeros_like(S_half)
+    g2 = np.zeros(hs.shape) if with_speed else None
     for a, xia in enumerate(hs.xi):
         ds = hs.irfftn(S_half * (1j * xia) * keep)
         _check_stage(ds, f"grad_S[{a}]")
         out = out + (1j * xia) * (np.fft.rfftn(g * ds) * keep)
-    return out
+        if with_speed:
+            g2 += ds * ds
+    speed = float(np.max(np.abs(1.0 - 2.0 * ud) * np.sqrt(g2))) if with_speed else None
+    return out, speed
 
 
 def solve_S(u: Field) -> Field:
@@ -130,7 +149,8 @@ def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Fie
     the construction bit-consistent.
     """
     hs = half_spectrum(u.grid)
-    div_half = _div_flux_half(u.values, np.fft.rfftn(S.values), hs, fraction)
+    uh, S_half = np.fft.rfftn(u.values), np.fft.rfftn(S.values)
+    div_half, _ = _div_flux_half(uh, S_half, hs, fraction)
     out = hs.irfftn(div_half)
     _check_stage(out, "divergence")
     return Field(u.grid, out)
@@ -139,60 +159,60 @@ def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Fie
 def rhs(u: Field, cfg: SolverConfig) -> Field:
     """Right-hand side -div(u(1-u) grad S) + eps*Laplacian(u)."""
     hs = half_spectrum(u.grid)
-    return Field(u.grid, _rhs_values(u.values, cfg.eps, hs, cfg.dealias_fraction))
-
-
-def _rhs_values(u: np.ndarray, eps: float, hs: HalfSpectrum,
-                fraction: float) -> np.ndarray:
-    uh = np.fft.rfftn(u)
-    out_half = -_div_flux_half(u, uh * hs.helm_inv, hs, fraction)
-    if eps > 0.0:
-        out_half = out_half - (eps * hs.xi2) * uh
+    out_half, _ = _rhs_half(np.fft.rfftn(u.values), cfg.eps, hs, cfg.dealias_fraction)
     out = hs.irfftn(out_half)
     _check_stage(out, "rhs")
-    return out
+    return Field(u.grid, out)
 
 
-def _max_speed(u: np.ndarray, hs: HalfSpectrum) -> float:
-    """max over the grid of |1 - 2u| |grad S|, the advective speed."""
-    S_half = np.fft.rfftn(u) * hs.helm_inv
-    g2 = np.zeros(hs.shape)
-    for xia in hs.xi:
-        ds = hs.irfftn(S_half * (1j * xia))
-        g2 += ds * ds
-    return float(np.max(np.abs(1.0 - 2.0 * u) * np.sqrt(g2)))
+def _rhs_half(uh: np.ndarray, eps: float, hs: HalfSpectrum, fraction: float,
+              with_speed: bool = False) -> tuple[np.ndarray, float | None]:
+    """Half spectrum of the right-hand side at the state with half spectrum
+    ``uh``, and the advective speed when ``with_speed``."""
+    div_half, speed = _div_flux_half(uh, uh * hs.helm_inv, hs, fraction, with_speed)
+    out_half = -div_half
+    if eps > 0.0:
+        out_half -= (eps * hs.xi2) * uh
+    return out_half, speed
 
 
 def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     """Integrate from u0 with classical RK4, stepping exactly onto snapshots.
 
-    Aborts with :class:`BlowUpError` when max|u| exceeds ten times its
-    initial value or any stage produces non-finite values.
+    The state is carried as its half spectrum; each step takes 4 RHS
+    evaluations and one inverse transform for its diagnostics and
+    snapshots.  Aborts with :class:`BlowUpError` when max|u| exceeds ten
+    times its initial value or any stage produces non-finite values.
     """
     g = u0.grid
-    hs, fraction = half_spectrum(g), cfg.dealias_fraction
+    hs, fraction, eps = half_spectrum(g), cfg.dealias_fraction, cfg.eps
     targets = sorted(set(cfg.snapshot_times) | {cfg.t_final})
     max0 = float(np.max(np.abs(u0.values)))
     guard = 10.0 * (max0 if max0 > 0.0 else 1.0)
 
-    u = u0.values.copy()
+    uh = np.fft.rfftn(u0.values)
     t = 0.0
-    traj = Trajectory(g, [0.0], [Field(g, u.copy())], [])
+    traj = Trajectory(g, [0.0], [Field(g, u0.values.copy())], [])
+    traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep(fraction) == 0.0)
     for target in targets:
         while t < target:
-            speed = _max_speed(u, hs)
+            acc, speed = _rhs_half(uh, eps, hs, fraction, with_speed=True)
             dt = cfg.dt
             if dt is None:
                 dt = cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
             hit = t + dt >= target - 1e-15 * target
             if hit:
                 dt = target - t
-            k1 = _rhs_values(u, cfg.eps, hs, fraction)
-            k2 = _rhs_values(u + (0.5 * dt) * k1, cfg.eps, hs, fraction)
-            k3 = _rhs_values(u + (0.5 * dt) * k2, cfg.eps, hs, fraction)
-            k4 = _rhs_values(u + dt * k3, cfg.eps, hs, fraction)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # acc sums k1 + 2 k2 + 2 k3 + k4 as the stages arrive
+            k, _ = _rhs_half(uh + (0.5 * dt) * acc, eps, hs, fraction)
+            acc += 2.0 * k
+            k, _ = _rhs_half(uh + (0.5 * dt) * k, eps, hs, fraction)
+            acc += 2.0 * k
+            k, _ = _rhs_half(uh + dt * k, eps, hs, fraction)
+            acc += k
+            uh += (dt / 6.0) * acc
             t = target if hit else t + dt
+            u = hs.irfftn(uh)
             amax = float(np.max(np.abs(u)))
             if not math.isfinite(amax):
                 raise BlowUpError(f"non-finite state at t={t:.6g}")
@@ -211,5 +231,5 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
                 }
             )
         traj.times.append(target)
-        traj.states.append(Field(g, u.copy()))
+        traj.states.append(Field(g, u))
     return traj

@@ -350,6 +350,23 @@ class HalfSpectrum:
         return self.apply(values, self.keep(fraction))
 
 
+def _half_power(Fh: np.ndarray) -> np.ndarray:
+    """|F|^2 on the half spectrum, weighted by each mode's multiplicity on
+    the full lattice: 1 on the zero and Nyquist planes of the last axis,
+    2 elsewhere."""
+    c2 = Fh.real**2 + Fh.imag**2
+    c2[..., 1:-1] *= 2.0
+    return c2
+
+
+def _tail_fraction(c2: np.ndarray, beyond: np.ndarray) -> float:
+    """Share of the total of ``c2`` on the entries where ``beyond`` holds."""
+    total = float(np.sum(c2))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(c2[beyond]) / total)
+
+
 def half_spectrum(grid: Grid) -> HalfSpectrum:
     """The half-spectrum tables of ``grid``, built once per grid."""
     if "half" not in grid._cache:

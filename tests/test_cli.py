@@ -230,6 +230,26 @@ class TestEvolveCli:
         assert rc == 2
         assert "snapshot times" in err
 
+    @pytest.mark.parametrize("kmax, crosses", [(120, True), (40, False)])
+    def test_reports_unevolved_share(self, tmp_path, capsys, kmax, crosses):
+        # N = 256 keeps |k| <= 85: noise up to k = 120 crosses the cutoff
+        g = make_grid(1, 1, 256)
+        values = 0.2 + 0.05 * band_limited_noise(g, kmax, seed=47).values
+        path, edir = tmp_path / "u.ksf", tmp_path / "e"
+        ksf.write_field(path, Field(g, values))
+        rc, stdout, _ = run(["evolve", "--in", path, "--t", "1e-3",
+                             "--dt", "5e-4", "--outdir", edir], capsys)
+        assert rc == 0
+        line, = [ln for ln in stdout.splitlines() if ln.startswith("unevolved share")]
+        share = float(line.rsplit(" ", 1)[1])
+        manifest = json.loads((edir / "manifest.json").read_text())
+        assert manifest["config"]["unevolved_share"] == share
+        power = np.abs(np.fft.fft(values)) ** 2
+        above = np.abs(np.fft.fftfreq(256, 1 / 256)) > 85
+        assert share == pytest.approx(power[above].sum() / power.sum(),
+                                      rel=1e-9, abs=1e-25)
+        assert (share > 1e-4) == crosses
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_exits_one(self, tmp_path, capsys):
         g = make_grid(1, 1, 256)

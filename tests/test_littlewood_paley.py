@@ -242,6 +242,21 @@ class TestCommutator:
         for j, c in zip(js, commutator(part, js, v, f)):
             assert np.array_equal(c.values, commutator(part, [j], v, f)[0].values)
 
+    @pytest.mark.parametrize("d, N", [(1, 256), (2, 64)])
+    def test_fft_count_per_block(self, d, N, fft_counts):
+        # each block takes 1 + d inverse transforms of the shared half
+        # spectra and 4d for the dealiased advection of Delta_j grad f
+        g = make_grid(d, 1, N)
+        part = make_partition(g)
+        v = [band_limited_noise(g, N // 4, seed=32 + a) for a in range(d)]
+        f = band_limited_noise(g, N // 4, seed=35)
+        fft_counts.clear()
+        commutator(part, [-1], v, f)
+        one = sum(fft_counts.values())
+        fft_counts.clear()
+        commutator(part, [-1, 0], v, f)
+        assert sum(fft_counts.values()) - one == 1 + 5 * d
+
 
 # Random grids small enough for a few hundred block transforms: every
 # dimension, box scales 1-3, and N from the coarsest grid with a block.

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_data
+from hks import solver
 from hks.solver import BlowUpError, SolverConfig, evolve, rhs, solve_S, transport_divergence
 from hks.spectral import Field, band_limited_noise, lp_norm, make_grid
 
@@ -183,3 +187,52 @@ class TestEvolve:
         cfl = evolve(u0, SolverConfig(t_final=0.5, cfl=0.3)).steps[0]
         fixed = evolve(u0, SolverConfig(t_final=0.5, dt=0.5)).steps[0]
         assert fixed["max_speed"] == cfl["max_speed"]
+
+    @pytest.mark.parametrize("d, N", [(1, 256), (2, 32)])
+    def test_fft_budget_per_step(self, d, N, fft_counts):
+        # one forward transform of u0; per step 4 RHS evaluations of 3 + 2d
+        # real FFTs and one inverse transform of the new state
+        g = make_grid(d, 1, N)
+        u0 = Field(g, 0.2 + 0.05 * band_limited_noise(g, N // 8, seed=46).values)
+        fft_counts.clear()
+        traj = evolve(u0, SolverConfig(t_final=0.3, dt=0.1))
+        steps = len(traj.steps)
+        assert steps == 3
+        assert sum(fft_counts.values()) == 1 + steps * (4 * (3 + 2 * d) + 1)
+
+
+_LOG2_N = {1: (4, 8), 2: (4, 6), 3: (4, 5)}
+
+
+@st.composite
+def evolve_cases(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    g = make_grid(d, draw(st.integers(1, 3)), 2 ** draw(st.integers(*_LOG2_N[d])))
+    # noise up to just below Nyquist, so modes above the cutoff are excited
+    noise = band_limited_noise(g, g.N // 2 - 1, seed=draw(st.integers(0, 2**16)))
+    u0 = Field(g, draw(st.floats(0.1, 0.5)) + 0.1 * noise.values)
+    dt = draw(st.sampled_from((None, 0.004)))
+    return u0, SolverConfig(t_final=0.02, dt=dt, cfl=0.4, snapshot_times=(0.01,))
+
+
+class TestMeanConservation:
+    @settings(max_examples=30, deadline=None)
+    @given(case=evolve_cases())
+    def test_zero_mode_exact_and_mean_conserved(self, case):
+        u0, cfg = case
+        zero_modes = []
+        stage = solver._rhs_half
+
+        def spy(uh, *args, with_speed=False):
+            if with_speed:  # stage 1 sees the state at the start of a step
+                zero_modes.append(uh.flat[0])
+            return stage(uh, *args, with_speed=with_speed)
+
+        with mock.patch.object(solver, "_rhs_half", spy):
+            traj = evolve(u0, cfg)
+        assert len(zero_modes) == len(traj.steps) >= 2
+        z0 = np.fft.rfftn(u0.values).flat[0]
+        assert all(z == z0 for z in zero_modes)
+        m0 = float(np.mean(u0.values))
+        for st_ in traj.steps:
+            assert abs(st_["mean"] - m0) <= 1e-12 * abs(m0)
