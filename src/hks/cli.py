@@ -21,7 +21,7 @@ from .construction import make_bump, make_initial_data
 from .littlewood_paley import BesovParams, besov_norm, make_partition
 from .probe import InflationError
 from .report import render_report
-from .solver import BlowUpError, SolverConfig, evolve
+from .solver import BlowUpError, SolverConfig, Trajectory, _snapshots
 from .spectral import make_grid
 from .store import ResultStore, StoreExistsError
 
@@ -225,24 +225,26 @@ def _cmd_evolve(args, argv) -> int:
               "cfl": args.cfl, "eps": args.eps,
               "snapshots": list(snapshots), "seed": args.seed,
               "threads": args.threads if args.threads else "all"}
+    traj = Trajectory(u0.grid, [], [], [])  # gets the share before any step
     try:
-        traj = evolve(u0, cfg)
+        snapshots = [(0.0, u0), *_snapshots(u0, cfg, traj)]
     except BlowUpError as exc:
+        config["unevolved_share"] = traj.unevolved_share
         store.write_manifest(argv, config)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
+    for idx, (_, state) in enumerate(snapshots):
         store.write_field(f"u_{idx:03d}", state)
     store.write_table(
         "diagnostics",
         ("step", "t", "dt", "mean", "max_abs", "max_speed"),
         [(i, st["t"], st["dt"], st["mean"], st["max_abs"], st["max_speed"])
          for i, st in enumerate(traj.steps)])
-    config["times"] = [float(t) for t in traj.times]
+    config["times"] = [float(t) for t, _ in snapshots]
     config["unevolved_share"] = traj.unevolved_share
     store.write_manifest(argv, config)
     print(f"evolved to t={args.t}: {len(traj.steps)} steps, "
-          f"{len(traj.states)} states")
+          f"{len(snapshots)} states")
     print(f"unevolved share of u0's L2 mass above the dealias cutoff: "
           f"{traj.unevolved_share!r}")
     print(f"store: {store.root}")

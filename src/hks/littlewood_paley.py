@@ -74,7 +74,10 @@ class DyadicPartition:
     j_max is the largest j with (3/2)*2^j strictly below the grid Nyquist
     frequency, so the partition sums to 1 on every lattice point with
     |xi| <= (3/2)*2^j_max.  The windows live on the grid's real-FFT half
-    spectrum and are built together at the first block request.
+    spectrum and are built together at the first block request.  Each window
+    is stored over its support only, as flat half-spectrum indices and values,
+    so the tables of all blocks take about as much memory as two dense
+    half-spectrum windows; ``_half_window`` expands one on demand.
     """
 
     grid: Grid
@@ -91,28 +94,41 @@ class DyadicPartition:
             )
         object.__setattr__(self, "j_max", j)
 
-    def _tables(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Half-spectrum windows of blocks -1..j_max and the modes beyond
-        (3/2)*2^j_max, cached on the grid at the first block request.  One chi
-        per block: phi(2^-j xi) = chi(xi/2^(j+1)) - chi(xi/2^j), and dividing by
-        a power of two is exact, so each window is annulus_profile's bit for bit.
+    def _tables(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+        """Windows of blocks -1..j_max as (flat half-spectrum indices, values)
+        over their nonzero support, and the modes beyond (3/2)*2^j_max, cached
+        on the grid at the first block request.
+
+        Block -1 is chi on |xi| < 4/3; window j >= 0 is evaluated only on the
+        lattice points with 3/4 * 2^j < |xi| < 8/3 * 2^j, as
+        chi(xi/2^(j+1)) - chi(xi/2^j).  Dividing by a power of two is exact,
+        so each value is annulus_profile's bit for bit, and every window is
+        exactly 0 off the points it keeps.
         """
         cache = self.grid._cache
         if "lp_tables" not in cache:
-            r = np.sqrt(half_spectrum(self.grid).xi2)
-            chi = low_cutoff_profile(r)
-            windows = [chi]
+            r_half = np.sqrt(half_spectrum(self.grid).xi2)
+            r = r_half.reshape(-1)
+            idx = np.flatnonzero(r < 4.0 / 3.0)
+            candidates = [(idx, low_cutoff_profile(r[idx]))]
             for j in range(self.j_max + 1):
-                chi_next = low_cutoff_profile(r / float(2 ** (j + 1)))
-                windows.append(chi_next - chi)
-                chi = chi_next
-            cache["lp_tables"] = (tuple(windows), r > RESOLVED_FACTOR * 2**self.j_max)
+                scale = float(2**j)
+                idx = np.flatnonzero((r > 0.75 * scale) & (r < (8.0 / 3.0) * scale))
+                candidates.append((idx, low_cutoff_profile(r[idx] / (2.0 * scale))
+                                   - low_cutoff_profile(r[idx] / scale)))
+            windows = tuple((idx[vals != 0.0], vals[vals != 0.0]) for idx, vals in candidates)
+            cache["lp_tables"] = (windows, r_half > RESOLVED_FACTOR * 2**self.j_max)
         return cache["lp_tables"]
 
     def _half_window(self, j: int) -> np.ndarray:
+        """Window of block j expanded onto the whole half spectrum."""
         if j < -1 or j > self.j_max:
             raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
-        return self._tables()[0][j + 1]
+        windows, beyond = self._tables()
+        idx, vals = windows[j + 1]
+        w = np.zeros(beyond.shape)
+        w.reshape(-1)[idx] = vals
+        return w
 
     def _full_lattice(self, half: np.ndarray) -> np.ndarray:
         """A radial half-spectrum table mirrored onto the full fft-ordered lattice."""
@@ -151,13 +167,21 @@ def _check_resolved(part: DyadicPartition, Fh: np.ndarray, message: str) -> tupl
 
 def _block_norms(part: DyadicPartition, Fh: np.ndarray, p: float) -> np.ndarray:
     g = part.grid
+    windows = part._tables()[0]
     if p == 2:
-        c2 = _half_power(Fh)
-        sums = np.array([np.sum(c2 * (w * w)) for w in part._tables()[0]])
+        c2 = _half_power(Fh).reshape(-1)
+        sums = np.array([np.sum(c2[idx] * (w * w)) for idx, w in windows])
         return np.sqrt(sums * (g.spacing ** g.d / g.N ** g.d))
     hs = half_spectrum(g)
-    return np.array([lp_norm(Field(g, hs.irfftn(Fh * w)), p)
-                     for w in part._tables()[0]])
+    fh = Fh.reshape(-1)
+    buf = np.zeros_like(Fh)  # one block at a time, zero off its support
+    flat = buf.reshape(-1)
+    norms = []
+    for idx, w in windows:
+        flat[idx] = fh[idx] * w
+        norms.append(lp_norm(Field(g, hs.irfftn(buf)), p))
+        flat[idx] = 0.0
+    return np.array(norms)
 
 
 def block_norms(part: DyadicPartition, f: Field, p: float) -> np.ndarray:
@@ -199,7 +223,8 @@ def decompose(part: DyadicPartition, f: Field) -> BlockDecomposition:
     """
     g, hs = part.grid, half_spectrum(part.grid)
     Fh = np.fft.rfftn(f.values)
-    blocks = [Field(g, hs.irfftn(Fh * w)) for w in part._tables()[0]]
+    blocks = [Field(g, hs.irfftn(Fh * part._half_window(j)))
+              for j in range(-1, part.j_max + 1)]
     resolved, frac = _check_resolved(
         part, Fh, "field has {:.3e} of its spectral mass beyond the resolved band")
     return BlockDecomposition(part, blocks, resolved, frac)

@@ -14,8 +14,11 @@ their pass/fail verdicts from it.
 * ``lemma_suite``    the harmonic-analysis toolbox on pseudo-random fields
 * ``calibrate_eps0`` halving search for a Taylor-safe sweep amplitude
 
-Sweeps are deterministic for a fixed configuration; independent evolves
-fan out across a thread pool and records merge in ascending j order.
+Sweeps are deterministic for a fixed configuration.  The rate sweep runs
+one trajectory and measures each snapshot on a worker thread while the
+solver keeps stepping, so measurement and stepping overlap on two cores;
+the inflation sweep's independent evolves fan out across a thread pool and
+records merge in ascending j order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import littlewood_paley as lpmod
 from . import spectral as sp
 from .construction import InitialData
 from .littlewood_paley import BesovParams, block_norms, make_partition
-from .solver import BlowUpError, SolverConfig, evolve
+from .solver import BlowUpError, SolverConfig, Trajectory, _snapshots, evolve
 
 # Frozen tolerance bands of the acceptance suite.  Slope bands are a priori
 # (+-0.2 on the first-order rate, +-0.3 on the others); the inflation
@@ -113,6 +116,17 @@ def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
     return sp.Field(u0.grid, u_t.values - u0.values + t * v0.values)
 
 
+def _deviation_norms(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
+                     t: float, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Block L^p norms of the deviation u(t) - u0 and of the remainder
+    h = u(t) - u0 + t*v0; h is built in place from the deviation with the
+    arithmetic of :func:`h_field`."""
+    diff = u_t.values - data.u0.values
+    dn = block_norms(part, sp.Field(data.grid, diff), p)
+    diff += t * data.v0.values
+    return dn, block_norms(part, sp.Field(data.grid, diff), p)
+
+
 def _weighted_sup(norms: np.ndarray, s: float) -> float:
     js = np.arange(-1, norms.size - 1)
     return float(np.max(2.0 ** (s * js) * norms))
@@ -152,7 +166,9 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
 
     The ladder must span at least a decade and carry at least four points
     so the fitted slopes are meaningful.  The first-order rate lives in
-    B^{s-1}, which is only a norm statement for s - 1 > d/p.
+    B^{s-1}, which is only a norm statement for s - 1 > d/p.  Snapshots are
+    measured as the solver streams them and dropped once measured; a
+    BlowUpError propagates after the measurements already started finish.
     """
     times = sorted(float(t) for t in times)
     if len(times) < 4:
@@ -166,22 +182,25 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
         raise ValueError(f"rate sweep requires s - 1 > d/p; "
                          f"got s={s}, p={p}, d={data.grid.d}")
     part = make_partition(data.grid)
+    part._tables()  # built here, so the worker only reads the grid cache
     cfg = SolverConfig(t_final=times[-1], dt=dt, cfl=cfl,
                        snapshot_times=tuple(times))
-    traj = evolve(data.u0, cfg)
-    records = []
-    for t in times:
-        u_t = traj.state_at(t)
-        diff = sp.Field(data.grid, u_t.values - data.u0.values)
-        dn = block_norms(part, diff, p)
-        hn = block_norms(part, h_field(u_t, data.u0, data.v0, t), p)
-        records.append(RateRecord(
+
+    def record(u_t: sp.Field, t: float) -> RateRecord:
+        dn, hn = _deviation_norms(part, data, u_t, t, p)
+        return RateRecord(
             t=t,
             dev_s=_weighted_sup(dn, s),
             dev_s1=_weighted_sup(dn, s - 1),
             dev_s2=_weighted_sup(dn, s - 2),
             h_s2=_weighted_sup(hn, s - 2),
-        ))
+        )
+
+    # Each snapshot is measured on the worker while the solver steps on.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futures = [pool.submit(record, u_t, t) for t, u_t
+                   in _snapshots(data.u0, cfg, Trajectory(data.grid, [], [], []))]
+    records = [f.result() for f in futures]
     ts = [r.t for r in records]
     return RateSweep(
         records=records,
@@ -269,9 +288,7 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
         t_j = eps0 * 2.0 ** (-j)
         traj = evolve(data.u0, SolverConfig(t_final=t_j, cfl=cfl))
         u_t = traj.states[-1]
-        diff = sp.Field(data.grid, u_t.values - data.u0.values)
-        dn = block_norms(part, diff, p)
-        hn = block_norms(part, h_field(u_t, data.u0, data.v0, t_j), p)
+        dn, hn = _deviation_norms(part, data, u_t, t_j, p)
         un = block_norms(part, u_t, p)
         w = 2.0 ** (j * s)
         rec = InflationRecord(
@@ -684,10 +701,7 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
             except BlowUpError as exc:
                 ok, detail[f"j{j}"] = False, f"blow-up: {exc}"
                 break
-            u_t = traj.states[-1]
-            diff = sp.Field(data.grid, u_t.values - data.u0.values)
-            dn = block_norms(part, diff, p)
-            hn = block_norms(part, h_field(u_t, data.u0, data.v0, t_j), p)
+            dn, hn = _deviation_norms(part, data, traj.states[-1], t_j, p)
             ratio = _weighted_sup(hn, s - 2) / max(_weighted_sup(dn, s - 2),
                                                    1e-300)
             detail[f"j{j}"] = f"h-ratio {ratio:.4f}"

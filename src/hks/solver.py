@@ -18,12 +18,17 @@ the RK4 stages and update stay on the half spectrum, and one inverse
 transform per step gives the state's diagnostics and snapshots.  The CFL
 speed is taken from the first stage's dealiased state.  Modes above the
 dealias cutoff get no flux, so u0's part there is carried unevolved.
+
+Snapshots are streamed: a private generator yields each one as soon as a
+step lands on its time, so a caller can measure it while the solver keeps
+stepping; :func:`evolve` collects the stream into a :class:`Trajectory`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -118,20 +123,42 @@ def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum, fractio
 
     With ``with_speed`` it also returns the advective speed
     max|1 - 2u| |grad S| of the dealiased state, from the same arrays.
+    The symbols i xi_a are applied as the real tables xi_a * keep followed
+    by an in-place product with 1j, which gives the values of the complex
+    products bit for bit.  Each temporary is released before the next
+    transform allocates, which keeps the number of live arrays per RHS
+    evaluation, and so the step's peak memory, down.
     """
-    keep = hs.keep(fraction)
+    keep, xk = hs.keep(fraction), hs.masked_xi(fraction)
     ud = hs.irfftn(uh * keep)
     _check_stage(ud, "dealias(u)")
     g = ud - hs.truncate(ud * ud, fraction)  # dealiased u(1-u)
-    out = np.zeros_like(S_half)
+    out = None
     g2 = np.zeros(hs.shape) if with_speed else None
-    for a, xia in enumerate(hs.xi):
-        ds = hs.irfftn(S_half * (1j * xia) * keep)
+    for a, xka in enumerate(xk):
+        F = S_half * xka
+        F *= 1j
+        ds = hs.irfftn(F)
+        del F
         _check_stage(ds, f"grad_S[{a}]")
-        out = out + (1j * xia) * (np.fft.rfftn(g * ds) * keep)
         if with_speed:
             g2 += ds * ds
-    speed = float(np.max(np.abs(1.0 - 2.0 * ud) * np.sqrt(g2))) if with_speed else None
+        ds *= g
+        F = np.fft.rfftn(ds)
+        del ds
+        F *= xka
+        F *= 1j
+        if out is None:
+            out = F
+        else:
+            out += F
+    speed = None
+    if with_speed:  # max|1 - 2u| |grad S|, in place
+        w = 2.0 * ud
+        np.subtract(1.0, w, out=w)
+        np.abs(w, out=w)
+        w *= np.sqrt(g2, out=g2)
+        speed = float(np.max(w))
     return out, speed
 
 
@@ -170,7 +197,7 @@ def _rhs_half(uh: np.ndarray, eps: float, hs: HalfSpectrum, fraction: float,
     """Half spectrum of the right-hand side at the state with half spectrum
     ``uh``, and the advective speed when ``with_speed``."""
     div_half, speed = _div_flux_half(uh, uh * hs.helm_inv, hs, fraction, with_speed)
-    out_half = -div_half
+    out_half = np.negative(div_half, out=div_half)
     if eps > 0.0:
         out_half -= (eps * hs.xi2) * uh
     return out_half, speed
@@ -179,10 +206,28 @@ def _rhs_half(uh: np.ndarray, eps: float, hs: HalfSpectrum, fraction: float,
 def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     """Integrate from u0 with classical RK4, stepping exactly onto snapshots.
 
-    The state is carried as its half spectrum; each step takes 4 RHS
-    evaluations and one inverse transform for its diagnostics and
-    snapshots.  Aborts with :class:`BlowUpError` when max|u| exceeds ten
-    times its initial value or any stage produces non-finite values.
+    Collects the snapshot stream of the solver into a :class:`Trajectory`
+    that starts with a copy of u0.  The state is carried as its half
+    spectrum; each step takes 4 RHS evaluations and one inverse transform
+    for its diagnostics and snapshots.  Aborts with :class:`BlowUpError`
+    when max|u| exceeds ten times its initial value or any stage produces
+    non-finite values.
+    """
+    traj = Trajectory(u0.grid, [0.0], [Field(u0.grid, u0.values.copy())], [])
+    for t, u in _snapshots(u0, cfg, traj):
+        traj.times.append(t)
+        traj.states.append(u)
+    return traj
+
+
+def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple[float, Field]]:
+    """The RK4 run of :func:`evolve` as a stream: yields ``(t, u(t))`` as
+    soon as a step lands on a snapshot time, the final time last.
+
+    Sets ``traj.unevolved_share`` before the first step and appends each
+    accepted step's diagnostics to ``traj.steps``; ``traj.times`` and
+    ``traj.states`` are left to the caller.  Every yielded field owns its
+    array, so it stays valid while the stream goes on.
     """
     g = u0.grid
     hs, fraction, eps = half_spectrum(g), cfg.dealias_fraction, cfg.eps
@@ -192,7 +237,6 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
 
     uh = np.fft.rfftn(u0.values)
     t = 0.0
-    traj = Trajectory(g, [0.0], [Field(g, u0.values.copy())], [])
     traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep(fraction) == 0.0)
     for target in targets:
         while t < target:
@@ -203,12 +247,19 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
             hit = t + dt >= target - 1e-15 * target
             if hit:
                 dt = target - t
-            # acc sums k1 + 2 k2 + 2 k3 + k4 as the stages arrive
-            k, _ = _rhs_half(uh + (0.5 * dt) * acc, eps, hs, fraction)
+            # acc sums k1 + 2 k2 + 2 k3 + k4 as the stages arrive; each stage
+            # state uh + c k is built in place of the k it comes from
+            k = acc * (0.5 * dt)
+            k += uh
+            k, _ = _rhs_half(k, eps, hs, fraction)
             acc += 2.0 * k
-            k, _ = _rhs_half(uh + (0.5 * dt) * k, eps, hs, fraction)
+            k *= 0.5 * dt
+            k += uh
+            k, _ = _rhs_half(k, eps, hs, fraction)
             acc += 2.0 * k
-            k, _ = _rhs_half(uh + dt * k, eps, hs, fraction)
+            k *= dt
+            k += uh
+            k, _ = _rhs_half(k, eps, hs, fraction)
             acc += k
             uh += (dt / 6.0) * acc
             t = target if hit else t + dt
@@ -230,6 +281,4 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
                     "max_speed": speed,
                 }
             )
-        traj.times.append(target)
-        traj.states.append(Field(g, u))
-    return traj
+        yield target, Field(g, u)

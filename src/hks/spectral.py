@@ -285,7 +285,7 @@ def lp_norm(f: Field, p: float) -> float:
     p may be any real >= 1 or math.inf.
     """
     if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+        return float(max(np.max(f.values), -np.min(f.values)))  # no |f| temporary
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w = f.grid.spacing ** f.grid.d
@@ -320,6 +320,7 @@ class HalfSpectrum:
         self.xi2 = _norm2(self.xi)
         self.helm_inv = 1.0 / (1.0 + self.xi2)
         self._keep: dict[float, np.ndarray] = {}
+        self._masked_xi: dict[float, tuple[np.ndarray, ...]] = {}
 
     def keep(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """1 on modes with every |k_a| at or below the dealias cutoff, else 0."""
@@ -328,6 +329,13 @@ class HalfSpectrum:
             inside = functools.reduce(np.logical_and, [np.abs(k) <= kc for k in self.k])
             self._keep[fraction] = inside.astype(np.float64)
         return self._keep[fraction]
+
+    def masked_xi(self, fraction: float = 2.0 / 3.0) -> tuple[np.ndarray, ...]:
+        """The d dense tables xi_a * keep(fraction): each axis frequency with
+        the modes above the dealias cutoff zeroed."""
+        if fraction not in self._masked_xi:
+            self._masked_xi[fraction] = tuple(xi * self.keep(fraction) for xi in self.xi)
+        return self._masked_xi[fraction]
 
     def gradient_symbol(self) -> np.ndarray:
         """The symbols i*xi_a of the d partial derivatives, stacked on a first axis."""

@@ -8,12 +8,32 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # for dft_oracle
 
 from hks.construction import make_bump, make_initial_data
-from hks.spectral import make_grid
+from hks.littlewood_paley import annulus_profile, low_cutoff_profile
+from hks.spectral import Field, half_spectrum, lp_norm, make_grid
 
 
 def build_data(d, M, N, n_max, s=2.0):
     grid = make_grid(d, M, N)
     return make_initial_data(s, n_max, make_bump(d, grid), grid)
+
+
+def dense_block_norms(part, f, p):
+    """Reference block norms through dense half-spectrum windows built from
+    the window formulas: Parseval over the whole half spectrum at p = 2,
+    one inverse FFT of the windowed spectrum per block at other p."""
+    g = part.grid
+    r = np.sqrt(half_spectrum(g).xi2)
+    windows = [low_cutoff_profile(r)] + [annulus_profile(r / 2.0**j)
+                                         for j in range(part.j_max + 1)]
+    Fh = np.fft.rfftn(f.values)
+    if p == 2:
+        c2 = np.abs(Fh) ** 2
+        c2[..., 1:-1] *= 2.0
+        return np.sqrt(np.array([np.sum(c2 * (w * w)) for w in windows])
+                       * (g.spacing ** g.d / g.N ** g.d))
+    axes = range(-g.d, 0)
+    return np.array([lp_norm(Field(g, np.fft.irfftn(Fh * w, s=g.shape, axes=axes)), p)
+                     for w in windows])
 
 
 @pytest.fixture(scope="session")

@@ -254,7 +254,8 @@ class TestEvolveCli:
     def test_blow_up_exits_one(self, tmp_path, capsys):
         g = make_grid(1, 1, 256)
         path = tmp_path / "noise.ksf"
-        ksf.write_field(path, band_limited_noise(g, 60, seed=44))
+        noise = band_limited_noise(g, 60, seed=44)
+        ksf.write_field(path, noise)
         edir = tmp_path / "e"
         rc, _, err = run(["evolve", "--in", path, "--t", "10", "--dt", "10",
                           "--outdir", edir], capsys)
@@ -262,6 +263,12 @@ class TestEvolveCli:
         assert "error:" in err
         assert (edir / "manifest.json").is_file()
         assert not list((edir / "fields").glob("u_*.ksf"))
+        # the share is known before the first step, so the aborted run records it
+        manifest = json.loads((edir / "manifest.json").read_text())
+        power = np.abs(np.fft.fft(noise.values)) ** 2
+        above = np.abs(np.fft.fftfreq(256, 1 / 256)) > 85
+        assert manifest["config"]["unevolved_share"] == pytest.approx(
+            power[above].sum() / power.sum(), rel=1e-9, abs=1e-25)
 
 
 # ---------------------------------------------------------------------------

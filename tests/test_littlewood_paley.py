@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dft_oracle as oracle
+from conftest import dense_block_norms
 from hks.littlewood_paley import (
     BesovParams,
     annulus_profile,
@@ -306,12 +307,28 @@ class TestHalfSpectrumBlocks:
         assert np.array_equal(part.block_window(-1), low_cutoff_profile(r))
         for j in range(part.j_max + 1):
             assert np.array_equal(part.block_window(j), annulus_profile(r / 2.0**j))
+        # the expanded support-only tables on the half spectrum
+        r_half = np.sqrt(half_spectrum(g).xi2)
+        assert np.array_equal(part._half_window(-1), low_cutoff_profile(r_half))
+        for j in range(part.j_max + 1):
+            assert np.array_equal(part._half_window(j), annulus_profile(r_half / 2.0**j))
+
+    @pytest.mark.parametrize("d,N", [(1, 1 << 16), (1, 1024), (2, 256), (3, 128)])
+    def test_tables_hold_only_window_supports(self, d, N):
+        g = make_grid(d, 1, N)
+        part = make_partition(g)
+        windows, beyond = part._tables()
+        total = beyond.nbytes + sum(idx.nbytes + w.nbytes for idx, w in windows)
+        half_array = np.fft.rfftn(np.zeros(g.shape)).nbytes
+        assert total <= 3 * half_array
+        assert all(np.all(w != 0.0) for _, w in windows)
 
     @settings(max_examples=25, deadline=None)
     @given(g=grids())
     def test_half_windows_sum_to_one(self, g):
         part = make_partition(g)
-        windows, beyond = part._tables()
+        windows = [part._half_window(j) for j in range(-1, part.j_max + 1)]
+        beyond = part._tables()[1]
         r = np.sqrt(half_spectrum(g).xi2)
         total = sum(windows)
         covered = np.broadcast_to(r <= 1.5 * 2.0**part.j_max, total.shape)
@@ -333,6 +350,18 @@ class TestHalfSpectrumBlocks:
         assert fast.shape == (part.j_max + 2,)
         assert np.allclose(fast, per_block, rtol=1e-12, atol=0.0)
         assert np.allclose(fast, full, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=grids(), p=st.sampled_from((1.0, 2.0, 3.0, math.inf)),
+           seed=st.integers(0, 2**16))
+    def test_block_norms_match_dense_windows(self, g, p, seed):
+        part = make_partition(g)
+        f = white_noise(g, seed)
+        fast, ref = block_norms(part, f, p), dense_block_norms(part, f, p)
+        if p == 2:  # Parseval sums over the support: another summation order
+            assert np.allclose(fast, ref, rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(fast, ref)
 
     @settings(max_examples=15, deadline=None)
     @given(g=grids(), seed=st.integers(0, 2**16))

@@ -5,14 +5,17 @@ stated configurations and then pinned; they guard against behavioral drift,
 while the band assertions encode the a-priori expectations.
 """
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import build_data
+from conftest import build_data, dense_block_norms
 from hks import probe
 from hks.construction import carrier_frequency
 from hks.littlewood_paley import BesovParams, lp_block, make_partition
-from hks.solver import SolverConfig, evolve
+from hks.solver import BlowUpError, SolverConfig, evolve
 from hks.spectral import Field, lp_norm, make_grid
 
 
@@ -105,6 +108,43 @@ class TestRateSweep:
         devs = [r.dev_s1 for r in sweep.records]
         assert devs == sorted(devs)
         assert all(r.h_s2 < r.dev_s2 for r in sweep.records)
+
+    @pytest.mark.parametrize("p", [math.inf, 3.0])
+    def test_records_match_sequential_reference(self, data_2048_5, p):
+        # one evolve, then every snapshot through dense windows, in order
+        d, s, times = data_2048_5, 2.0, [1e-4, 5e-4, 2e-3, 1e-2]
+        sweep = probe.rate_sweep(d, BesovParams(s, p), times)
+        traj = evolve(d.u0, SolverConfig(t_final=times[-1], snapshot_times=tuple(times)))
+        part = make_partition(d.grid)
+        js = np.arange(-1, part.j_max + 1)
+
+        def sup(norms, weight):
+            return float(np.max(2.0 ** (weight * js) * norms))
+
+        expected = []
+        for t in times:
+            u_t = traj.state_at(t)
+            dn = dense_block_norms(part, u_t - d.u0, p)
+            hn = dense_block_norms(part, probe.h_field(u_t, d.u0, d.v0, t), p)
+            expected.append(probe.RateRecord(t, sup(dn, s), sup(dn, s - 1),
+                                             sup(dn, s - 2), sup(hn, s - 2)))
+        assert sweep.records == expected
+
+    def test_blow_up_mid_sweep_propagates(self, data_2048_5, monkeypatch):
+        stream = probe._snapshots
+
+        def two_then_blow_up(*args):
+            snapshots = stream(*args)
+            yield next(snapshots)
+            yield next(snapshots)
+            raise BlowUpError("guard tripped")
+
+        monkeypatch.setattr(probe, "_snapshots", two_then_blow_up)
+        before = threading.active_count()
+        with pytest.raises(BlowUpError, match="guard tripped"):
+            probe.rate_sweep(data_2048_5, BesovParams(2.0, 2.0),
+                             [1e-4, 5e-4, 2e-3, 1e-2])
+        assert threading.active_count() == before
 
 
 class TestInflationSweep:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import build_data
 from hks import solver
 from hks.solver import BlowUpError, SolverConfig, evolve, rhs, solve_S, transport_divergence
-from hks.spectral import Field, band_limited_noise, lp_norm, make_grid
+from hks.spectral import Field, band_limited_noise, half_spectrum, lp_norm, make_grid
 
 
 class TestSolveS:
@@ -236,3 +236,24 @@ class TestMeanConservation:
         m0 = float(np.mean(u0.values))
         for st_ in traj.steps:
             assert abs(st_["mean"] - m0) <= 1e-12 * abs(m0)
+
+
+class TestDealiasedFlux:
+    @settings(max_examples=15, deadline=None)
+    @given(case=evolve_cases())
+    def test_no_flux_above_the_dealias_cutoff(self, case):
+        # every RHS evaluation is exactly zero on the modes the solver
+        # carries unevolved
+        u0, cfg = case
+        above = half_spectrum(u0.grid).keep(cfg.dealias_fraction) == 0.0
+        peaks = []
+        stage = solver._rhs_half
+
+        def spy(*args, **kwargs):
+            k, speed = stage(*args, **kwargs)
+            peaks.append(float(np.max(np.abs(k[above]))))
+            return k, speed
+
+        with mock.patch.object(solver, "_rhs_half", spy):
+            evolve(u0, cfg)
+        assert peaks and max(peaks) == 0.0
