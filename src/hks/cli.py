@@ -49,8 +49,6 @@ def _global_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=42,
                         help="seed for pseudo-random families (default 42)")
-    parent.add_argument("--threads", type=int, default=None,
-                        help="worker count for sweep fan-out (default: all)")
     return parent
 
 
@@ -178,8 +176,7 @@ def _build_data(args):
 
 def _geometry_config(args, **extra):
     cfg = {"d": args.d, "m": args.m, "n": args.n, "s": args.s,
-           "nmax": args.nmax, "seed": args.seed,
-           "threads": args.threads if args.threads else "all"}
+           "nmax": args.nmax}
     cfg.update(extra)
     return cfg
 
@@ -223,8 +220,7 @@ def _cmd_evolve(args, argv) -> int:
                        eps=args.eps, snapshot_times=snapshots)
     config = {"infile": args.infile, "t": args.t, "dt": args.dt,
               "cfl": args.cfl, "eps": args.eps,
-              "snapshots": list(snapshots), "seed": args.seed,
-              "threads": args.threads if args.threads else "all"}
+              "snapshots": list(snapshots)}
     traj = Trajectory(u0.grid, [], [], [])  # gets the share before any step
     try:
         snapshots = [(0.0, u0), *_snapshots(u0, cfg, traj)]
@@ -295,8 +291,7 @@ def _cmd_probe_inflation(args, argv) -> int:
     try:
         sweep = probe.inflation_sweep(
             data, BesovParams(args.s, args.p), args.eps0,
-            range(args.jmin, args.jmax + 1), cfl=args.cfl,
-            threads=args.threads)
+            range(args.jmin, args.jmax + 1), cfl=args.cfl)
     except InflationError as exc:
         store.write_table("inflation", probe.TABLE_HEADER,
                           _inflation_rows(exc.records))
@@ -314,15 +309,16 @@ def _cmd_probe_inflation(args, argv) -> int:
 
 
 def _cmd_probe_jk(args, argv) -> int:
+    # the anatomy rows are j = 3..nmax; the fit uses those inside the window
+    if min(args.jmax, args.nmax) - max(args.jmin, 3) < 1:
+        print("error: slope-fit window holds fewer than two blocks",
+              file=sys.stderr)
+        return 2
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
     params = BesovParams(args.s, args.p)
     rep = probe.jk_report(data, params)
     window = [r for r in rep.rows if args.jmin <= r.j <= args.jmax]
-    if len(window) < 2:
-        print("error: slope-fit window holds fewer than two blocks",
-              file=sys.stderr)
-        return 2
     slope_j1 = probe.fit_loglog([2.0 ** r.j for r in window],
                                 [r.J1 for r in window])
     cc = probe.commutator_check(data, params,
@@ -376,8 +372,7 @@ def _cmd_lemmas(args, argv) -> int:
                           [(c.name, c.passed, c.detail) for c in rep.checks])
         store.write_summary({"pass": rep.passed})
         store.write_manifest(argv, {
-            "d": args.d, "m": args.m, "n": args.n, "seed": args.seed,
-            "threads": args.threads if args.threads else "all"})
+            "d": args.d, "m": args.m, "n": args.n, "seed": args.seed})
         print(f"store: {store.root}")
     return 0 if rep.passed else 1
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,30 +224,17 @@ def _packet_sum_half(s: float, n_max: int, bump: Bump, grid: Grid) -> np.ndarray
     return functools.reduce(np.multiply, np.ix_(*factors))
 
 
-def make_initial_data(
-    s: float,
-    n_max: int,
-    bump: Bump,
-    grid: Grid,
-    dealias_fraction: float = 2.0 / 3.0,
-    p_intended: float | None = None,
-) -> InitialData:
+def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialData:
     """Assemble S0, u0 = (1-Laplacian)S0, and the drift v0.
 
     The packet sum is truncated at n_max, which must not exceed the
-    grid's top resolvable block.  When the target integrability p of a
-    later probe is known, pass it to get the s > 1 + d/p warning early.
+    grid's top resolvable block.  The probes check s against their own
+    hypotheses (s > 1 + d/p and the like) when they are called.
     """
     part = make_partition(grid)
     if not N_MIN_PACKET <= n_max <= part.j_max:
         raise ValueError(
             f"n_max={n_max} outside [{N_MIN_PACKET}, j_max={part.j_max}] for N={grid.N}"
-        )
-    if p_intended is not None and s <= 1.0 + grid.d / p_intended:
-        warnings.warn(
-            f"s={s} does not satisfy s > 1 + d/p for p={p_intended}; "
-            "probe estimates are outside their hypotheses",
-            stacklevel=2,
         )
     vals = np.zeros(grid.shape)
     for n in range(N_MIN_PACKET, n_max + 1):
@@ -258,13 +244,13 @@ def make_initial_data(
     u0_half = _packet_sum_half(s, n_max, bump, grid) * one_minus_laplacian().fn(hs.xi)
     # fftshift moves numpy's origin (index 0) to the anchored one (index N/2)
     u0 = Field(grid, np.fft.fftshift(hs.irfftn(u0_half)) * grid.N**grid.d)
-    v0 = transport_divergence(u0, S0, dealias_fraction)
+    v0 = transport_divergence(u0, S0)
     return InitialData(
         grid=grid, bump=bump, s=s, n_min=N_MIN_PACKET, n_max=n_max, S0=S0, u0=u0, v0=v0
     )
 
 
-def expanded_v0(data: InitialData, dealias_fraction: float = 2.0 / 3.0) -> Field:
+def expanded_v0(data: InitialData) -> Field:
     """The drift in expanded form (1-2u0) grad S0 . grad u0 + u0(1-u0) Lap S0.
 
     Agrees with the conservative form ``data.v0``, which is
@@ -279,12 +265,12 @@ def expanded_v0(data: InitialData, dealias_fraction: float = 2.0 / 3.0) -> Field
     dS, du = hs.apply(S0.values, grad), hs.apply(u0.values, grad)
     grad_dot = None
     for a in range(g.d):
-        term = dealiased_product(Field(g, dS[a]), Field(g, du[a]), dealias_fraction)
+        term = dealiased_product(Field(g, dS[a]), Field(g, du[a]))
         grad_dot = term if grad_dot is None else grad_dot + term
     lap_S = Field(g, hs.apply(S0.values, laplacian().fn(hs.xi)))
-    u_lap = dealiased_product(u0, lap_S, dealias_fraction)
-    u2 = dealiased_product(u0, u0, dealias_fraction)
-    u2_lap = dealiased_product(u2, lap_S, dealias_fraction)
-    u_grad = dealiased_product(u0, grad_dot, dealias_fraction)
+    u_lap = dealiased_product(u0, lap_S)
+    u2 = dealiased_product(u0, u0)
+    u2_lap = dealiased_product(u2, lap_S)
+    u_grad = dealiased_product(u0, grad_dot)
     vals = grad_dot.values - 2.0 * u_grad.values + u_lap.values - u2_lap.values
     return Field(g, vals)

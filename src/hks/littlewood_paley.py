@@ -280,16 +280,15 @@ def commutator(
     js: Sequence[int],
     velocity: Sequence[Field],
     f: Field,
-    fraction: float = 2.0 / 3.0,
 ) -> list[Field]:
     """Block commutators [Delta_j, v . grad] f = Delta_j(v . grad f) - v . Delta_j grad f,
     one field for every j in js.
 
-    All pointwise products are dealiased with the given fraction.  grad f,
+    All pointwise products are dealiased by the 2/3 rule.  grad f,
     v . grad f, their half spectra and the truncated velocity do not depend
     on j and are built once for all blocks.
     """
-    return list(_commutator_blocks(part, js, velocity, f, fraction))
+    return list(_commutator_blocks(part, js, velocity, f))
 
 
 def _commutator_blocks(
@@ -297,7 +296,6 @@ def _commutator_blocks(
     js: Sequence[int],
     velocity: Sequence[Field],
     f: Field,
-    fraction: float = 2.0 / 3.0,
 ) -> Iterator[Field]:
     """The blocks of :func:`commutator`, one at a time."""
     g = part.grid
@@ -306,13 +304,13 @@ def _commutator_blocks(
     for c in velocity:
         _check_same_grid(c.grid, g)
     hs = half_spectrum(g)
-    v = [hs.truncate(c.values, fraction) for c in velocity]
+    v = [hs.truncate(c.values) for c in velocity]
 
     def advect(b) -> np.ndarray:
         """v . b with the truncate-multiply-truncate rule of dealiased_product."""
-        total = hs.truncate(v[0] * hs.truncate(b[0], fraction), fraction)
+        total = hs.truncate(v[0] * hs.truncate(b[0]))
         for a in range(1, g.d):
-            total = total + hs.truncate(v[a] * hs.truncate(b[a], fraction), fraction)
+            total = total + hs.truncate(v[a] * hs.truncate(b[a]))
         return total
 
     grad = hs.apply(f.values, hs.gradient_symbol())

@@ -17,8 +17,9 @@ their pass/fail verdicts from it.
 Sweeps are deterministic for a fixed configuration.  The rate sweep runs
 one trajectory and measures each snapshot on a worker thread while the
 solver keeps stepping, so measurement and stepping overlap on two cores;
-the inflation sweep's independent evolves fan out across a thread pool and
-records merge in ascending j order.
+the inflation sweep's independent evolves fan out across a thread pool of
+one worker per core (at most one per block) and records merge in
+ascending j order, so the pool's size and scheduling change no record.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ INFLATION_FLOOR_FRACTION = 0.01
 ANCHOR_REL_MAX = 0.01
 TAYLOR_H_RATIO_MAX = 0.2
 DEFAULT_EPS0 = 0.05
+CALIBRATION_MAX_HALVINGS = 20
 
 TABLE_HEADER = ("j", "t", "dev_s", "dev_s1", "dev_s2", "h_s2",
                 "block_j", "tv0_block_j")
@@ -161,7 +163,7 @@ class RateSweep:
 
 
 def rate_sweep(data: InitialData, params: BesovParams, times,
-               cfl: float = 0.4, dt: float | None = None) -> RateSweep:
+               cfl: float = 0.4) -> RateSweep:
     """Deviation and remainder norms along a ladder of output times.
 
     The ladder must span at least a decade and carry at least four points
@@ -183,8 +185,7 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
                          f"got s={s}, p={p}, d={data.grid.d}")
     part = make_partition(data.grid)
     part._tables()  # built here, so the worker only reads the grid cache
-    cfg = SolverConfig(t_final=times[-1], dt=dt, cfl=cfl,
-                       snapshot_times=tuple(times))
+    cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
 
     def record(u_t: sp.Field, t: float) -> RateRecord:
         dn, hn = _deviation_norms(part, data, u_t, t, p)
@@ -255,14 +256,13 @@ class InflationError(RuntimeError):
 
 
 def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
-                    j_range, cfl: float = 0.4,
-                    threads: int | None = None) -> InflationSweep:
+                    j_range, cfl: float = 0.4) -> InflationSweep:
     """Evolve to t_j = eps0 * 2^-j for each j and measure the deviation.
 
     The signature of the discontinuity at t = 0 is that dev_s stays
     uniformly positive while t_j drops geometrically.  Each j gets its own
-    independent evolve; the runs fan out across a thread pool and the
-    records merge in ascending j.
+    independent evolve; the runs fan out across a thread pool of one worker
+    per core, at most one per block, and the records merge in ascending j.
     """
     js = sorted(int(j) for j in j_range)
     if not js:
@@ -309,10 +309,9 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
             raise RuntimeError(f"triangle inequality failed at block {j}")
         return rec, _weighted_sup(un, s)
 
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
     results: dict[int, tuple] = {}
     failure: tuple | None = None
-    with ThreadPoolExecutor(max_workers=min(workers, len(js))) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(js))) as pool:
         futures = {j: pool.submit(run, j) for j in js}
         for j in js:
             try:
@@ -674,9 +673,9 @@ class CalibrationResult:
 
 
 def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
-                   start: float = DEFAULT_EPS0, cfl: float = 0.4,
-                   max_halvings: int = 20) -> CalibrationResult:
-    """Halve eps0 until the blow-up guard and the Taylor check both pass.
+                   start: float = DEFAULT_EPS0, cfl: float = 0.4) -> CalibrationResult:
+    """Halve eps0 until the blow-up guard and the Taylor check both pass,
+    at most CALIBRATION_MAX_HALVINGS times.
 
     The Taylor check requires the remainder-to-deviation ratio in the
     B^{s-2} norm to stay below 0.2 at the extreme sweep times; the guard
@@ -686,12 +685,14 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     js = sorted(int(j) for j in j_range)
     if not js:
         raise ValueError("empty block range")
+    if start <= 0:
+        raise ValueError("eps0 must be positive")
     part = make_partition(data.grid)
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
     s, p = params.s, params.p
     eps0 = float(start)
     attempts = []
-    for _ in range(max_halvings + 1):
+    for _ in range(CALIBRATION_MAX_HALVINGS + 1):
         ok = True
         detail = {}
         for j in probe_js:

@@ -6,10 +6,10 @@
 on the periodic grid, with eps = 0 by default.  The right-hand side is
 evaluated in conservative (divergence) form so the zero Fourier mode of
 du/dt vanishes identically and the mean of u is conserved to roundoff.
-Every pointwise product is dealiased by the 2/3 rule (truncate, multiply,
-truncate).  Time integration is classical fixed-stage RK4; the step is
-either fixed or chosen per step from a CFL condition on the advective
-speed |1 - 2u| |grad S|.
+Every pointwise product is dealiased by the package's one rule, the 2/3
+truncation (truncate, multiply, truncate).  Time integration is classical
+fixed-stage RK4; the step is either fixed or chosen per step from a CFL
+condition on the advective speed |1 - 2u| |grad S|.
 
 Internally :func:`evolve` carries the state as its real-FFT half spectrum
 on the grid's :class:`hks.spectral.HalfSpectrum` tables: a right-hand side
@@ -58,14 +58,14 @@ class SolverConfig:
     Exactly one of ``dt`` (fixed step) or ``cfl`` governs the step size;
     when ``dt`` is None the step is cfl * spacing / max(speed, floor),
     recomputed every step.  ``snapshot_times`` are hit exactly by clipping
-    the step; the final time is always a snapshot.
+    the step; the final time is always a snapshot.  Products are always
+    dealiased by the 2/3 rule of :func:`hks.spectral.dealias_cutoff_index`.
     """
 
     t_final: float
     dt: float | None = None
     cfl: float = 0.4
     eps: float = 0.0
-    dealias_fraction: float = 2.0 / 3.0
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -77,8 +77,6 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.eps < 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
         ts = tuple(float(t) for t in self.snapshot_times)
         if any(t <= 0.0 or t > self.t_final + 1e-15 for t in ts):
             raise ValueError("snapshot times must lie in (0, t_final]")
@@ -116,7 +114,7 @@ def _check_stage(values: np.ndarray, stage: str) -> None:
         raise BlowUpError(f"non-finite values produced at stage '{stage}'")
 
 
-def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum, fraction: float,
+def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum,
                    with_speed: bool = False) -> tuple[np.ndarray, float | None]:
     """Half spectrum of div(u(1-u) grad S) with dealiased products, from the
     half spectra of u and S: 3 + 2d real FFTs.
@@ -129,13 +127,12 @@ def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum, fractio
     transform allocates, which keeps the number of live arrays per RHS
     evaluation, and so the step's peak memory, down.
     """
-    keep, xk = hs.keep(fraction), hs.masked_xi(fraction)
-    ud = hs.irfftn(uh * keep)
+    ud = hs.irfftn(uh * hs.keep)
     _check_stage(ud, "dealias(u)")
-    g = ud - hs.truncate(ud * ud, fraction)  # dealiased u(1-u)
+    g = ud - hs.truncate(ud * ud)  # dealiased u(1-u)
     out = None
     g2 = np.zeros(hs.shape) if with_speed else None
-    for a, xka in enumerate(xk):
+    for a, xka in enumerate(hs.masked_xi):
         F = S_half * xka
         F *= 1j
         ds = hs.irfftn(F)
@@ -168,7 +165,7 @@ def solve_S(u: Field) -> Field:
     return Field(u.grid, hs.apply(u.values, hs.helm_inv))
 
 
-def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Field:
+def transport_divergence(u: Field, S: Field) -> Field:
     """div(u(1-u) grad S) with the solver's dealiasing rule.
 
     The drift field of the first-order expansion is exactly this operator
@@ -177,7 +174,7 @@ def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Fie
     """
     hs = half_spectrum(u.grid)
     uh, S_half = np.fft.rfftn(u.values), np.fft.rfftn(S.values)
-    div_half, _ = _div_flux_half(uh, S_half, hs, fraction)
+    div_half, _ = _div_flux_half(uh, S_half, hs)
     out = hs.irfftn(div_half)
     _check_stage(out, "divergence")
     return Field(u.grid, out)
@@ -186,17 +183,17 @@ def transport_divergence(u: Field, S: Field, fraction: float = 2.0 / 3.0) -> Fie
 def rhs(u: Field, cfg: SolverConfig) -> Field:
     """Right-hand side -div(u(1-u) grad S) + eps*Laplacian(u)."""
     hs = half_spectrum(u.grid)
-    out_half, _ = _rhs_half(np.fft.rfftn(u.values), cfg.eps, hs, cfg.dealias_fraction)
+    out_half, _ = _rhs_half(np.fft.rfftn(u.values), cfg.eps, hs)
     out = hs.irfftn(out_half)
     _check_stage(out, "rhs")
     return Field(u.grid, out)
 
 
-def _rhs_half(uh: np.ndarray, eps: float, hs: HalfSpectrum, fraction: float,
+def _rhs_half(uh: np.ndarray, eps: float, hs: HalfSpectrum,
               with_speed: bool = False) -> tuple[np.ndarray, float | None]:
     """Half spectrum of the right-hand side at the state with half spectrum
     ``uh``, and the advective speed when ``with_speed``."""
-    div_half, speed = _div_flux_half(uh, uh * hs.helm_inv, hs, fraction, with_speed)
+    div_half, speed = _div_flux_half(uh, uh * hs.helm_inv, hs, with_speed)
     out_half = np.negative(div_half, out=div_half)
     if eps > 0.0:
         out_half -= (eps * hs.xi2) * uh
@@ -230,17 +227,17 @@ def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple
     array, so it stays valid while the stream goes on.
     """
     g = u0.grid
-    hs, fraction, eps = half_spectrum(g), cfg.dealias_fraction, cfg.eps
+    hs, eps = half_spectrum(g), cfg.eps
     targets = sorted(set(cfg.snapshot_times) | {cfg.t_final})
     max0 = float(np.max(np.abs(u0.values)))
     guard = 10.0 * (max0 if max0 > 0.0 else 1.0)
 
     uh = np.fft.rfftn(u0.values)
     t = 0.0
-    traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep(fraction) == 0.0)
+    traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep == 0.0)
     for target in targets:
         while t < target:
-            acc, speed = _rhs_half(uh, eps, hs, fraction, with_speed=True)
+            acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
             dt = cfg.dt
             if dt is None:
                 dt = cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
@@ -251,15 +248,15 @@ def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple
             # state uh + c k is built in place of the k it comes from
             k = acc * (0.5 * dt)
             k += uh
-            k, _ = _rhs_half(k, eps, hs, fraction)
+            k, _ = _rhs_half(k, eps, hs)
             acc += 2.0 * k
             k *= 0.5 * dt
             k += uh
-            k, _ = _rhs_half(k, eps, hs, fraction)
+            k, _ = _rhs_half(k, eps, hs)
             acc += 2.0 * k
             k *= dt
             k += uh
-            k, _ = _rhs_half(k, eps, hs, fraction)
+            k, _ = _rhs_half(k, eps, hs)
             acc += k
             uh += (dt / 6.0) * acc
             t = target if hit else t + dt

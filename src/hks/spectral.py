@@ -23,6 +23,10 @@ package routine that differentiates, smooths, truncates or blocks a real
 field goes through it; the anchor is irrelevant there, since a diagonal
 multiplier commutes with the rotation.  The complex pair serves fields
 given by their coefficients and the public :class:`SpectralField` API.
+
+Dealiasing has one rule, Orszag's 2/3 truncation: a mode is kept when
+every |k_a| is at most floor(2/3 * N/2) (:func:`dealias_cutoff_index`),
+and each grid's half spectrum holds the one keep mask.
 """
 
 from __future__ import annotations
@@ -296,9 +300,9 @@ def lp_norm(f: Field, p: float) -> float:
 # half-spectrum tables and dealiasing (shared by the solver, the block layer
 # and the commutator)
 
-def dealias_cutoff_index(grid: Grid, fraction: float = 2.0 / 3.0) -> int:
-    """Largest retained |k| per axis under the given dealias fraction."""
-    return int(math.floor(fraction * (grid.N // 2)))
+def dealias_cutoff_index(grid: Grid) -> int:
+    """Largest retained |k| per axis under the 2/3 rule (Orszag 1971)."""
+    return int(math.floor(2.0 / 3.0 * (grid.N // 2)))
 
 
 class HalfSpectrum:
@@ -314,28 +318,23 @@ class HalfSpectrum:
     def __init__(self, grid: Grid) -> None:
         k_half = np.arange(grid.N // 2 + 1, dtype=np.float64)
         axes = [grid.axis_wavenumbers()] * (grid.d - 1) + [k_half]
-        self.shape, self._half_n = grid.shape, grid.N // 2
+        self.shape, self._cutoff = grid.shape, dealias_cutoff_index(grid)
         self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
         self.xi = tuple(k * grid.freq_step for k in self.k)
         self.xi2 = _norm2(self.xi)
         self.helm_inv = 1.0 / (1.0 + self.xi2)
-        self._keep: dict[float, np.ndarray] = {}
-        self._masked_xi: dict[float, tuple[np.ndarray, ...]] = {}
 
-    def keep(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
+    @functools.cached_property
+    def keep(self) -> np.ndarray:
         """1 on modes with every |k_a| at or below the dealias cutoff, else 0."""
-        if fraction not in self._keep:
-            kc = int(math.floor(fraction * self._half_n))  # rule of dealias_cutoff_index
-            inside = functools.reduce(np.logical_and, [np.abs(k) <= kc for k in self.k])
-            self._keep[fraction] = inside.astype(np.float64)
-        return self._keep[fraction]
+        inside = functools.reduce(np.logical_and, [np.abs(k) <= self._cutoff for k in self.k])
+        return inside.astype(np.float64)
 
-    def masked_xi(self, fraction: float = 2.0 / 3.0) -> tuple[np.ndarray, ...]:
-        """The d dense tables xi_a * keep(fraction): each axis frequency with
-        the modes above the dealias cutoff zeroed."""
-        if fraction not in self._masked_xi:
-            self._masked_xi[fraction] = tuple(xi * self.keep(fraction) for xi in self.xi)
-        return self._masked_xi[fraction]
+    @functools.cached_property
+    def masked_xi(self) -> tuple[np.ndarray, ...]:
+        """The d dense tables xi_a * keep: each axis frequency with the modes
+        above the dealias cutoff zeroed."""
+        return tuple(xi * self.keep for xi in self.xi)
 
     def gradient_symbol(self) -> np.ndarray:
         """The symbols i*xi_a of the d partial derivatives, stacked on a first axis."""
@@ -353,9 +352,9 @@ class HalfSpectrum:
         symbol with a leading stack axis gives one field per symbol."""
         return self.irfftn(np.fft.rfftn(values) * symbol)
 
-    def truncate(self, values: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:
+    def truncate(self, values: np.ndarray) -> np.ndarray:
         """Zero every mode of ``values`` with an axis index above the cutoff."""
-        return self.apply(values, self.keep(fraction))
+        return self.apply(values, self.keep)
 
 
 def _half_power(Fh: np.ndarray) -> np.ndarray:
@@ -382,12 +381,12 @@ def half_spectrum(grid: Grid) -> HalfSpectrum:
     return grid._cache["half"]
 
 
-def dealias_field(f: Field, fraction: float = 2.0 / 3.0) -> Field:
+def dealias_field(f: Field) -> Field:
     """Zero all modes with any axis index above the dealias cutoff."""
-    return Field(f.grid, half_spectrum(f.grid).truncate(f.values, fraction))
+    return Field(f.grid, half_spectrum(f.grid).truncate(f.values))
 
 
-def dealiased_product(a: Field, b: Field, fraction: float = 2.0 / 3.0) -> Field:
+def dealiased_product(a: Field, b: Field) -> Field:
     """Product computed by the truncate-multiply-truncate rule.
 
     Both factors are band-limited to the cutoff, multiplied pointwise, and
@@ -396,8 +395,8 @@ def dealiased_product(a: Field, b: Field, fraction: float = 2.0 / 3.0) -> Field:
     """
     _check_same_grid(a.grid, b.grid)
     hs = half_spectrum(a.grid)
-    prod = hs.truncate(a.values, fraction) * hs.truncate(b.values, fraction)
-    return Field(a.grid, hs.truncate(prod, fraction))
+    prod = hs.truncate(a.values) * hs.truncate(b.values)
+    return Field(a.grid, hs.truncate(prod))
 
 
 def band_limited_noise(grid: Grid, kmax: int, seed: int, kmin: int = 0) -> Field:

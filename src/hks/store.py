@@ -51,18 +51,22 @@ class ResultStore:
 
     @classmethod
     def create(cls, root, force: bool = False) -> "ResultStore":
+        """Open a store at ``root``, refusing a non-empty directory unless
+        ``force``.  Only the root is made here; ``fields/`` and ``tables/``
+        are made on their first write, so a run that fails before writing
+        leaves an empty directory that the next run can use."""
         root = Path(root)
         if root.exists() and any(root.iterdir()) and not force:
             raise StoreExistsError(
                 f"output directory {root} is not empty; pass --force to reuse it")
-        (root / "fields").mkdir(parents=True, exist_ok=True)
-        (root / "tables").mkdir(parents=True, exist_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
         return cls(root)
 
     # -- writing ----------------------------------------------------------
 
     def write_field(self, name: str, field: Field) -> Path:
         path = self.root / "fields" / f"{name}.ksf"
+        path.parent.mkdir(exist_ok=True)
         ksf.write_field(path, field)
         self._outputs.append(str(path.relative_to(self.root)))
         return path
@@ -70,6 +74,7 @@ class ResultStore:
     def write_table(self, name: str, header, rows) -> Path:
         """Write tables/<name>.csv; rows are sequences aligned with header."""
         path = self.root / "tables" / f"{name}.csv"
+        path.parent.mkdir(exist_ok=True)
         lines = [",".join(header)]
         for row in rows:
             if len(row) != len(header):

@@ -131,6 +131,14 @@ class TestParsing:
             build_parser().parse_args(["norms", "--in", "x", "--p", "0.5"])
         assert exc.value.code == 2
 
+    def test_no_threads_flag(self, capsys):
+        # the inflation pool always uses every core
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["probe", "inflation", "--threads", "2",
+                                       "--outdir", "y"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_time_list_rejects_garbage(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
@@ -368,6 +376,22 @@ class TestProbeJkCli:
         assert rc == 2
         assert "fewer than two" in err
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_usage_error_leaves_no_store(self, tmp_path, capsys):
+        # a window above n_max is rejected before any data is built, and
+        # the corrected run can reuse the directory without --force
+        out = tmp_path / "jk"
+        rc, _, err = run(["probe", "jk", "--n", 2048, "--nmax", 5,
+                          "--jmin", 8, "--jmax", 9, "--outdir", out], capsys)
+        assert rc == 2
+        assert "fewer than two" in err
+        assert not out.exists() or not any(out.iterdir())
+        rc, _, err = run(["probe", "jk", "--n", 2048, "--nmax", 5,
+                          "--jmin", 4, "--jmax", 5, "--outdir", out], capsys)
+        assert "not empty" not in err
+        assert rc in (0, 1)
+        assert (out / "summary.json").is_file()
+
 
 class TestLemmasCli:
     def test_alias_prints_checks(self, capsys):
@@ -390,6 +414,26 @@ class TestLemmasCli:
         assert json.loads((out / "summary.json").read_text())["pass"] is True
 
 
+class TestManifests:
+    def test_config_records_only_what_is_read(self, tmp_path, capsys):
+        # --seed is accepted by every command, but only the lemma suite
+        # draws from it
+        rates, lemmas = tmp_path / "rates", tmp_path / "lem"
+        assert run(["probe", "rates", "--n", 2048, "--nmax", 5, "--seed", 7,
+                    "--times", "1e-4,2e-4,5e-4,1e-3", "--outdir", rates],
+                   capsys)[0] == 0
+        config = json.loads((rates / "manifest.json").read_text())["config"]
+        assert "seed" not in config and "threads" not in config
+        assert run(["probe", "lemmas", "--n", 256, "--seed", 7,
+                    "--outdir", lemmas], capsys)[0] == 0
+        config = json.loads((lemmas / "manifest.json").read_text())["config"]
+        assert config["seed"] == 7 and "threads" not in config
+
+    def test_create_makes_only_the_root(self, tmp_path):
+        store = ResultStore.create(tmp_path / "s")
+        assert store.root.is_dir() and not any(store.root.iterdir())
+
+
 class TestCalibrateCli:
     def test_immediate_pass(self, tmp_path, capsys):
         out = tmp_path / "cal"
@@ -402,6 +446,12 @@ class TestCalibrateCli:
         assert summary["eps0"] == probe.DEFAULT_EPS0
         assert len(summary["attempts"]) == 1
         assert f"calibrated eps0 = {probe.DEFAULT_EPS0!r}" in stdout
+
+    def test_rejects_nonpositive_eps0(self, tmp_path, capsys):
+        rc, _, err = run(["probe", "calibrate", "--n", 2048, "--nmax", 5,
+                          "--eps0", -1, "--outdir", tmp_path / "cal"], capsys)
+        assert rc == 2
+        assert "eps0 must be positive" in err
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,6 @@ class TestInitialData:
         with pytest.raises(ValueError, match="n_max"):
             make_initial_data(2.0, 2, bump, g)
 
-    def test_hypothesis_warning(self):
-        g = make_grid(1, 1, 2048)
-        bump = make_bump(1, g)
-        with pytest.warns(UserWarning, match="s > 1"):
-            make_initial_data(2.0, 4, bump, g, p_intended=1.0)
-
     def test_amplitudes(self, data_8192_6):
         assert data_8192_6.amplitude(4) == 2.0 ** (-4 * 4)
         assert data_8192_6.n_min == 3

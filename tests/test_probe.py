@@ -210,6 +210,14 @@ class TestInflationSweep:
         sweep = probe.inflation_sweep(d, BesovParams(2.0, 2.0), 2.0, [5])
         assert sweep.records[0].dev_s == pytest.approx(profile[5], rel=1e-12)
 
+    def test_records_do_not_depend_on_pool_scheduling(self):
+        # the blocks share one pool; each record equals its block run alone
+        data = build_data(1, 1, 16384, 7)
+        P = BesovParams(2.0, 2.0)
+        both = probe.inflation_sweep(data, P, 2.0, [5, 6]).records
+        alone = [probe.inflation_sweep(data, P, 2.0, [j]).records[0] for j in (5, 6)]
+        assert both == alone
+
     def test_error_carries_partial_records(self):
         exc = probe.InflationError("boom", records=[1, 2, 3])
         assert isinstance(exc, RuntimeError)
@@ -308,6 +316,15 @@ class TestCalibration:
     def test_empty_range(self, data_8192_6):
         with pytest.raises(ValueError, match="empty"):
             probe.calibrate_eps0(data_8192_6, BesovParams(2.0, 2.0), [])
+
+    @pytest.mark.parametrize("start", [0.0, -1.0])
+    def test_rejects_nonpositive_start(self, data_2048_5, monkeypatch, start):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve called before start was validated")
+
+        monkeypatch.setattr(probe, "evolve", no_evolve)
+        with pytest.raises(ValueError, match="eps0 must be positive"):
+            probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), [4], start=start)
 
     def test_default_start_passes_immediately(self, data_8192_6):
         result = probe.calibrate_eps0(data_8192_6, BesovParams(2.0, 2.0), [5])

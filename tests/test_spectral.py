@@ -276,7 +276,6 @@ class TestDealiasing:
     def test_cutoff_index(self):
         g = make_grid(1, 1, 64)
         assert dealias_cutoff_index(g) == 21
-        assert dealias_cutoff_index(g, 0.5) == 16
 
     def test_field_truncation(self):
         g = make_grid(1, 1, 64)
