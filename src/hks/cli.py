@@ -314,6 +314,10 @@ def _cmd_probe_jk(args, argv) -> int:
         print("error: slope-fit window holds fewer than two blocks",
               file=sys.stderr)
         return 2
+    # the commutator blocks jmin..jmax must exist on the grid; checked
+    # before the store and the data exist (building the partition is cheap)
+    if args.jmin < -1 or args.jmax > make_partition(make_grid(args.d, args.m, args.n)).j_max:
+        raise ValueError("block range outside the partition")
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
     params = BesovParams(args.s, args.p)

@@ -14,18 +14,18 @@ their pass/fail verdicts from it.
 * ``lemma_suite``    the harmonic-analysis toolbox on pseudo-random fields
 * ``calibrate_eps0`` halving search for a Taylor-safe sweep amplitude
 
-Sweeps are deterministic for a fixed configuration.  The rate sweep runs
-one trajectory and measures each snapshot on a worker thread while the
-solver keeps stepping, so measurement and stepping overlap on two cores;
-the inflation sweep's independent evolves fan out across a thread pool of
-one worker per core (at most one per block) and records merge in
-ascending j order, so the pool's size and scheduling change no record.
+Sweeps are deterministic for a fixed configuration, and each runs one
+trajectory.  The rate sweep measures each snapshot on a worker thread
+while the solver keeps stepping, so measurement and stepping overlap on
+two cores.  The inflation sweep and the calibration search fork the last
+step of every t_j off one trajectory to the largest t_j, which gives each
+u(t_j) bit for bit as an independent evolve to t_j would; the inflation
+sweep runs each fork and its record on the worker thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,9 +33,11 @@ import numpy as np
 
 from . import littlewood_paley as lpmod
 from . import spectral as sp
-from .construction import InitialData
+from .construction import N_MIN_PACKET, InitialData
 from .littlewood_paley import BesovParams, block_norms, make_partition
-from .solver import BlowUpError, SolverConfig, Trajectory, _snapshots, evolve
+# evolve is not called here; it stays bound as hks.probe.evolve for tools
+# that patch the package's names, such as the benchmark's tracer.
+from .solver import BlowUpError, SolverConfig, Trajectory, _forks, _snapshots, evolve  # noqa: F401
 
 # Frozen tolerance bands of the acceptance suite.  Slope bands are a priori
 # (+-0.2 on the first-order rate, +-0.3 on the others); the inflation
@@ -255,14 +257,31 @@ class InflationError(RuntimeError):
         self.records = records
 
 
+def _block_forks(data: InitialData, eps0: float, js, cfl: float):
+    """``(j, t_j, fork)`` for t_j = eps0 * 2^-j in descending j, forked off
+    one CFL trajectory to the largest t_j by :func:`hks.solver._forks`:
+    ``fork()`` gives u(t_j) as ``evolve(u0, SolverConfig(t_final=t_j,
+    cfl=cfl))`` does, bit for bit.  A BlowUpError of the trajectory
+    propagates."""
+    times = {eps0 * 2.0 ** (-j): j for j in js}
+    cfg = SolverConfig(t_final=max(times), cfl=cfl, snapshot_times=tuple(times))
+    for t_j, fork in _forks(data.u0, cfg):
+        yield times[t_j], t_j, fork
+
+
 def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
                     j_range, cfl: float = 0.4) -> InflationSweep:
     """Evolve to t_j = eps0 * 2^-j for each j and measure the deviation.
 
     The signature of the discontinuity at t = 0 is that dev_s stays
-    uniformly positive while t_j drops geometrically.  Each j gets its own
-    independent evolve; the runs fan out across a thread pool of one worker
-    per core, at most one per block, and the records merge in ascending j.
+    uniformly positive while t_j drops geometrically.  One CFL trajectory
+    runs to the largest t_j and forks, at each t_j, the clipped last step of
+    the independent evolve to t_j, so every u(t_j) is that evolve's final
+    state bit for bit.  Each fork and its record run on a worker thread
+    while the trajectory steps on, and the records come out in ascending j.
+    A failed fork fails its block only; a failure of the trajectory fails
+    every block not yet forked.  InflationError names the smallest failing
+    j and carries the records of the blocks that completed.
     """
     js = sorted(int(j) for j in j_range)
     if not js:
@@ -284,10 +303,8 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
     u0_norms = block_norms(part, data.u0, p)
     u0_norm = _weighted_sup(u0_norms, s)
 
-    def run(j: int) -> InflationRecord:
-        t_j = eps0 * 2.0 ** (-j)
-        traj = evolve(data.u0, SolverConfig(t_final=t_j, cfl=cfl))
-        u_t = traj.states[-1]
+    def record(j: int, t_j: float, fork) -> tuple[InflationRecord, float]:
+        u_t = fork()
         dn, hn = _deviation_norms(part, data, u_t, t_j, p)
         un = block_norms(part, u_t, p)
         w = 2.0 ** (j * s)
@@ -309,22 +326,32 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
             raise RuntimeError(f"triangle inequality failed at block {j}")
         return rec, _weighted_sup(un, s)
 
+    # Each fork and its record run on the worker while the lane steps on; a
+    # lane failure fails every block not yet forked, as it fails the
+    # independent evolves that would reach that step.
+    futures, lane_error = {}, None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            for j, t_j, fork in _block_forks(data, eps0, js, cfl):
+                futures[j] = pool.submit(record, j, t_j, fork)
+        except BlowUpError as exc:
+            lane_error = exc
     results: dict[int, tuple] = {}
-    failure: tuple | None = None
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(js))) as pool:
-        futures = {j: pool.submit(run, j) for j in js}
-        for j in js:
-            try:
-                results[j] = futures[j].result()
-            except (BlowUpError, RuntimeError) as exc:
-                if failure is None:
-                    failure = (j, exc)
-    if failure is not None:
-        j_bad, exc = failure
+    errors: dict[int, Exception] = {}
+    for j in js:
+        if j not in futures:
+            errors[j] = lane_error
+            continue
+        try:
+            results[j] = futures[j].result()
+        except (BlowUpError, RuntimeError) as exc:
+            errors[j] = exc
+    if errors:
+        j_bad = min(errors)
         records = [results[j][0] for j in js if j in results]
         raise InflationError(
             f"evolve for block {j_bad} (t={eps0 * 2.0 ** (-j_bad)}) "
-            f"failed: {exc}", records) from exc
+            f"failed: {errors[j_bad]}", records) from errors[j_bad]
 
     records = [results[j][0] for j in js]
     devs = np.array([r.dev_s for r in records])
@@ -680,33 +707,47 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     The Taylor check requires the remainder-to-deviation ratio in the
     B^{s-2} norm to stay below 0.2 at the extreme sweep times; the guard
     is the solver's own.  Only the endpoints of j_range are probed, the
-    largest t being the binding one.
+    largest t being the binding one; both come from one trajectory per
+    attempt, each bit for bit as its own evolve.  Blocks outside
+    [N_MIN_PACKET, n_max] carry no packet and are rejected.
     """
     js = sorted(int(j) for j in j_range)
     if not js:
         raise ValueError("empty block range")
     if start <= 0:
         raise ValueError("eps0 must be positive")
+    if js[0] < N_MIN_PACKET or js[-1] > data.n_max:
+        raise ValueError(f"block range must lie in [{N_MIN_PACKET}, n_max] = "
+                         f"[{N_MIN_PACKET}, {data.n_max}]")
     part = make_partition(data.grid)
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
     s, p = params.s, params.p
     eps0 = float(start)
     attempts = []
     for _ in range(CALIBRATION_MAX_HALVINGS + 1):
+        # per probed j, the h-ratio at t_j or the BlowUpError of its evolve
+        outcome: dict[int, float | BlowUpError] = {}
+        try:
+            for j, t_j, fork in _block_forks(data, eps0, probe_js, cfl):
+                try:
+                    u_t = fork()
+                except BlowUpError as exc:
+                    outcome[j] = exc
+                    continue
+                dn, hn = _deviation_norms(part, data, u_t, t_j, p)
+                outcome[j] = _weighted_sup(hn, s - 2) / max(_weighted_sup(dn, s - 2),
+                                                            1e-300)
+        except BlowUpError as exc:
+            for j in probe_js:
+                outcome.setdefault(j, exc)
         ok = True
         detail = {}
         for j in probe_js:
-            t_j = eps0 * 2.0 ** (-j)
-            try:
-                traj = evolve(data.u0, SolverConfig(t_final=t_j, cfl=cfl))
-            except BlowUpError as exc:
-                ok, detail[f"j{j}"] = False, f"blow-up: {exc}"
+            if isinstance(outcome[j], BlowUpError):
+                ok, detail[f"j{j}"] = False, f"blow-up: {outcome[j]}"
                 break
-            dn, hn = _deviation_norms(part, data, traj.states[-1], t_j, p)
-            ratio = _weighted_sup(hn, s - 2) / max(_weighted_sup(dn, s - 2),
-                                                   1e-300)
-            detail[f"j{j}"] = f"h-ratio {ratio:.4f}"
-            ok = ok and ratio < TAYLOR_H_RATIO_MAX
+            detail[f"j{j}"] = f"h-ratio {outcome[j]:.4f}"
+            ok = ok and outcome[j] < TAYLOR_H_RATIO_MAX
         attempts.append({"eps0": eps0, "passed": ok, **detail})
         if ok:
             return CalibrationResult(eps0=eps0, attempts=attempts, passed=True)

@@ -22,13 +22,17 @@ dealias cutoff get no flux, so u0's part there is carried unevolved.
 Snapshots are streamed: a private generator yields each one as soon as a
 step lands on its time, so a caller can measure it while the solver keeps
 stepping; :func:`evolve` collects the stream into a :class:`Trajectory`.
+A second private generator serves runs to several final times: it steps
+one trajectory to the largest and forks, at each smaller one, the clipped
+last step of the run that ends there.  Both share one step body.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -230,7 +234,6 @@ def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple
     hs, eps = half_spectrum(g), cfg.eps
     targets = sorted(set(cfg.snapshot_times) | {cfg.t_final})
     max0 = float(np.max(np.abs(u0.values)))
-    guard = 10.0 * (max0 if max0 > 0.0 else 1.0)
 
     uh = np.fft.rfftn(u0.values)
     t = 0.0
@@ -238,37 +241,12 @@ def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple
     for target in targets:
         while t < target:
             acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
-            dt = cfg.dt
-            if dt is None:
-                dt = cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
+            dt = _step_size(cfg, g, speed)
             hit = t + dt >= target - 1e-15 * target
             if hit:
                 dt = target - t
-            # acc sums k1 + 2 k2 + 2 k3 + k4 as the stages arrive; each stage
-            # state uh + c k is built in place of the k it comes from
-            k = acc * (0.5 * dt)
-            k += uh
-            k, _ = _rhs_half(k, eps, hs)
-            acc += 2.0 * k
-            k *= 0.5 * dt
-            k += uh
-            k, _ = _rhs_half(k, eps, hs)
-            acc += 2.0 * k
-            k *= dt
-            k += uh
-            k, _ = _rhs_half(k, eps, hs)
-            acc += k
-            uh += (dt / 6.0) * acc
             t = target if hit else t + dt
-            u = hs.irfftn(uh)
-            amax = float(np.max(np.abs(u)))
-            if not math.isfinite(amax):
-                raise BlowUpError(f"non-finite state at t={t:.6g}")
-            if amax > guard:
-                raise BlowUpError(
-                    f"blow-up guard tripped at t={t:.6g}: max|u|={amax:.3g} "
-                    f"exceeds 10 x initial scale {max0:.3g}"
-                )
+            uh, u, amax = _finish_step(uh, acc, dt, t, hs, eps, max0)
             traj.steps.append(
                 {
                     "t": t,
@@ -279,3 +257,90 @@ def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple
                 }
             )
         yield target, Field(g, u)
+
+
+def _forks(u0: Field, cfg: SolverConfig) -> Iterator[tuple[float, Callable[[], Field]]]:
+    """One RK4 lane to ``cfg.t_final`` that forks the clipped last step of
+    the run to each time in ``cfg.snapshot_times`` and to ``t_final``.
+
+    Yields ``(t_k, fork)`` in ascending t_k.  ``fork()`` returns u(t_k), bit
+    for bit the final state of :func:`evolve` with ``t_final=t_k`` and no
+    snapshots, whose steps are the lane's up to the one it clips onto t_k;
+    the fork is that step, from the lane's state and first stage.  A fork
+    may run on another thread while the lane steps on.  A BlowUpError from
+    a fork concerns its time only; one from the lane concerns every time
+    not yet yielded.
+    """
+    g = u0.grid
+    hs, eps = half_spectrum(g), cfg.eps
+    pending = sorted(set(cfg.snapshot_times) | {cfg.t_final})
+    max0 = float(np.max(np.abs(u0.values)))
+
+    uh = np.fft.rfftn(u0.values)
+    t = 0.0
+    while True:
+        acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
+        dt = _step_size(cfg, g, speed)
+        while pending and t + dt >= pending[0] - 1e-15 * pending[0]:
+            target = pending.pop(0)
+            # the lane never writes what a fork reads: _finish_step leaves uh
+            # as it is, and the lane consumes acc, so a fork it outlives
+            # gets a copy
+            k1 = acc.copy() if pending else acc
+            yield target, partial(_fork_state, g, uh, k1, target - t, target, hs, eps, max0)
+        if not pending:
+            return
+        t += dt
+        uh, _, _ = _finish_step(uh, acc, dt, t, hs, eps, max0)
+
+
+def _step_size(cfg: SolverConfig, g: Grid, speed: float) -> float:
+    if cfg.dt is not None:
+        return cfg.dt
+    return cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
+
+
+def _finish_step(uh: np.ndarray, acc: np.ndarray, dt: float, t: float, hs: HalfSpectrum,
+                 eps: float, max0: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Stages 2-4 and the update of the RK4 step of size ``dt`` that starts
+    at the state with half spectrum ``uh`` and first stage ``acc`` and ends
+    at time ``t``.
+
+    Returns the new state's half spectrum and values and max|u|.  ``acc``
+    is consumed (it becomes the new half spectrum); ``uh`` is left as it
+    is.  Raises :class:`BlowUpError` when the new state is not finite or
+    max|u| exceeds ten times ``max0``, the initial max|u| (or 1 if that is
+    zero).
+    """
+    # acc sums k1 + 2 k2 + 2 k3 + k4 as the stages arrive; each stage
+    # state uh + c k is built in place of the k it comes from
+    k = acc * (0.5 * dt)
+    k += uh
+    k, _ = _rhs_half(k, eps, hs)
+    acc += 2.0 * k
+    k *= 0.5 * dt
+    k += uh
+    k, _ = _rhs_half(k, eps, hs)
+    acc += 2.0 * k
+    k *= dt
+    k += uh
+    k, _ = _rhs_half(k, eps, hs)
+    acc += k
+    del k
+    acc *= dt / 6.0
+    acc += uh
+    u = hs.irfftn(acc)
+    amax = float(np.max(np.abs(u)))
+    if not math.isfinite(amax):
+        raise BlowUpError(f"non-finite state at t={t:.6g}")
+    if amax > 10.0 * (max0 if max0 > 0.0 else 1.0):
+        raise BlowUpError(
+            f"blow-up guard tripped at t={t:.6g}: max|u|={amax:.3g} "
+            f"exceeds 10 x initial scale {max0:.3g}"
+        )
+    return acc, u, amax
+
+
+def _fork_state(g: Grid, *step: object) -> Field:
+    """The state at the end of the step that :func:`_finish_step` takes."""
+    return Field(g, _finish_step(*step)[1])

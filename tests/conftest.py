@@ -1,4 +1,5 @@
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -53,11 +54,13 @@ def data_8192_6():
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Counter of the numpy.fft.rfftn and irfftn calls made during the test."""
-    counts = Counter()
+    """Counter of the numpy.fft.rfftn and irfftn calls made during the test,
+    on any thread."""
+    counts, lock = Counter(), threading.Lock()
     for name in ("rfftn", "irfftn"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
+            with lock:
+                counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts

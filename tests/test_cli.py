@@ -132,7 +132,7 @@ class TestParsing:
         assert exc.value.code == 2
 
     def test_no_threads_flag(self, capsys):
-        # the inflation pool always uses every core
+        # the inflation sweep runs one trajectory: there is no pool to size
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["probe", "inflation", "--threads", "2",
                                        "--outdir", "y"])
@@ -392,6 +392,15 @@ class TestProbeJkCli:
         assert rc in (0, 1)
         assert (out / "summary.json").is_file()
 
+    def test_partition_range_checked_before_the_store(self, tmp_path, capsys):
+        # jmax above the grid's partition is rejected before any data is built
+        out = tmp_path / "jk"
+        rc, _, err = run(["probe", "jk", "--n", 2048, "--nmax", 5,
+                          "--jmin", 4, "--jmax", 30, "--outdir", out], capsys)
+        assert rc == 2
+        assert "block range outside the partition" in err
+        assert not out.exists()
+
 
 class TestLemmasCli:
     def test_alias_prints_checks(self, capsys):
@@ -452,6 +461,13 @@ class TestCalibrateCli:
                           "--eps0", -1, "--outdir", tmp_path / "cal"], capsys)
         assert rc == 2
         assert "eps0 must be positive" in err
+
+    def test_rejects_blocks_without_packet(self, tmp_path, capsys):
+        # the default range 5..8 reaches past the datum's top packet n_max = 5
+        rc, _, err = run(["probe", "calibrate", "--n", 2048, "--nmax", 5,
+                          "--outdir", tmp_path / "cal"], capsys)
+        assert rc == 2
+        assert "block range must lie in [3, n_max] = [3, 5]" in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import build_data, dense_block_norms
-from hks import probe
+from hks import probe, solver
 from hks.construction import carrier_frequency
 from hks.littlewood_paley import BesovParams, lp_block, make_partition
 from hks.solver import BlowUpError, SolverConfig, evolve
@@ -210,13 +210,61 @@ class TestInflationSweep:
         sweep = probe.inflation_sweep(d, BesovParams(2.0, 2.0), 2.0, [5])
         assert sweep.records[0].dev_s == pytest.approx(profile[5], rel=1e-12)
 
-    def test_records_do_not_depend_on_pool_scheduling(self):
-        # the blocks share one pool; each record equals its block run alone
-        data = build_data(1, 1, 16384, 7)
-        P = BesovParams(2.0, 2.0)
-        both = probe.inflation_sweep(data, P, 2.0, [5, 6]).records
-        alone = [probe.inflation_sweep(data, P, 2.0, [j]).records[0] for j in (5, 6)]
-        assert both == alone
+    def test_forked_records_equal_single_block_runs(self):
+        # one trajectory forks t_7 and t_6 on its first step and t_5 on its
+        # second; every fork is its own evolve's final state, bit for bit,
+        # and every record is its block's sweep run alone
+        data = build_data(1, 1, 16384, 8)
+        P, js = BesovParams(2.0, 2.0), (5, 6, 7)
+        ts = [2.0 * 2.0**-j for j in js]
+        finals = {t: evolve(data.u0, SolverConfig(t_final=t, cfl=0.4)) for t in ts}
+        assert len({len(traj.steps) for traj in finals.values()}) > 1
+        cfg = SolverConfig(t_final=max(ts), cfl=0.4, snapshot_times=tuple(ts))
+        forked = [(t, fork().values) for t, fork in solver._forks(data.u0, cfg)]
+        assert [t for t, _ in forked] == sorted(ts)
+        for t, u in forked:
+            assert np.array_equal(u, finals[t].states[-1].values)
+        swept = probe.inflation_sweep(data, P, 2.0, js).records
+        alone = [probe.inflation_sweep(data, P, 2.0, [j]).records[0] for j in js]
+        assert swept == alone
+
+    @pytest.mark.parametrize("where, failed, kept", [("lane", 5, (6, 7)),
+                                                      ("fork", 6, (5, 7))])
+    def test_blow_up_fails_the_blocks_it_reaches(self, monkeypatch, where, failed, kept):
+        # lane: the guard trips on the lane's first full step, past t_6, so
+        # the forks at t_7 and t_6 are measured and block 5 is never forked;
+        # fork: it trips in the fork at t_6 only
+        data = build_data(1, 1, 16384, 8)
+        P, t6 = BesovParams(2.0, 2.0), 2.0 * 2.0**-6
+        alone = [probe.inflation_sweep(data, P, 2.0, [j]).records[0] for j in kept]
+        step = solver._finish_step
+
+        def guard(uh, acc, dt, t, *rest):
+            out = step(uh, acc, dt, t, *rest)
+            if (t > t6) if where == "lane" else (t == t6):
+                raise BlowUpError(f"blow-up guard tripped at t={t:.6g}")
+            return out
+
+        monkeypatch.setattr(solver, "_finish_step", guard)
+        before = threading.active_count()
+        with pytest.raises(probe.InflationError,
+                           match=f"block {failed} .*guard tripped") as exc:
+            probe.inflation_sweep(data, P, 2.0, [5, 6, 7])
+        assert exc.value.records == alone
+        assert threading.active_count() == before
+
+    def test_fft_count(self, fft_counts):
+        # one rfftn of u0; per full lane step 4 RHS evaluations of 5 real
+        # FFTs and one inverse transform; the first stage of the last lane
+        # step; per block a forked step (3 RHS evaluations and one inverse
+        # transform) and 3 profiles of one rfftn each; 2 profiles of the data
+        data = build_data(1, 1, 16384, 8)
+        js = (5, 6, 7)
+        lane = len(evolve(data.u0, SolverConfig(t_final=2.0 * 2.0**-5, cfl=0.4)).steps)
+        fft_counts.clear()
+        probe.inflation_sweep(data, BesovParams(2.0, 2.0), 2.0, js)
+        assert sum(fft_counts.values()) == (1 + (lane - 1) * 21 + 5
+                                            + len(js) * (16 + 3) + 2)
 
     def test_error_carries_partial_records(self):
         exc = probe.InflationError("boom", records=[1, 2, 3])
@@ -322,9 +370,33 @@ class TestCalibration:
         def no_evolve(*args, **kwargs):
             raise AssertionError("evolve called before start was validated")
 
-        monkeypatch.setattr(probe, "evolve", no_evolve)
+        monkeypatch.setattr(probe, "_forks", no_evolve)
         with pytest.raises(ValueError, match="eps0 must be positive"):
             probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), [4], start=start)
+
+    @pytest.mark.parametrize("js", [[2, 4], [4, 6]])
+    def test_rejects_blocks_without_packet(self, data_2048_5, monkeypatch, js):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve called before the range was validated")
+
+        monkeypatch.setattr(probe, "_forks", no_evolve)
+        with pytest.raises(ValueError, match=r"\[3, n_max\] = \[3, 5\]"):
+            probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), js)
+
+    def test_attempts_match_independent_evolves(self, data_2048_5):
+        # each attempt's pair of probes comes from one trajectory; the
+        # h-ratios are those of two independent evolves
+        d, P, js = data_2048_5, BesovParams(2.0, 2.0), [4, 5]
+        result = probe.calibrate_eps0(d, P, js, start=50.0)
+        part = make_partition(d.grid)
+        for att in result.attempts:
+            for j in js:
+                t = att["eps0"] * 2.0**-j
+                u_t = evolve(d.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
+                dn, hn = probe._deviation_norms(part, d, u_t, t, 2.0)
+                ratio = probe._weighted_sup(hn, 0.0) / probe._weighted_sup(dn, 0.0)
+                assert att[f"j{j}"] == f"h-ratio {ratio:.4f}"
+        assert list(result.attempts[0]) == ["eps0", "passed", "j4", "j5"]
 
     def test_default_start_passes_immediately(self, data_8192_6):
         result = probe.calibrate_eps0(data_8192_6, BesovParams(2.0, 2.0), [5])
