@@ -269,12 +269,13 @@ def _inflation_rows(records):
 
 
 def _cmd_probe_rates(args, argv) -> int:
-    store = ResultStore.create(args.outdir, force=args.force)
-    data = _build_data(args)
     times = args.times if args.times else [
         float(t) for t in np.geomspace(1e-4, 1e-2, 5)]
-    sweep = probe.rate_sweep(data, BesovParams(args.s, args.p), times,
-                             cfl=args.cfl)
+    params = BesovParams(args.s, args.p)
+    probe.validate_rate_sweep(params, args.d, times)  # before store and data
+    store = ResultStore.create(args.outdir, force=args.force)
+    data = _build_data(args)
+    sweep = probe.rate_sweep(data, params, times, cfl=args.cfl)
     store.write_table("rates", probe.TABLE_HEADER, _rate_rows(sweep.records))
     rc = _judge(store, sweep.summary, args.d)
     store.write_manifest(argv, _geometry_config(
@@ -284,14 +285,15 @@ def _cmd_probe_rates(args, argv) -> int:
 
 
 def _cmd_probe_inflation(args, argv) -> int:
+    params, js = BesovParams(args.s, args.p), range(args.jmin, args.jmax + 1)
+    probe.validate_inflation_sweep(params, args.d, args.nmax, args.eps0,
+                                   js)  # before store and data
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
     config = _geometry_config(args, p=_pval(args.p), eps0=args.eps0,
                               jmin=args.jmin, jmax=args.jmax, cfl=args.cfl)
     try:
-        sweep = probe.inflation_sweep(
-            data, BesovParams(args.s, args.p), args.eps0,
-            range(args.jmin, args.jmax + 1), cfl=args.cfl)
+        sweep = probe.inflation_sweep(data, params, args.eps0, js, cfl=args.cfl)
     except InflationError as exc:
         store.write_table("inflation", probe.TABLE_HEADER,
                           _inflation_rows(exc.records))
@@ -382,11 +384,12 @@ def _cmd_lemmas(args, argv) -> int:
 
 
 def _cmd_probe_calibrate(args, argv) -> int:
+    js = range(args.jmin, args.jmax + 1)
+    probe.validate_calibration(args.nmax, args.eps0, js)  # before store and data
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
-    result = probe.calibrate_eps0(
-        data, BesovParams(args.s, args.p), range(args.jmin, args.jmax + 1),
-        start=args.eps0, cfl=args.cfl)
+    result = probe.calibrate_eps0(data, BesovParams(args.s, args.p), js,
+                                  start=args.eps0, cfl=args.cfl)
     store.write_summary({
         "eps0": result.eps0,
         "attempts": result.attempts,

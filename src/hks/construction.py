@@ -144,13 +144,17 @@ def _carrier_samples(n: int, grid: Grid) -> np.ndarray:
     """sin(c_n x) sampled exactly on the 1-D coordinate axis.
 
     c_n x_j = 2 pi k_c (j - N/2) / N with the integer k_c = 17 * 2^n * M,
-    so the argument is reduced modulo N in exact integer arithmetic before
-    a single sin evaluation per point.
+    so the argument is reduced modulo N in exact integer arithmetic, in
+    place, before a single sin evaluation per point, also in place.
     """
     kc = _carrier_index(n, grid)
-    j = np.arange(grid.N, dtype=np.int64) - grid.N // 2
-    r = ((kc % grid.N) * j) % grid.N
-    return np.sin((2.0 * np.pi / grid.N) * r)
+    r = np.arange(grid.N, dtype=np.int64)
+    r -= grid.N // 2
+    r *= kc % grid.N
+    r %= grid.N
+    x = (2.0 * np.pi / grid.N) * r
+    del r
+    return np.sin(x, out=x)
 
 
 def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
@@ -164,8 +168,8 @@ def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
             f"carrier {c:.4g} + support {bump.support_radius:.4g} reaches the "
             f"Nyquist frequency {grid.nyquist:.4g}; raise N"
         )
-    axis1 = bump.profile * _carrier_samples(n, grid)
-    vals = axis1
+    vals = _carrier_samples(n, grid)
+    vals *= bump.profile
     for _ in range(grid.d - 1):
         vals = np.multiply.outer(vals, bump.profile)
     return Field(grid, vals)
@@ -197,7 +201,7 @@ class InitialData:
         transport coefficients of the linearization, built once per datum
         and read-only."""
         hs = half_spectrum(self.grid)
-        w = (1.0 - 2.0 * self.u0.values) * hs.apply(self.S0.values, hs.gradient_symbol())
+        w = (1.0 - 2.0 * self.u0.values) * hs.irfftn(hs.gradient(np.fft.rfftn(self.S0.values)))
         w.flags.writeable = False
         return w
 

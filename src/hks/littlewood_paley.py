@@ -16,7 +16,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -129,6 +129,22 @@ class DyadicPartition:
         w = np.zeros(beyond.shape)
         w.reshape(-1)[idx] = vals
         return w
+
+    def _windowed(self, F: np.ndarray, j: int) -> np.ndarray:
+        """F times the window of block j, as a new array cut after the
+        window's last nonzero mode along the last axis and filled on the
+        window's support only; F is a half spectrum, or a stack of them on
+        leading axes.  ``HalfSpectrum.irfftn`` zero-fills the modes cut off,
+        so it transforms the values of ``F * _half_window(j)``."""
+        if j < -1 or j > self.j_max:
+            raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
+        idx, vals = self._tables()[0][j + 1]
+        row, col = np.divmod(idx, self.grid.N // 2 + 1)
+        m = int(col.max()) + 1
+        lead = F.shape[:F.ndim - self.grid.d]
+        out = np.zeros(F.shape[:-1] + (m,), dtype=F.dtype)
+        out.reshape(lead + (-1,))[..., row * m + col] = F.reshape(lead + (-1,))[..., idx] * vals
+        return out
 
     def _full_lattice(self, half: np.ndarray) -> np.ndarray:
         """A radial half-spectrum table mirrored onto the full fft-ordered lattice."""
@@ -288,36 +304,59 @@ def commutator(
     v . grad f, their half spectra and the truncated velocity do not depend
     on j and are built once for all blocks.
     """
-    return list(_commutator_blocks(part, js, velocity, f))
+    block = _commutator_block(part, velocity, f)
+    return [block(j) for j in js]
 
 
-def _commutator_blocks(
+def _commutator_block(
     part: DyadicPartition,
-    js: Sequence[int],
     velocity: Sequence[Field],
     f: Field,
-) -> Iterator[Field]:
-    """The blocks of :func:`commutator`, one at a time."""
+) -> Callable[[int], Field]:
+    """The set-up of :func:`commutator`, and the function that gives its
+    block at one j.  The function only reads the set-up, so blocks can be
+    computed on several threads at once."""
     g = part.grid
     if len(velocity) != g.d:
         raise ValueError(f"velocity must have {g.d} components, got {len(velocity)}")
     for c in velocity:
         _check_same_grid(c.grid, g)
     hs = half_spectrum(g)
+    part._tables()  # built here, so the blocks only read the grid cache
     v = [hs.truncate(c.values) for c in velocity]
 
-    def advect(b) -> np.ndarray:
-        """v . b with the truncate-multiply-truncate rule of dealiased_product."""
-        total = hs.truncate(v[0] * hs.truncate(b[0]))
-        for a in range(1, g.d):
-            total = total + hs.truncate(v[a] * hs.truncate(b[a]))
+    def truncated(F: np.ndarray) -> np.ndarray:
+        """``hs.truncate`` of the field whose half spectrum F is in hand; F is
+        multiplied in place."""
+        F *= hs.keep
+        return hs.irfftn(F)
+
+    def advect(b: list) -> np.ndarray:
+        """v . b with the truncate-multiply-truncate rule of dealiased_product.
+        It empties the list b and frees each field once it is transformed,
+        so one field and one half spectrum are alive besides the sum."""
+        total = None
+        for a in range(g.d):
+            term = truncated(np.fft.rfftn(b.pop(0)))
+            term *= v[a]
+            spectrum = np.fft.rfftn(term)
+            del term
+            term = truncated(spectrum)
+            del spectrum
+            if total is None:
+                total = term
+            else:
+                total += term
         return total
 
-    grad = hs.apply(f.values, hs.gradient_symbol())
-    adv_half = np.fft.rfftn(advect(grad))
+    grad = list(hs.irfftn(hs.gradient(np.fft.rfftn(f.values))))
     grad_half = [np.fft.rfftn(c) for c in grad]
-    del grad  # the blocks need only its half spectra
-    for j in js:
-        w = part._half_window(j)
-        block_grad = [hs.irfftn(c * w) for c in grad_half]
-        yield Field(g, hs.irfftn(adv_half * w) - advect(block_grad))
+    adv_half = np.fft.rfftn(advect(grad))  # the blocks need only half spectra
+
+    def block(j: int) -> Field:
+        adv = advect([hs.irfftn(part._windowed(c, j)) for c in grad_half])
+        out = hs.irfftn(part._windowed(adv_half, j))
+        out -= adv
+        return Field(g, out)
+
+    return block

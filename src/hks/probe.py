@@ -21,11 +21,22 @@ two cores.  The inflation sweep and the calibration search fork the last
 step of every t_j off one trajectory to the largest t_j, which gives each
 u(t_j) bit for bit as an independent evolve to t_j would; the inflation
 sweep runs each fork and its record on the worker thread.
+
+The anatomy rows and the commutator blocks are measured on two threads:
+once the j-independent half spectra of a phase are built, the calling
+thread and one worker drain its blocks (``_drain``), the rows first and
+the commutator blocks after them, so one phase's set-up is alive at a
+time.  Each number is computed with the arithmetic of a serial loop, and a
+failure raises the error of the first failing block in block order.
+The validators ``validate_rate_sweep``, ``validate_inflation_sweep`` and
+``validate_calibration`` hold the argument checks of the three sweeps, so
+the CLI rejects bad input before it creates a store or builds data.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,6 +147,42 @@ def _weighted_sup(norms: np.ndarray, s: float) -> float:
     return float(np.max(2.0 ** (s * js) * norms))
 
 
+def _drain(fn, items) -> list:
+    """``[fn(item) for item in items]``, drained by the calling thread and
+    one worker that pull items in order from a shared iterator.
+
+    A failure stops both threads from pulling further items, and the
+    exception of the first failing item in item order is raised, as the
+    serial loop would raise it.  The worker is joined on every exit.
+    """
+    items = list(items)
+    results, errors = [None] * len(items), {}
+    pending, lock, stop = iter(range(len(items))), threading.Lock(), threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, in item order
+                errors[i] = exc
+                stop.set()
+
+    worker = threading.Thread(target=work, name="hks-drain")
+    worker.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Rates
 
@@ -164,6 +211,23 @@ class RateSweep:
         return all(c.passed for c in checks(self.summary))
 
 
+def validate_rate_sweep(params: BesovParams, d: int, times) -> list:
+    """The output times of a rate sweep in dimension d, sorted; a
+    ValueError for a ladder or indices the sweep rejects."""
+    times = sorted(float(t) for t in times)
+    if len(times) < 4:
+        raise ValueError("need at least four output times for the slope fits")
+    if times[0] <= 0:
+        raise ValueError("output times must be positive")
+    if times[-1] < 10 * times[0]:
+        raise ValueError("output times must span at least a decade")
+    s, p = params.s, params.p
+    if not s - 1 > d / p:
+        raise ValueError(f"rate sweep requires s - 1 > d/p; "
+                         f"got s={s}, p={p}, d={d}")
+    return times
+
+
 def rate_sweep(data: InitialData, params: BesovParams, times,
                cfl: float = 0.4) -> RateSweep:
     """Deviation and remainder norms along a ladder of output times.
@@ -174,17 +238,8 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     measured as the solver streams them and dropped once measured; a
     BlowUpError propagates after the measurements already started finish.
     """
-    times = sorted(float(t) for t in times)
-    if len(times) < 4:
-        raise ValueError("need at least four output times for the slope fits")
-    if times[0] <= 0:
-        raise ValueError("output times must be positive")
-    if times[-1] < 10 * times[0]:
-        raise ValueError("output times must span at least a decade")
+    times = validate_rate_sweep(params, data.grid.d, times)
     s, p = params.s, params.p
-    if not s - 1 > data.grid.d / p:
-        raise ValueError(f"rate sweep requires s - 1 > d/p; "
-                         f"got s={s}, p={p}, d={data.grid.d}")
     part = make_partition(data.grid)
     part._tables()  # built here, so the worker only reads the grid cache
     cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
@@ -269,6 +324,27 @@ def _block_forks(data: InitialData, eps0: float, js, cfl: float):
         yield times[t_j], t_j, fork
 
 
+def validate_inflation_sweep(params: BesovParams, d: int, n_max: int,
+                             eps0: float, j_range) -> list:
+    """The blocks of an inflation sweep in dimension d on a datum with top
+    packet n_max, sorted; a ValueError for arguments the sweep rejects."""
+    js = sorted(int(j) for j in j_range)
+    if not js:
+        raise ValueError("empty block range")
+    if js[0] < 5 or js[-1] > n_max - 1:
+        raise ValueError(f"block range must lie in [5, n_max-1] = "
+                         f"[5, {n_max - 1}]")
+    if len(set(js)) != len(js):
+        raise ValueError("duplicate block indices")
+    if eps0 <= 0:
+        raise ValueError("eps0 must be positive")
+    s, p = params.s, params.p
+    if not s > 1 + d / p:
+        raise ValueError(f"inflation sweep requires s > 1 + d/p; "
+                         f"got s={s}, p={p}, d={d}")
+    return js
+
+
 def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
                     j_range, cfl: float = 0.4) -> InflationSweep:
     """Evolve to t_j = eps0 * 2^-j for each j and measure the deviation.
@@ -283,21 +359,8 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
     every block not yet forked.  InflationError names the smallest failing
     j and carries the records of the blocks that completed.
     """
-    js = sorted(int(j) for j in j_range)
-    if not js:
-        raise ValueError("empty block range")
-    if js[0] < 5 or js[-1] > data.n_max - 1:
-        raise ValueError(f"block range must lie in [5, n_max-1] = "
-                         f"[5, {data.n_max - 1}]")
-    if len(set(js)) != len(js):
-        raise ValueError("duplicate block indices")
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
+    js = validate_inflation_sweep(params, data.grid.d, data.n_max, eps0, j_range)
     s, p = params.s, params.p
-    if not s > 1 + data.grid.d / p:
-        raise ValueError(f"inflation sweep requires s > 1 + d/p; "
-                         f"got s={s}, p={p}, d={data.grid.d}")
-
     part = make_partition(data.grid)
     v0_norms = block_norms(part, data.v0, p)
     u0_norms = block_norms(part, data.u0, p)
@@ -404,46 +467,56 @@ class JKReport:
 
 
 def _jk_rows(data: InitialData, params: BesovParams, js) -> list:
-    """Rows of the lower-bound anatomy for the blocks js; the half spectrum
-    of grad u0 is taken once for all rows, so each row costs one rfftn of
-    its packet plus inverse transforms."""
+    """Rows of the lower-bound anatomy for the blocks js.  The half spectra
+    of grad u0 are taken once for all rows, and each row costs one rfftn of
+    its packet plus inverse transforms; the rows are drained by two
+    threads."""
     js = [int(j) for j in js]
     if any(not 3 <= j <= data.n_max for j in js):
         raise ValueError(f"block index must lie in [3, n_max] = [3, {data.n_max}]")
     g, hs = data.grid, sp.half_spectrum(data.grid)
     s, p = params.s, params.p
     part = make_partition(g)
+    part._tables()  # built here, so the rows only read the grid cache
     w = data.coefficients
-    grad = hs.gradient_symbol()
-    du_half = np.fft.rfftn(data.u0.values) * grad
-    d1 = grad[0]
+    du_half = hs.gradient(np.fft.rfftn(data.u0.values))
 
-    def norm(values: np.ndarray) -> float:
+    def weighted_norm(values: np.ndarray) -> float:
+        """L^p norm of w_1 * values, the product taken in place."""
+        values *= w[0]
         return sp.lp_norm(sp.Field(g, values), p)
 
-    rows = []
-    for j in js:
+    def second(F: np.ndarray, a: int) -> np.ndarray:
+        """F times (i xi_a)^2, in a new array."""
+        return hs.differentiate(hs.differentiate(F.copy(), a), a)
+
+    def row(j: int) -> JKRow:
         scale = 2.0 ** (j * s)
-        blocks = hs.irfftn(du_half * part._half_window(j))  # Delta_j d_a u0
-        J = scale * norm(w[0] * blocks[0])
+        blocks = hs.irfftn(part._windowed(du_half, j))  # Delta_j d_a u0
+        J = scale * weighted_norm(blocks[0])
         K = 0.0
         for a in range(1, g.d):
-            K += scale * norm(w[a] * blocks[a])
+            blocks[a] *= w[a]
+            K += scale * sp.lp_norm(sp.Field(g, blocks[a]), p)
+        del blocks
 
-        F1 = np.fft.rfftn(data.packet(j).values) * d1
-        J1 = norm(w[0] * hs.irfftn(F1 * d1 * d1))
-        J2 = norm(w[0] * hs.irfftn(F1))
+        F1 = hs.differentiate(np.fft.rfftn(data.packet(j).values), 0)
+        J2 = weighted_norm(hs.irfftn(F1))
+        J3 = 0.0
         if g.d > 1:
-            trans = sum(F1 * da * da for da in grad[1:])
-            J3 = norm(w[0] * hs.irfftn(trans))
-        else:
-            J3 = 0.0
+            trans = second(F1, 1)
+            for a in range(2, g.d):
+                trans += second(F1, a)
+            J3 = weighted_norm(hs.irfftn(trans))
+            del trans
+        J1 = weighted_norm(hs.irfftn(hs.differentiate(hs.differentiate(F1, 0), 0)))
 
         lower = scale * data.amplitude(j) * (J1 - J2 - J3)
         if J < lower - 1e-10 * max(1.0, J):
             raise RuntimeError(f"lower-bound split violated at block {j}")
-        rows.append(JKRow(j=j, J=J, J1=J1, J2=J2, J3=J3, K=K))
-    return rows
+        return JKRow(j=j, J=J, J1=J1, J2=J2, J3=J3, K=K)
+
+    return _drain(row, js)
 
 
 def jk_decomposition(data: InitialData, params: BesovParams, j: int) -> JKRow:
@@ -505,15 +578,17 @@ class CommutatorReport:
 def commutator_check(data: InitialData, params: BesovParams,
                      j_range) -> CommutatorReport:
     """Flatness of 2^{js} ||[Delta_j, V . grad] u0||_p for the transport
-    coefficient V = (1 - 2 u0) grad S0; boundedness shows as slope <= 0.3."""
+    coefficient V = (1 - 2 u0) grad S0; boundedness shows as slope <= 0.3.
+    The blocks are measured on two threads once the j-independent fields
+    are built."""
     js = sorted(int(j) for j in j_range)
     part = make_partition(data.grid)
     if not js or js[0] < -1 or js[-1] > part.j_max:
         raise ValueError("block range outside the partition")
     vel = [sp.Field(data.grid, w) for w in data.coefficients]
     s, p = params.s, params.p
-    values = [2.0 ** (j * s) * sp.lp_norm(c, p)
-              for j, c in zip(js, lpmod._commutator_blocks(part, js, vel, data.u0))]
+    block = lpmod._commutator_block(part, vel, data.u0)
+    values = _drain(lambda j: 2.0 ** (j * s) * sp.lp_norm(block(j), p), js)
     slope = fit_loglog([2.0 ** j for j in js], values)
     return CommutatorReport(js=js, values=values, slope=slope)
 
@@ -563,9 +638,9 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     part = make_partition(grid)
     v = _matched_noise(grid, kmax, seed)
     f = _matched_noise(grid, kmax, seed + 1)
-    js = range(0, part.j_max + 1)
-    num = max(2.0 ** (j * s) * sp.lp_norm(c, 2.0)
-              for j, c in zip(js, lpmod._commutator_blocks(part, js, [v], f)))
+    block = lpmod._commutator_block(part, [v], f)
+    num = max(_drain(lambda j: 2.0 ** (j * s) * sp.lp_norm(block(j), 2.0),
+                     range(0, part.j_max + 1)))
     hs = sp.half_spectrum(grid)
     dv = sp.Field(grid, hs.apply(v.values, sp.derivative(0).fn(hs.xi)))
     df = sp.Field(grid, hs.apply(f.values, sp.derivative(0).fn(hs.xi)))
@@ -699,6 +774,20 @@ class CalibrationResult:
     passed: bool
 
 
+def validate_calibration(n_max: int, start: float, j_range) -> list:
+    """The blocks of a calibration on a datum with top packet n_max,
+    sorted; a ValueError for arguments the search rejects."""
+    js = sorted(int(j) for j in j_range)
+    if not js:
+        raise ValueError("empty block range")
+    if start <= 0:
+        raise ValueError("eps0 must be positive")
+    if js[0] < N_MIN_PACKET or js[-1] > n_max:
+        raise ValueError(f"block range must lie in [{N_MIN_PACKET}, n_max] = "
+                         f"[{N_MIN_PACKET}, {n_max}]")
+    return js
+
+
 def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
                    start: float = DEFAULT_EPS0, cfl: float = 0.4) -> CalibrationResult:
     """Halve eps0 until the blow-up guard and the Taylor check both pass,
@@ -711,14 +800,7 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     attempt, each bit for bit as its own evolve.  Blocks outside
     [N_MIN_PACKET, n_max] carry no packet and are rejected.
     """
-    js = sorted(int(j) for j in j_range)
-    if not js:
-        raise ValueError("empty block range")
-    if start <= 0:
-        raise ValueError("eps0 must be positive")
-    if js[0] < N_MIN_PACKET or js[-1] > data.n_max:
-        raise ValueError(f"block range must lie in [{N_MIN_PACKET}, n_max] = "
-                         f"[{N_MIN_PACKET}, {data.n_max}]")
+    js = validate_calibration(data.n_max, start, j_range)
     part = make_partition(data.grid)
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
     s, p = params.s, params.p

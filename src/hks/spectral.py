@@ -293,7 +293,9 @@ def lp_norm(f: Field, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w = f.grid.spacing ** f.grid.d
-    return float((np.sum(np.abs(f.values) ** p) * w) ** (1.0 / p))
+    a = np.abs(f.values)  # the one temporary
+    a **= p
+    return float((np.sum(a) * w) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +342,30 @@ class HalfSpectrum:
         """The symbols i*xi_a of the d partial derivatives, stacked on a first axis."""
         return np.stack(np.broadcast_arrays(*(1j * xi for xi in self.xi)))
 
+    def differentiate(self, F: np.ndarray, axis: int) -> np.ndarray:
+        """Multiply the half spectrum F by the symbol i*xi_axis in place and
+        return it.  The real table is applied first and 1j after it, which
+        gives the values of the complex product without a dense complex
+        symbol."""
+        F *= self.xi[axis]
+        F *= 1j
+        return F
+
+    def gradient(self, F: np.ndarray) -> np.ndarray:
+        """The half spectra of the d partial derivatives of the field whose
+        half spectrum is F, stacked on a first axis: the values of
+        ``F * gradient_symbol()``."""
+        out = np.empty((len(self.xi),) + F.shape, dtype=np.complex128)
+        for a in range(len(self.xi)):
+            out[a] = F
+            self.differentiate(out[a], a)
+        return out
+
     def irfftn(self, coeffs: np.ndarray) -> np.ndarray:
         """Real field on the grid from its half-spectrum coefficients; leading
-        axes beyond the grid's d give a stack of fields."""
+        axes beyond the grid's d give a stack of fields.  A last axis shorter
+        than N/2 + 1 holds the lowest modes, and the transform zero-fills the
+        rest without a padded copy."""
         d = len(self.shape)
         return np.fft.irfftn(coeffs, s=self.shape, axes=range(-d, 0))
 

@@ -339,7 +339,8 @@ class TestProbeInflationCli:
 
         monkeypatch.setattr(probe, "inflation_sweep", explode)
         out = tmp_path / "inf"
-        rc, _, err = run(["probe", "inflation", "--n", 2048, "--nmax", 5,
+        # block 5 lies in [5, n_max-1], so the range passes the CLI's check
+        rc, _, err = run(["probe", "inflation", "--n", 4096, "--nmax", 6,
                           "--jmin", 5, "--jmax", 5, "--outdir", out], capsys)
         assert rc == 1
         assert "stage blew up" in err
@@ -441,6 +442,30 @@ class TestManifests:
     def test_create_makes_only_the_root(self, tmp_path):
         store = ResultStore.create(tmp_path / "s")
         assert store.root.is_dir() and not any(store.root.iterdir())
+
+
+class TestUsageErrorsBeforeTheStore:
+    @pytest.mark.parametrize("argv,message", [
+        (["rates", "--p", 1], "s - 1 > d/p"),
+        (["rates", "--times", "1e-3,2e-3,4e-3,8e-3"], "decade"),
+        (["inflation"], r"[5, n_max-1] = [5, 4]"),
+        (["inflation", "--jmin", 5, "--jmax", 4], "empty block range"),
+        (["calibrate"], "[3, n_max] = [3, 5]"),
+        (["calibrate", "--jmin", 4, "--jmax", 5, "--eps0", 0], "eps0 must be positive"),
+    ], ids=["rates-p", "rates-times", "inflation-range", "inflation-empty",
+            "calibrate-range", "calibrate-eps0"])
+    def test_rejected_before_store_and_data(self, argv, message, tmp_path,
+                                            capsys, monkeypatch):
+        def no_data(args):
+            raise AssertionError("initial data built before the arguments were checked")
+
+        monkeypatch.setattr("hks.cli._build_data", no_data)
+        out = tmp_path / "store"
+        rc, _, err = run(["probe", *argv[:1], "--n", 2048, "--nmax", 5,
+                          *argv[1:], "--outdir", out], capsys)
+        assert rc == 2
+        assert message in err
+        assert not out.exists()
 
 
 class TestCalibrateCli:

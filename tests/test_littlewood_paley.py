@@ -313,6 +313,23 @@ class TestHalfSpectrumBlocks:
         for j in range(part.j_max + 1):
             assert np.array_equal(part._half_window(j), annulus_profile(r_half / 2.0**j))
 
+    @pytest.mark.parametrize("d,N", [(1, 1024), (2, 256), (3, 64)])
+    def test_windowed_spectra_transform_as_dense_windows(self, d, N):
+        # cut after the window's last mode and filled on its support, a
+        # block's spectrum (also a stack of two) gives the dense window's field
+        g = make_grid(d, 1, N)
+        part, hs = make_partition(g), half_spectrum(g)
+        F = np.fft.rfftn(np.stack([white_noise(g, 7).values, white_noise(g, 8).values]),
+                         axes=range(-d, 0))
+        for j in range(-1, part.j_max + 1):
+            cut = part._windowed(F, j)
+            assert cut.shape[:-1] == F.shape[:-1] and cut.shape[-1] <= F.shape[-1]
+            assert np.array_equal(hs.irfftn(cut), hs.irfftn(F * part._half_window(j)))
+            assert np.array_equal(hs.irfftn(part._windowed(F[0], j)),
+                                  hs.irfftn(F[0] * part._half_window(j)))
+        with pytest.raises(ValueError, match="outside"):
+            part._windowed(F, part.j_max + 1)
+
     @pytest.mark.parametrize("d,N", [(1, 1 << 16), (1, 1024), (2, 256), (3, 128)])
     def test_tables_hold_only_window_supports(self, d, N):
         g = make_grid(d, 1, N)

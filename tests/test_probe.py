@@ -7,16 +7,76 @@ while the band assertions encode the a-priori expectations.
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import build_data, dense_block_norms
+from hks import littlewood_paley as lpmod
 from hks import probe, solver
 from hks.construction import carrier_frequency
 from hks.littlewood_paley import BesovParams, lp_block, make_partition
 from hks.solver import BlowUpError, SolverConfig, evolve
-from hks.spectral import Field, lp_norm, make_grid
+from hks.spectral import Field, half_spectrum, lp_norm, make_grid
+
+
+def serial_norm(values, g, p):
+    """L^p norm of a field with the quadrature of spectral.lp_norm, finite p."""
+    return float((np.sum(np.abs(values) ** p) * g.spacing ** g.d) ** (1.0 / p))
+
+
+def serial_jk_rows(data, params, js):
+    """Anatomy rows one after another, through dense half-spectrum windows
+    and the dense complex gradient symbol."""
+    g, hs = data.grid, half_spectrum(data.grid)
+    s, p = params.s, params.p
+    part = make_partition(g)
+    w = data.coefficients
+    grad = hs.gradient_symbol()
+    du_half = np.fft.rfftn(data.u0.values) * grad
+    d1 = grad[0]
+    rows = []
+    for j in js:
+        scale = 2.0 ** (j * s)
+        blocks = hs.irfftn(du_half * part._half_window(j))
+        J = scale * serial_norm(w[0] * blocks[0], g, p)
+        K = 0.0
+        for a in range(1, g.d):
+            K += scale * serial_norm(w[a] * blocks[a], g, p)
+        F1 = np.fft.rfftn(data.packet(j).values) * d1
+        J1 = serial_norm(w[0] * hs.irfftn(F1 * d1 * d1), g, p)
+        J2 = serial_norm(w[0] * hs.irfftn(F1), g, p)
+        J3 = 0.0
+        if g.d > 1:
+            trans = sum(F1 * da * da for da in grad[1:])
+            J3 = serial_norm(w[0] * hs.irfftn(trans), g, p)
+        rows.append(probe.JKRow(j=j, J=J, J1=J1, J2=J2, J3=J3, K=K))
+    return rows
+
+
+def serial_commutator_values(data, params, js):
+    """2^{js} ||[Delta_j, V . grad] u0||_p one block after another, through
+    dense windows, the dense gradient symbol and out-of-place products."""
+    g, hs = data.grid, half_spectrum(data.grid)
+    part = make_partition(g)
+    v = [hs.apply(c, hs.keep) for c in data.coefficients]
+
+    def advect(b):
+        total = hs.apply(v[0] * hs.apply(b[0], hs.keep), hs.keep)
+        for a in range(1, g.d):
+            total = total + hs.apply(v[a] * hs.apply(b[a], hs.keep), hs.keep)
+        return total
+
+    grad = hs.apply(data.u0.values, hs.gradient_symbol())
+    adv_half = np.fft.rfftn(advect(grad))
+    grad_half = [np.fft.rfftn(c) for c in grad]
+    values = []
+    for j in js:
+        w = part._half_window(j)
+        block = hs.irfftn(adv_half * w) - advect([hs.irfftn(c * w) for c in grad_half])
+        values.append(2.0 ** (j * params.s) * serial_norm(block, g, params.p))
+    return values
 
 
 class TestFitLoglog:
@@ -272,6 +332,33 @@ class TestInflationSweep:
         assert exc.records == [1, 2, 3]
 
 
+class TestDrain:
+    def test_results_in_item_order(self):
+        before = threading.active_count()
+        assert probe._drain(lambda x: x * x, range(50)) == [x * x for x in range(50)]
+        assert probe._drain(lambda x: x, []) == []
+        assert threading.active_count() == before
+
+    def test_first_failure_in_item_order_wins(self):
+        # item 9 fails while item 6, pulled earlier, is still running
+        started9 = threading.Event()
+
+        def fn(i):
+            if i == 6:
+                assert started9.wait(timeout=10)
+                time.sleep(0.05)
+                raise RuntimeError("item 6")
+            if i == 9:
+                started9.set()
+                raise RuntimeError("item 9")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="item 6"):
+            probe._drain(fn, range(20))
+        assert threading.active_count() == before
+
+
 class TestBlockAnatomy:
     def test_index_validation(self, data_8192_6):
         P = BesovParams(2.0, 2.0)
@@ -309,6 +396,45 @@ class TestBlockAnatomy:
         if d > 1:
             assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
 
+    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
+    def test_rows_equal_serial_reference(self, d, N, n_max):
+        # two threads, support-filled windows and in-place products give the
+        # serial loop's numbers exactly
+        data = build_data(d, 1, N, n_max)
+        params = BesovParams(2.0, 2.0)
+        rows = probe.jk_report(data, params).rows
+        assert rows == serial_jk_rows(data, params, range(3, n_max + 1))
+        if d > 1:
+            assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
+
+    def test_first_failing_block_is_reported(self, monkeypatch):
+        # blocks 6 and 9 violate the split; block 6 is slowed down so that
+        # block 9 fails first in time, and block 6 is still the one raised
+        data = build_data(1, 1, 32768, 9)
+        amplitude = data.amplitude
+
+        def inflated(n):
+            if n == 6:
+                time.sleep(0.2)
+            return 1e6 * amplitude(n) if n in (6, 9) else amplitude(n)
+
+        monkeypatch.setattr(data, "amplitude", inflated)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="split violated at block 6$"):
+            probe.jk_report(data, BesovParams(2.0, 2.0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
+    def test_fft_count(self, d, N, n_max, fft_counts):
+        # one rfftn of u0; per row one inverse transform of the blocks, one
+        # rfftn of the packet and d + 1 inverse transforms for J1, J2, J3
+        data = build_data(d, 1, N, n_max)
+        data.coefficients  # built once per datum, outside the count
+        fft_counts.clear()
+        probe.jk_report(data, BesovParams(2.0, 2.0))
+        rows = n_max - 2
+        assert fft_counts == {"rfftn": 1 + rows, "irfftn": (d + 2) * rows}
+
     def test_anchor_closed_form(self, data_8192_6):
         anchor = probe.c0_anchor(data_8192_6)
         assert anchor.rel_error <= 1e-10
@@ -329,6 +455,44 @@ class TestCommutatorCheck:
         part = make_partition(data_2048_5.grid)
         with pytest.raises(ValueError, match="partition"):
             probe.commutator_check(data_2048_5, P, [part.j_max + 1])
+
+    @pytest.mark.parametrize("d,N,n_max,js", [(1, 16384, 8, range(-1, 9)),
+                                              (2, 1024, 4, range(-1, 5))])
+    def test_values_equal_serial_reference(self, d, N, n_max, js):
+        data = build_data(d, 1, N, n_max)
+        params = BesovParams(2.0, 2.0)
+        report = probe.commutator_check(data, params, js)
+        assert report.values == serial_commutator_values(data, params, js)
+
+    def test_failing_block_is_raised(self, data_8192_6, monkeypatch):
+        setup = lpmod._commutator_block
+
+        def failing_block(*args):
+            block = setup(*args)
+
+            def fn(j):
+                if j == 5:
+                    raise RuntimeError("block 5 failed")
+                return block(j)
+            return fn
+
+        monkeypatch.setattr(lpmod, "_commutator_block", failing_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 5 failed"):
+            probe.commutator_check(data_8192_6, BesovParams(2.0, 2.0), range(3, 7))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
+    def test_fft_count(self, d, N, n_max, fft_counts):
+        # set-up: truncated velocity (2d), grad u0 (2), its half spectra (d),
+        # the dealiased advection (4d) and its half spectrum (1); per block
+        # 1 + d inverse transforms and 4d for the advection
+        data = build_data(d, 1, N, n_max)
+        data.coefficients
+        fft_counts.clear()
+        js = range(3, n_max + 1)
+        probe.commutator_check(data, BesovParams(2.0, 2.0), js)
+        assert sum(fft_counts.values()) == 7 * d + 3 + len(js) * (1 + 5 * d)
 
     def test_flat_across_blocks(self, data_8192_6):
         report = probe.commutator_check(data_8192_6, BesovParams(2.0, 2.0),
