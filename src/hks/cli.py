@@ -62,6 +62,7 @@ def _add_geometry(p, nmax_default=8):
 
 
 def _add_lemmas(p):
+    p.set_defaults(run=_cmd_lemmas)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=16384)
@@ -86,11 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[g],
                        help="build the packet initial datum and store u0, S0, v0")
+    p.set_defaults(run=_cmd_construct)
     _add_geometry(p)
     _add_outdir(p)
 
     p = sub.add_parser("norms", parents=[g],
                        help="Besov norm and block profile of a stored field")
+    p.set_defaults(run=_cmd_norms)
     p.add_argument("--in", dest="infile", required=True, help="KSF1 input field")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=_parse_extended, default=2.0)
@@ -98,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", parents=[g],
                        help="integrate the model from a stored field")
+    p.set_defaults(run=_cmd_evolve)
     p.add_argument("--in", dest="infile", required=True, help="KSF1 input field")
     p.add_argument("--t", type=float, required=True, help="final time")
     p.add_argument("--dt", type=float, default=None, help="fixed time step")
@@ -112,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = psub.add_parser("rates", parents=[g],
                          help="first- and second-order deviation rates")
+    pr.set_defaults(run=_cmd_probe_rates)
     _add_geometry(pr)
     pr.add_argument("--p", type=_parse_extended, default=2.0)
     pr.add_argument("--times", type=_parse_times, default=None,
@@ -122,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = psub.add_parser("inflation", parents=[g],
                          help="deviation along t_j = eps0 * 2^-j")
+    pi.set_defaults(run=_cmd_probe_inflation)
     _add_geometry(pi, nmax_default=9)
     pi.add_argument("--p", type=_parse_extended, default=2.0)
     pi.add_argument("--eps0", type=float, default=probe.DEFAULT_EPS0)
@@ -132,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pj = psub.add_parser("jk", parents=[g],
                          help="per-block lower-bound anatomy and anchors")
+    pj.set_defaults(run=_cmd_probe_jk)
     _add_geometry(pj)
     pj.add_argument("--p", type=_parse_extended, default=2.0)
     pj.add_argument("--jmin", type=int, default=5,
@@ -146,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = psub.add_parser("calibrate", parents=[g],
                          help="halve eps0 until guard and Taylor check pass")
+    pc.set_defaults(run=_cmd_probe_calibrate)
     _add_geometry(pc, nmax_default=9)
     pc.add_argument("--p", type=_parse_extended, default=2.0)
     pc.add_argument("--eps0", type=float, default=probe.DEFAULT_EPS0,
@@ -161,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[g],
                        help="render report.md from a result store")
+    p.set_defaults(run=_cmd_report)
     p.add_argument("--store", required=True, help="result store directory")
     return parser
 
@@ -199,7 +208,7 @@ def _cmd_construct(args, argv) -> int:
     return 0
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args, argv) -> int:
     field = ksf.read_field(args.infile)
     part = make_partition(field.grid)
     result = besov_norm(part, field, BesovParams(args.s, args.p, args.r))
@@ -214,10 +223,10 @@ def _cmd_norms(args) -> int:
 
 def _cmd_evolve(args, argv) -> int:
     u0 = ksf.read_field(args.infile)
-    store = ResultStore.create(args.outdir, force=args.force)
     snapshots = tuple(args.snapshots) if args.snapshots else ()
     cfg = SolverConfig(t_final=args.t, dt=args.dt, cfl=args.cfl,
                        eps=args.eps, snapshot_times=snapshots)
+    store = ResultStore.create(args.outdir, force=args.force)
     config = {"infile": args.infile, "t": args.t, "dt": args.dt,
               "cfl": args.cfl, "eps": args.eps,
               "snapshots": list(snapshots)}
@@ -258,14 +267,9 @@ def _judge(store, summary: dict, d: int) -> int:
     return 0 if passed else 1
 
 
-def _rate_rows(records):
-    return [(None, r.t, r.dev_s, r.dev_s1, r.dev_s2, r.h_s2, None, None)
-            for r in records]
-
-
-def _inflation_rows(records):
-    return [(r.j, r.t, r.dev_s, r.dev_s1, r.dev_s2, r.h_s2, r.block_j,
-             r.tv0_block_j) for r in records]
+def _table_rows(records):
+    """Rows of a rates or inflation table; a column a record lacks is empty."""
+    return [tuple(getattr(r, name, None) for name in probe.TABLE_HEADER) for r in records]
 
 
 def _cmd_probe_rates(args, argv) -> int:
@@ -276,7 +280,7 @@ def _cmd_probe_rates(args, argv) -> int:
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
     sweep = probe.rate_sweep(data, params, times, cfl=args.cfl)
-    store.write_table("rates", probe.TABLE_HEADER, _rate_rows(sweep.records))
+    store.write_table("rates", probe.TABLE_HEADER, _table_rows(sweep.records))
     rc = _judge(store, sweep.summary, args.d)
     store.write_manifest(argv, _geometry_config(
         args, p=_pval(args.p), times=times, cfl=args.cfl))
@@ -295,14 +299,12 @@ def _cmd_probe_inflation(args, argv) -> int:
     try:
         sweep = probe.inflation_sweep(data, params, args.eps0, js, cfl=args.cfl)
     except InflationError as exc:
-        store.write_table("inflation", probe.TABLE_HEADER,
-                          _inflation_rows(exc.records))
+        store.write_table("inflation", probe.TABLE_HEADER, _table_rows(exc.records))
         store.write_summary({"pass": False, "error": str(exc)})
         store.write_manifest(argv, config)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    store.write_table("inflation", probe.TABLE_HEADER,
-                      _inflation_rows(sweep.records))
+    store.write_table("inflation", probe.TABLE_HEADER, _table_rows(sweep.records))
     rc = _judge(store, sweep.summary, args.d)
     store.write_manifest(argv, config)
     print(f"max_dev = {sweep.max_dev!r}  kappa = {sweep.kappa!r}")
@@ -313,9 +315,7 @@ def _cmd_probe_inflation(args, argv) -> int:
 def _cmd_probe_jk(args, argv) -> int:
     # the anatomy rows are j = 3..nmax; the fit uses those inside the window
     if min(args.jmax, args.nmax) - max(args.jmin, 3) < 1:
-        print("error: slope-fit window holds fewer than two blocks",
-              file=sys.stderr)
-        return 2
+        raise ValueError("slope-fit window holds fewer than two blocks")
     # the commutator blocks jmin..jmax must exist on the grid; checked
     # before the store and the data exist (building the partition is cheap)
     if args.jmin < -1 or args.jmax > make_partition(make_grid(args.d, args.m, args.n)).j_max:
@@ -406,7 +406,7 @@ def _cmd_probe_calibrate(args, argv) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, argv) -> int:
     store = ResultStore(args.store)
     if not store.root.is_dir():
         print(f"error: file not found: {args.store}", file=sys.stderr)
@@ -418,44 +418,19 @@ def _cmd_report(args) -> int:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "construct":
-            return _cmd_construct(args, argv)
-        if args.command == "norms":
-            return _cmd_norms(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args, argv)
-        if args.command == "probe":
-            if args.probe_command == "rates":
-                return _cmd_probe_rates(args, argv)
-            if args.probe_command == "inflation":
-                return _cmd_probe_inflation(args, argv)
-            if args.probe_command == "jk":
-                return _cmd_probe_jk(args, argv)
-            if args.probe_command == "lemmas":
-                return _cmd_lemmas(args, argv)
-            if args.probe_command == "calibrate":
-                return _cmd_probe_calibrate(args, argv)
-        if args.command == "lemmas":
-            return _cmd_lemmas(args, argv)
-        if args.command == "report":
-            return _cmd_report(args)
+        return args.run(args, argv)
     except FileNotFoundError as exc:
         name = getattr(exc, "filename", None) or exc
         print(f"error: file not found: {name}", file=sys.stderr)
         return 2
-    except StoreExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IsADirectoryError) as exc:
+    except (StoreExistsError, ValueError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def main() -> None:

@@ -19,8 +19,8 @@ trajectory.  The rate sweep measures each snapshot on a worker thread
 while the solver keeps stepping, so measurement and stepping overlap on
 two cores.  The inflation sweep and the calibration search fork the last
 step of every t_j off one trajectory to the largest t_j, which gives each
-u(t_j) bit for bit as an independent evolve to t_j would; the inflation
-sweep runs each fork and its record on the worker thread.
+u(t_j) bit for bit as an independent evolve to t_j would, and both run
+each fork and its measurement on the worker thread (``_block_outcomes``).
 
 The anatomy rows and the commutator blocks are measured on two threads:
 once the j-independent half spectra of a phase are built, the calling
@@ -131,17 +131,6 @@ def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
     return sp.Field(u0.grid, u_t.values - u0.values + t * v0.values)
 
 
-def _deviation_norms(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
-                     t: float, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Block L^p norms of the deviation u(t) - u0 and of the remainder
-    h = u(t) - u0 + t*v0; h is built in place from the deviation with the
-    arithmetic of :func:`h_field`."""
-    diff = u_t.values - data.u0.values
-    dn = block_norms(part, sp.Field(data.grid, diff), p)
-    diff += t * data.v0.values
-    return dn, block_norms(part, sp.Field(data.grid, diff), p)
-
-
 def _weighted_sup(norms: np.ndarray, s: float) -> float:
     js = np.arange(-1, norms.size - 1)
     return float(np.max(2.0 ** (s * js) * norms))
@@ -196,6 +185,22 @@ class RateRecord:
     h_s2: float
 
 
+def _rate_record(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
+                 t: float, params: BesovParams) -> tuple[RateRecord, np.ndarray, np.ndarray]:
+    """The rate record of u(t), with the block L^p profiles it is read from:
+    those of the deviation u(t) - u0 and of the remainder h = u(t) - u0 +
+    t*v0.  h is built in place from the deviation with the arithmetic of
+    :func:`h_field`."""
+    s, p = params.s, params.p
+    diff = u_t.values - data.u0.values
+    dn = block_norms(part, sp.Field(data.grid, diff), p)
+    diff += t * data.v0.values
+    hn = block_norms(part, sp.Field(data.grid, diff), p)
+    rate = RateRecord(t=t, dev_s=_weighted_sup(dn, s), dev_s1=_weighted_sup(dn, s - 1),
+                      dev_s2=_weighted_sup(dn, s - 2), h_s2=_weighted_sup(hn, s - 2))
+    return rate, dn, hn
+
+
 @dataclass(frozen=True)
 class RateSweep:
     records: list
@@ -217,8 +222,10 @@ def validate_rate_sweep(params: BesovParams, d: int, times) -> list:
     times = sorted(float(t) for t in times)
     if len(times) < 4:
         raise ValueError("need at least four output times for the slope fits")
-    if times[0] <= 0:
-        raise ValueError("output times must be positive")
+    if not all(0 < t < math.inf for t in times):
+        raise ValueError("output times must be positive and finite")
+    if len(set(times)) != len(times):
+        raise ValueError("duplicate output times")
     if times[-1] < 10 * times[0]:
         raise ValueError("output times must span at least a decade")
     s, p = params.s, params.p
@@ -239,26 +246,15 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     BlowUpError propagates after the measurements already started finish.
     """
     times = validate_rate_sweep(params, data.grid.d, times)
-    s, p = params.s, params.p
     part = make_partition(data.grid)
     part._tables()  # built here, so the worker only reads the grid cache
     cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
 
-    def record(u_t: sp.Field, t: float) -> RateRecord:
-        dn, hn = _deviation_norms(part, data, u_t, t, p)
-        return RateRecord(
-            t=t,
-            dev_s=_weighted_sup(dn, s),
-            dev_s1=_weighted_sup(dn, s - 1),
-            dev_s2=_weighted_sup(dn, s - 2),
-            h_s2=_weighted_sup(hn, s - 2),
-        )
-
     # Each snapshot is measured on the worker while the solver steps on.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        futures = [pool.submit(record, u_t, t) for t, u_t
+        futures = [pool.submit(_rate_record, part, data, u_t, t, params) for t, u_t
                    in _snapshots(data.u0, cfg, Trajectory(data.grid, [], [], []))]
-    records = [f.result() for f in futures]
+    records = [f.result()[0] for f in futures]
     ts = [r.t for r in records]
     return RateSweep(
         records=records,
@@ -312,16 +308,39 @@ class InflationError(RuntimeError):
         self.records = records
 
 
-def _block_forks(data: InitialData, eps0: float, js, cfl: float):
-    """``(j, t_j, fork)`` for t_j = eps0 * 2^-j in descending j, forked off
-    one CFL trajectory to the largest t_j by :func:`hks.solver._forks`:
-    ``fork()`` gives u(t_j) as ``evolve(u0, SolverConfig(t_final=t_j,
-    cfl=cfl))`` does, bit for bit.  A BlowUpError of the trajectory
-    propagates."""
+def _block_outcomes(data: InitialData, eps0: float, js, cfl: float, measure) -> dict:
+    """Per block j of js, in the order of js: ``measure(j, t_j, u(t_j))`` at
+    t_j = eps0 * 2^-j, or the RuntimeError (a BlowUpError is one) that
+    failed the block.
+
+    One CFL lane runs to the largest t_j and forks, at each t_j, the clipped
+    last step of the independent evolve to t_j (:func:`hks.solver._forks`),
+    so every u(t_j) is that evolve's final state bit for bit.  Each fork and
+    its measurement run on the worker while the lane steps on.  A failed
+    fork or measurement fails its block only; a BlowUpError of the lane
+    fails every block not yet forked, as it fails the independent evolves
+    that would reach that step.
+    """
     times = {eps0 * 2.0 ** (-j): j for j in js}
     cfg = SolverConfig(t_final=max(times), cfl=cfl, snapshot_times=tuple(times))
-    for t_j, fork in _forks(data.u0, cfg):
-        yield times[t_j], t_j, fork
+
+    def run(j: int, t_j: float, fork):
+        return measure(j, t_j, fork())
+
+    futures, lane_error = {}, None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            for t_j, fork in _forks(data.u0, cfg):
+                futures[times[t_j]] = pool.submit(run, times[t_j], t_j, fork)
+        except BlowUpError as exc:
+            lane_error = exc
+    outcomes = {}
+    for j in js:
+        try:
+            outcomes[j] = futures[j].result() if j in futures else lane_error
+        except RuntimeError as exc:
+            outcomes[j] = exc
+    return outcomes
 
 
 def validate_inflation_sweep(params: BesovParams, d: int, n_max: int,
@@ -336,8 +355,8 @@ def validate_inflation_sweep(params: BesovParams, d: int, n_max: int,
                          f"[5, {n_max - 1}]")
     if len(set(js)) != len(js):
         raise ValueError("duplicate block indices")
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
+    if not 0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     s, p = params.s, params.p
     if not s > 1 + d / p:
         raise ValueError(f"inflation sweep requires s > 1 + d/p; "
@@ -350,73 +369,41 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
     """Evolve to t_j = eps0 * 2^-j for each j and measure the deviation.
 
     The signature of the discontinuity at t = 0 is that dev_s stays
-    uniformly positive while t_j drops geometrically.  One CFL trajectory
-    runs to the largest t_j and forks, at each t_j, the clipped last step of
-    the independent evolve to t_j, so every u(t_j) is that evolve's final
-    state bit for bit.  Each fork and its record run on a worker thread
-    while the trajectory steps on, and the records come out in ascending j.
-    A failed fork fails its block only; a failure of the trajectory fails
-    every block not yet forked.  InflationError names the smallest failing
-    j and carries the records of the blocks that completed.
+    uniformly positive while t_j drops geometrically.  Every u(t_j) is
+    forked off one trajectory and measured on a worker thread as
+    :func:`_block_outcomes` describes, and the records come out in
+    ascending j.  InflationError names the smallest failing j and carries
+    the records of the blocks that completed.
     """
     js = validate_inflation_sweep(params, data.grid.d, data.n_max, eps0, j_range)
     s, p = params.s, params.p
     part = make_partition(data.grid)
     v0_norms = block_norms(part, data.v0, p)
-    u0_norms = block_norms(part, data.u0, p)
-    u0_norm = _weighted_sup(u0_norms, s)
+    u0_norm = _weighted_sup(block_norms(part, data.u0, p), s)
 
-    def record(j: int, t_j: float, fork) -> tuple[InflationRecord, float]:
-        u_t = fork()
-        dn, hn = _deviation_norms(part, data, u_t, t_j, p)
-        un = block_norms(part, u_t, p)
+    def record(j: int, t_j: float, u_t: sp.Field) -> tuple[InflationRecord, float]:
+        rate, dn, hn = _rate_record(part, data, u_t, t_j, params)
         w = 2.0 ** (j * s)
-        rec = InflationRecord(
-            j=j, t=t_j,
-            dev_s=_weighted_sup(dn, s),
-            dev_s1=_weighted_sup(dn, s - 1),
-            dev_s2=_weighted_sup(dn, s - 2),
-            h_s2=_weighted_sup(hn, s - 2),
-            block_j=w * dn[j + 1],
-            tv0_block_j=w * t_j * v0_norms[j + 1],
-            h_block_j=w * hn[j + 1],
-        )
+        rec = InflationRecord(j=j, **vars(rate), block_j=w * dn[j + 1],
+                              tv0_block_j=w * t_j * v0_norms[j + 1], h_block_j=w * hn[j + 1])
         # Triangle chain, each side computed independently.
         slack = 1e-10 * max(1.0, rec.dev_s)
         if rec.dev_s < rec.block_j - slack:
             raise RuntimeError(f"block {j} exceeds the Besov sup")
         if rec.block_j < rec.tv0_block_j - rec.h_block_j - slack:
             raise RuntimeError(f"triangle inequality failed at block {j}")
-        return rec, _weighted_sup(un, s)
+        return rec, _weighted_sup(block_norms(part, u_t, p), s)
 
-    # Each fork and its record run on the worker while the lane steps on; a
-    # lane failure fails every block not yet forked, as it fails the
-    # independent evolves that would reach that step.
-    futures, lane_error = {}, None
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        try:
-            for j, t_j, fork in _block_forks(data, eps0, js, cfl):
-                futures[j] = pool.submit(record, j, t_j, fork)
-        except BlowUpError as exc:
-            lane_error = exc
-    results: dict[int, tuple] = {}
-    errors: dict[int, Exception] = {}
-    for j in js:
-        if j not in futures:
-            errors[j] = lane_error
-            continue
-        try:
-            results[j] = futures[j].result()
-        except (BlowUpError, RuntimeError) as exc:
-            errors[j] = exc
-    if errors:
-        j_bad = min(errors)
-        records = [results[j][0] for j in js if j in results]
+    outcomes = _block_outcomes(data, eps0, js, cfl, record)
+    failed = [j for j in js if isinstance(outcomes[j], RuntimeError)]
+    done = [outcomes[j] for j in js if j not in failed]
+    records = [rec for rec, _ in done]
+    if failed:
+        j_bad = failed[0]
         raise InflationError(
             f"evolve for block {j_bad} (t={eps0 * 2.0 ** (-j_bad)}) "
-            f"failed: {errors[j_bad]}", records) from errors[j_bad]
+            f"failed: {outcomes[j_bad]}", records) from outcomes[j_bad]
 
-    records = [results[j][0] for j in js]
     devs = np.array([r.dev_s for r in records])
     return InflationSweep(
         records=records,
@@ -425,7 +412,7 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
         min_dev=float(devs.min()),
         max_dev=float(devs.max()),
         ratio=float(devs.min() / devs.max()),
-        kappa=float(max(results[j][1] for j in js) / u0_norm),
+        kappa=float(max(un_s for _, un_s in done) / u0_norm),
     )
 
 
@@ -780,8 +767,8 @@ def validate_calibration(n_max: int, start: float, j_range) -> list:
     js = sorted(int(j) for j in j_range)
     if not js:
         raise ValueError("empty block range")
-    if start <= 0:
-        raise ValueError("eps0 must be positive")
+    if not 0 < start < math.inf:
+        raise ValueError(f"eps0 must be positive and finite, got {start}")
     if js[0] < N_MIN_PACKET or js[-1] > n_max:
         raise ValueError(f"block range must lie in [{N_MIN_PACKET}, n_max] = "
                          f"[{N_MIN_PACKET}, {n_max}]")
@@ -796,40 +783,30 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     The Taylor check requires the remainder-to-deviation ratio in the
     B^{s-2} norm to stay below 0.2 at the extreme sweep times; the guard
     is the solver's own.  Only the endpoints of j_range are probed, the
-    largest t being the binding one; both come from one trajectory per
-    attempt, each bit for bit as its own evolve.  Blocks outside
+    largest t being the binding one; both are forked off one trajectory
+    per attempt and measured on the worker thread, each bit for bit as its
+    own evolve.  Blocks outside
     [N_MIN_PACKET, n_max] carry no packet and are rejected.
     """
     js = validate_calibration(data.n_max, start, j_range)
     part = make_partition(data.grid)
+    part._tables()  # built here, so the worker only reads the grid cache
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
-    s, p = params.s, params.p
+
+    def h_ratio(j: int, t_j: float, u_t: sp.Field) -> float:
+        rate, _, _ = _rate_record(part, data, u_t, t_j, params)
+        return rate.h_s2 / max(rate.dev_s2, 1e-300)
+
     eps0 = float(start)
     attempts = []
     for _ in range(CALIBRATION_MAX_HALVINGS + 1):
-        # per probed j, the h-ratio at t_j or the BlowUpError of its evolve
-        outcome: dict[int, float | BlowUpError] = {}
-        try:
-            for j, t_j, fork in _block_forks(data, eps0, probe_js, cfl):
-                try:
-                    u_t = fork()
-                except BlowUpError as exc:
-                    outcome[j] = exc
-                    continue
-                dn, hn = _deviation_norms(part, data, u_t, t_j, p)
-                outcome[j] = _weighted_sup(hn, s - 2) / max(_weighted_sup(dn, s - 2),
-                                                            1e-300)
-        except BlowUpError as exc:
-            for j in probe_js:
-                outcome.setdefault(j, exc)
-        ok = True
-        detail = {}
-        for j in probe_js:
-            if isinstance(outcome[j], BlowUpError):
-                ok, detail[f"j{j}"] = False, f"blow-up: {outcome[j]}"
+        ok, detail = True, {}
+        for j, ratio in _block_outcomes(data, eps0, probe_js, cfl, h_ratio).items():
+            if isinstance(ratio, RuntimeError):
+                ok, detail[f"j{j}"] = False, f"blow-up: {ratio}"
                 break
-            detail[f"j{j}"] = f"h-ratio {outcome[j]:.4f}"
-            ok = ok and outcome[j] < TAYLOR_H_RATIO_MAX
+            detail[f"j{j}"] = f"h-ratio {ratio:.4f}"
+            ok = ok and ratio < TAYLOR_H_RATIO_MAX
         attempts.append({"eps0": eps0, "passed": ok, **detail})
         if ok:
             return CalibrationResult(eps0=eps0, attempts=attempts, passed=True)

@@ -73,16 +73,16 @@ class SolverConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt is None and not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be nonnegative and finite, got {self.eps}")
         ts = tuple(float(t) for t in self.snapshot_times)
-        if any(t <= 0.0 or t > self.t_final + 1e-15 for t in ts):
+        if not all(0.0 < t <= self.t_final + 1e-15 for t in ts):
             raise ValueError("snapshot times must lie in (0, t_final]")
         object.__setattr__(self, "snapshot_times", ts)
 

@@ -238,6 +238,21 @@ class TestEvolveCli:
         assert rc == 2
         assert "snapshot times" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--t", "inf"], "t_final must be positive and finite"),
+        (["--t", "1e-3", "--snapshots", "nan"], "snapshot times"),
+        (["--t", "1e-3", "--eps", "nan"], "eps must be nonnegative and finite"),
+    ])
+    def test_non_finite_config_rejected_before_the_store(self, tmp_path, capsys,
+                                                         flags, message):
+        cdir = tmp_path / "c"
+        run(["construct", "--n", 2048, "--nmax", 5, "--outdir", cdir], capsys)
+        rc, _, err = run(["evolve", "--in", cdir / "fields" / "u0.ksf", *flags,
+                          "--outdir", tmp_path / "e"], capsys)
+        assert rc == 2
+        assert message in err
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("kmax, crosses", [(120, True), (40, False)])
     def test_reports_unevolved_share(self, tmp_path, capsys, kmax, crosses):
         # N = 256 keeps |k| <= 85: noise up to k = 120 crosses the cutoff
@@ -452,8 +467,12 @@ class TestUsageErrorsBeforeTheStore:
         (["inflation", "--jmin", 5, "--jmax", 4], "empty block range"),
         (["calibrate"], "[3, n_max] = [3, 5]"),
         (["calibrate", "--jmin", 4, "--jmax", 5, "--eps0", 0], "eps0 must be positive"),
+        (["rates", "--times", "1e-4,1e-4,1e-3,1e-2"], "duplicate output times"),
+        (["rates", "--times", "1e-4,nan,1e-3,1e-2"], "output times must be positive and finite"),
+        (["calibrate", "--jmin", 4, "--jmax", 5, "--eps0", "nan"], "eps0 must be positive"),
     ], ids=["rates-p", "rates-times", "inflation-range", "inflation-empty",
-            "calibrate-range", "calibrate-eps0"])
+            "calibrate-range", "calibrate-eps0", "rates-duplicate-times",
+            "rates-nan-time", "calibrate-nan-eps0"])
     def test_rejected_before_store_and_data(self, argv, message, tmp_path,
                                             capsys, monkeypatch):
         def no_data(args):

@@ -218,6 +218,8 @@ class TestInflationSweep:
             probe.inflation_sweep(data_8192_6, P, 1.0, [5, 6])
         with pytest.raises(ValueError, match="duplicate"):
             probe.inflation_sweep(data_8192_6, P, 1.0, [5, 5])
+        with pytest.raises(ValueError, match="eps0 must be positive"):
+            probe.validate_inflation_sweep(P, 1, 6, math.inf, [5])
 
     def test_amplitude_validation(self, data_8192_6):
         with pytest.raises(ValueError, match="eps0"):
@@ -557,10 +559,41 @@ class TestCalibration:
             for j in js:
                 t = att["eps0"] * 2.0**-j
                 u_t = evolve(d.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
-                dn, hn = probe._deviation_norms(part, d, u_t, t, 2.0)
+                _, dn, hn = probe._rate_record(part, d, u_t, t, P)
                 ratio = probe._weighted_sup(hn, 0.0) / probe._weighted_sup(dn, 0.0)
                 assert att[f"j{j}"] == f"h-ratio {ratio:.4f}"
         assert list(result.attempts[0]) == ["eps0", "passed", "j4", "j5"]
+
+    @pytest.mark.parametrize("where", ["lane", "fork"])
+    def test_blow_up_fails_the_blocks_it_reaches(self, monkeypatch, where):
+        # one attempt at eps0 = 2 probes j = 5 and j = 7; the lane forks t_7
+        # on its first step and t_5 on its second.  lane: the guard trips on
+        # the lane's first full step, past t_7, so block 5 is never forked;
+        # fork: it trips in the fork at t_7 only
+        data = build_data(1, 1, 16384, 8)
+        P, t7 = BesovParams(2.0, 2.0), 2.0 * 2.0**-7
+        monkeypatch.setattr(probe, "CALIBRATION_MAX_HALVINGS", 0)
+        (clean,) = probe.calibrate_eps0(data, P, [5, 6, 7], start=2.0).attempts
+        step = solver._finish_step
+
+        def guard(uh, acc, dt, t, *rest):
+            out = step(uh, acc, dt, t, *rest)
+            if (t > t7) if where == "lane" else (t == t7):
+                raise BlowUpError(f"blow-up guard tripped at t={t:.6g}")
+            return out
+
+        monkeypatch.setattr(solver, "_finish_step", guard)
+        before = threading.active_count()
+        result = probe.calibrate_eps0(data, P, [5, 6, 7], start=2.0)
+        assert threading.active_count() == before
+        assert not result.passed
+        (att,) = result.attempts
+        assert att["j5" if where == "lane" else "j7"].startswith("blow-up: blow-up guard")
+        if where == "lane":
+            assert list(att) == ["eps0", "passed", "j5"]
+        else:
+            assert list(att) == ["eps0", "passed", "j5", "j7"]
+            assert att["j5"] == clean["j5"] and att["j5"].startswith("h-ratio")
 
     def test_default_start_passes_immediately(self, data_8192_6):
         result = probe.calibrate_eps0(data_8192_6, BesovParams(2.0, 2.0), [5])

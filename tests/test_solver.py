@@ -76,6 +76,9 @@ class TestConfig:
         dict(t_final=1.0, eps=-1e-6),
         dict(t_final=1.0, snapshot_times=(2.0,)),
         dict(t_final=1.0, snapshot_times=(-0.5,)),
+        dict(t_final=math.inf),
+        dict(t_final=1.0, snapshot_times=(math.nan,)),
+        dict(t_final=1.0, eps=math.nan),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
