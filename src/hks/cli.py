@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import ksf, probe
-from .construction import make_bump, make_initial_data
+from .construction import _check_n_max, make_bump, make_initial_data
 from .littlewood_paley import BesovParams, besov_norm, make_partition
 from .probe import InflationError
 from .report import render_report
-from .solver import BlowUpError, SolverConfig, Trajectory, _snapshots
+from .solver import BlowUpError, SolverConfig, Trajectory, _lane
 from .spectral import make_grid
 from .store import ResultStore, StoreExistsError
 
@@ -183,6 +183,14 @@ def _build_data(args):
     return make_initial_data(args.s, args.nmax, bump, grid)
 
 
+def _check_flags(args) -> None:
+    """The grid's, make_initial_data's (--nmax) and the solver's (--cfl) checks;
+    not make_bump's, which builds a profile of N points to make its own."""
+    _check_n_max(args.nmax, make_grid(args.d, args.m, args.n))
+    if "cfl" in args:
+        SolverConfig(t_final=1.0, cfl=args.cfl)
+
+
 def _geometry_config(args, **extra):
     cfg = {"d": args.d, "m": args.m, "n": args.n, "s": args.s,
            "nmax": args.nmax}
@@ -232,7 +240,7 @@ def _cmd_evolve(args, argv) -> int:
               "snapshots": list(snapshots)}
     traj = Trajectory(u0.grid, [], [], [])  # gets the share before any step
     try:
-        snapshots = [(0.0, u0), *_snapshots(u0, cfg, traj)]
+        snapshots = [(0.0, u0), *((t, state()) for t, state in _lane(u0, cfg, traj))]
     except BlowUpError as exc:
         config["unevolved_share"] = traj.unevolved_share
         store.write_manifest(argv, config)
@@ -420,6 +428,8 @@ def _cmd_report(args, argv) -> int:
 def dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "nmax" in args:  # the commands that build the datum
+            _check_flags(args)
         return args.run(args, argv)
     except FileNotFoundError as exc:
         name = getattr(exc, "filename", None) or exc

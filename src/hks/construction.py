@@ -228,6 +228,12 @@ def _packet_sum_half(s: float, n_max: int, bump: Bump, grid: Grid) -> np.ndarray
     return functools.reduce(np.multiply, np.ix_(*factors))
 
 
+def _check_n_max(n_max: int, grid: Grid) -> None:
+    j_max = make_partition(grid).j_max
+    if not N_MIN_PACKET <= n_max <= j_max:
+        raise ValueError(f"n_max={n_max} outside [{N_MIN_PACKET}, j_max={j_max}] for N={grid.N}")
+
+
 def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialData:
     """Assemble S0, u0 = (1-Laplacian)S0, and the drift v0.
 
@@ -235,11 +241,7 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
     grid's top resolvable block.  The probes check s against their own
     hypotheses (s > 1 + d/p and the like) when they are called.
     """
-    part = make_partition(grid)
-    if not N_MIN_PACKET <= n_max <= part.j_max:
-        raise ValueError(
-            f"n_max={n_max} outside [{N_MIN_PACKET}, j_max={part.j_max}] for N={grid.N}"
-        )
+    _check_n_max(n_max, grid)
     vals = np.zeros(grid.shape)
     for n in range(N_MIN_PACKET, n_max + 1):
         vals += 2.0 ** (-n * (s + 2.0)) * make_fn(n, bump, grid).values

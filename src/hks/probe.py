@@ -14,13 +14,12 @@ their pass/fail verdicts from it.
 * ``lemma_suite``    the harmonic-analysis toolbox on pseudo-random fields
 * ``calibrate_eps0`` halving search for a Taylor-safe sweep amplitude
 
-Sweeps are deterministic for a fixed configuration, and each runs one
-trajectory.  The rate sweep measures each snapshot on a worker thread
-while the solver keeps stepping, so measurement and stepping overlap on
-two cores.  The inflation sweep and the calibration search fork the last
-step of every t_j off one trajectory to the largest t_j, which gives each
-u(t_j) bit for bit as an independent evolve to t_j would, and both run
-each fork and its measurement on the worker thread (``_block_outcomes``).
+Sweeps are deterministic for a fixed configuration.  Each runs one solver
+lane and measures its states on a worker thread while the lane steps on
+(``_lane_outcomes``).  The rate sweep's lane steps onto every output time;
+the inflation sweep and the calibration search fork the last step of
+every t_j off one lane to the largest t_j, which gives each u(t_j) bit for
+bit as an independent evolve to t_j would (``_block_outcomes``).
 
 The anatomy rows and the commutator blocks are measured on two threads:
 once the j-independent half spectra of a phase are built, the calling
@@ -48,7 +47,7 @@ from .construction import N_MIN_PACKET, InitialData
 from .littlewood_paley import BesovParams, block_norms, make_partition
 # evolve is not called here; it stays bound as hks.probe.evolve for tools
 # that patch the package's names, such as the benchmark's tracer.
-from .solver import BlowUpError, SolverConfig, Trajectory, _forks, _snapshots, evolve  # noqa: F401
+from .solver import BlowUpError, SolverConfig, Trajectory, _lane, evolve  # noqa: F401
 
 # Frozen tolerance bands of the acceptance suite.  Slope bands are a priori
 # (+-0.2 on the first-order rate, +-0.3 on the others); the inflation
@@ -172,6 +171,27 @@ def _drain(fn, items) -> list:
     return results
 
 
+def _lane_outcomes(lane, times, measure) -> list:
+    """Per t of ``times``: ``measure(t, state())`` over the ``(t, state)``
+    stream of a solver lane, on one worker thread while the lane steps on,
+    or the RuntimeError that failed it; a BlowUpError of the lane fails every
+    time not yet yielded, once the measurements already started finish."""
+    futures, lane_error = {}, None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            for t, state in lane:
+                futures[t] = pool.submit(lambda t, state: measure(t, state()), t, state)
+        except BlowUpError as exc:
+            lane_error = exc
+    outcomes = []
+    for t in times:
+        try:
+            outcomes.append(futures[t].result() if t in futures else lane_error)
+        except RuntimeError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # Rates
 
@@ -242,19 +262,19 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     The ladder must span at least a decade and carry at least four points
     so the fitted slopes are meaningful.  The first-order rate lives in
     B^{s-1}, which is only a norm statement for s - 1 > d/p.  Snapshots are
-    measured as the solver streams them and dropped once measured; a
-    BlowUpError propagates after the measurements already started finish.
+    measured as the solver steps onto them and dropped once measured; the
+    first error propagates after the measurements already started finish.
     """
     times = validate_rate_sweep(params, data.grid.d, times)
     part = make_partition(data.grid)
     part._tables()  # built here, so the worker only reads the grid cache
     cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
 
-    # Each snapshot is measured on the worker while the solver steps on.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        futures = [pool.submit(_rate_record, part, data, u_t, t, params) for t, u_t
-                   in _snapshots(data.u0, cfg, Trajectory(data.grid, [], [], []))]
-    records = [f.result()[0] for f in futures]
+    records = _lane_outcomes(_lane(data.u0, cfg, Trajectory(data.grid, [], [], [])), times,
+                             lambda t, u_t: _rate_record(part, data, u_t, t, params)[0])
+    for rec in records:
+        if isinstance(rec, RuntimeError):
+            raise rec
     ts = [r.t for r in records]
     return RateSweep(
         records=records,
@@ -314,49 +334,38 @@ def _block_outcomes(data: InitialData, eps0: float, js, cfl: float, measure) -> 
     failed the block.
 
     One CFL lane runs to the largest t_j and forks, at each t_j, the clipped
-    last step of the independent evolve to t_j (:func:`hks.solver._forks`),
-    so every u(t_j) is that evolve's final state bit for bit.  Each fork and
-    its measurement run on the worker while the lane steps on.  A failed
-    fork or measurement fails its block only; a BlowUpError of the lane
-    fails every block not yet forked, as it fails the independent evolves
-    that would reach that step.
+    last step of the independent evolve to t_j, so every u(t_j) is that
+    evolve's final state bit for bit.  A failed fork or measurement fails its
+    block only; a BlowUpError of the lane fails every block not yet forked,
+    as it fails the independent evolves that would reach that step.
     """
     times = {eps0 * 2.0 ** (-j): j for j in js}
     cfg = SolverConfig(t_final=max(times), cfl=cfl, snapshot_times=tuple(times))
+    lane = _lane(data.u0, cfg, Trajectory(data.grid, [], [], []), fork=True)
+    outcomes = _lane_outcomes(lane, times, lambda t, u_t: measure(times[t], t, u_t))
+    return dict(zip(times.values(), outcomes))
 
-    def run(j: int, t_j: float, fork):
-        return measure(j, t_j, fork())
 
-    futures, lane_error = {}, None
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        try:
-            for t_j, fork in _forks(data.u0, cfg):
-                futures[times[t_j]] = pool.submit(run, times[t_j], t_j, fork)
-        except BlowUpError as exc:
-            lane_error = exc
-    outcomes = {}
-    for j in js:
-        try:
-            outcomes[j] = futures[j].result() if j in futures else lane_error
-        except RuntimeError as exc:
-            outcomes[j] = exc
-    return outcomes
+def _blocks(j_range, eps0: float) -> list:
+    """The blocks of j_range, sorted, once they and eps0 pass the sweeps' checks."""
+    js = sorted(int(j) for j in j_range)
+    if not js:
+        raise ValueError("empty block range")
+    if not 0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
+    return js
 
 
 def validate_inflation_sweep(params: BesovParams, d: int, n_max: int,
                              eps0: float, j_range) -> list:
     """The blocks of an inflation sweep in dimension d on a datum with top
     packet n_max, sorted; a ValueError for arguments the sweep rejects."""
-    js = sorted(int(j) for j in j_range)
-    if not js:
-        raise ValueError("empty block range")
+    js = _blocks(j_range, eps0)
     if js[0] < 5 or js[-1] > n_max - 1:
         raise ValueError(f"block range must lie in [5, n_max-1] = "
                          f"[5, {n_max - 1}]")
     if len(set(js)) != len(js):
         raise ValueError("duplicate block indices")
-    if not 0 < eps0 < math.inf:
-        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     s, p = params.s, params.p
     if not s > 1 + d / p:
         raise ValueError(f"inflation sweep requires s > 1 + d/p; "
@@ -370,7 +379,7 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
 
     The signature of the discontinuity at t = 0 is that dev_s stays
     uniformly positive while t_j drops geometrically.  Every u(t_j) is
-    forked off one trajectory and measured on a worker thread as
+    forked off one solver lane and measured on a worker thread as
     :func:`_block_outcomes` describes, and the records come out in
     ascending j.  InflationError names the smallest failing j and carries
     the records of the blocks that completed.
@@ -764,11 +773,7 @@ class CalibrationResult:
 def validate_calibration(n_max: int, start: float, j_range) -> list:
     """The blocks of a calibration on a datum with top packet n_max,
     sorted; a ValueError for arguments the search rejects."""
-    js = sorted(int(j) for j in j_range)
-    if not js:
-        raise ValueError("empty block range")
-    if not 0 < start < math.inf:
-        raise ValueError(f"eps0 must be positive and finite, got {start}")
+    js = _blocks(j_range, start)
     if js[0] < N_MIN_PACKET or js[-1] > n_max:
         raise ValueError(f"block range must lie in [{N_MIN_PACKET}, n_max] = "
                          f"[{N_MIN_PACKET}, {n_max}]")
@@ -783,10 +788,10 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     The Taylor check requires the remainder-to-deviation ratio in the
     B^{s-2} norm to stay below 0.2 at the extreme sweep times; the guard
     is the solver's own.  Only the endpoints of j_range are probed, the
-    largest t being the binding one; both are forked off one trajectory
+    largest t being the binding one; both are forked off one solver lane
     per attempt and measured on the worker thread, each bit for bit as its
-    own evolve.  Blocks outside
-    [N_MIN_PACKET, n_max] carry no packet and are rejected.
+    own evolve.  Blocks outside [N_MIN_PACKET, n_max] carry no packet and
+    are rejected.
     """
     js = validate_calibration(data.n_max, start, j_range)
     part = make_partition(data.grid)

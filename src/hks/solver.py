@@ -19,12 +19,11 @@ transform per step gives the state's diagnostics and snapshots.  The CFL
 speed is taken from the first stage's dealiased state.  Modes above the
 dealias cutoff get no flux, so u0's part there is carried unevolved.
 
-Snapshots are streamed: a private generator yields each one as soon as a
-step lands on its time, so a caller can measure it while the solver keeps
-stepping; :func:`evolve` collects the stream into a :class:`Trajectory`.
-A second private generator serves runs to several final times: it steps
-one trajectory to the largest and forks, at each smaller one, the clipped
-last step of the run that ends there.  Both share one step body.
+One private lane holds the step loop and streams each output time as soon
+as a step reaches it, so a caller can measure it while the lane steps on.
+It either clips its step onto each time (the run :func:`evolve` collects
+into a :class:`Trajectory`) or keeps full steps and forks, at each time,
+the clipped last step of the run that ends there.
 """
 
 from __future__ import annotations
@@ -215,89 +214,57 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     non-finite values.
     """
     traj = Trajectory(u0.grid, [0.0], [Field(u0.grid, u0.values.copy())], [])
-    for t, u in _snapshots(u0, cfg, traj):
+    for t, state in _lane(u0, cfg, traj):
         traj.times.append(t)
-        traj.states.append(u)
+        traj.states.append(state())
     return traj
 
 
-def _snapshots(u0: Field, cfg: SolverConfig, traj: Trajectory) -> Iterator[tuple[float, Field]]:
-    """The RK4 run of :func:`evolve` as a stream: yields ``(t, u(t))`` as
-    soon as a step lands on a snapshot time, the final time last.
+def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
+          fork: bool = False) -> Iterator[tuple[float, Callable[[], Field]]]:
+    """One RK4 lane from u0 over ``cfg.snapshot_times`` and ``t_final``:
+    yields ``(t_k, state)`` in ascending t_k as soon as a step reaches t_k,
+    where ``state()`` returns u(t_k).  Sets ``traj.unevolved_share`` and
+    appends each step the lane takes to ``traj.steps``.
 
-    Sets ``traj.unevolved_share`` before the first step and appends each
-    accepted step's diagnostics to ``traj.steps``; ``traj.times`` and
-    ``traj.states`` are left to the caller.  Every yielded field owns its
-    array, so it stays valid while the stream goes on.
-    """
-    g = u0.grid
-    hs, eps = half_spectrum(g), cfg.eps
-    targets = sorted(set(cfg.snapshot_times) | {cfg.t_final})
-    max0 = float(np.max(np.abs(u0.values)))
-
-    uh = np.fft.rfftn(u0.values)
-    t = 0.0
-    traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep == 0.0)
-    for target in targets:
-        while t < target:
-            acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
-            dt = _step_size(cfg, g, speed)
-            hit = t + dt >= target - 1e-15 * target
-            if hit:
-                dt = target - t
-            t = target if hit else t + dt
-            uh, u, amax = _finish_step(uh, acc, dt, t, hs, eps, max0)
-            traj.steps.append(
-                {
-                    "t": t,
-                    "dt": dt,
-                    "mean": float(np.mean(u)),
-                    "max_abs": amax,
-                    "max_speed": speed,
-                }
-            )
-        yield target, Field(g, u)
-
-
-def _forks(u0: Field, cfg: SolverConfig) -> Iterator[tuple[float, Callable[[], Field]]]:
-    """One RK4 lane to ``cfg.t_final`` that forks the clipped last step of
-    the run to each time in ``cfg.snapshot_times`` and to ``t_final``.
-
-    Yields ``(t_k, fork)`` in ascending t_k.  ``fork()`` returns u(t_k), bit
-    for bit the final state of :func:`evolve` with ``t_final=t_k`` and no
-    snapshots, whose steps are the lane's up to the one it clips onto t_k;
-    the fork is that step, from the lane's state and first stage.  A fork
-    may run on another thread while the lane steps on.  A BlowUpError from
-    a fork concerns its time only; one from the lane concerns every time
-    not yet yielded.
+    By default the lane clips that step onto t_k and steps on from there,
+    the run of :func:`evolve`.  With ``fork`` it keeps full steps, stops at
+    the largest t_k, and ``state()`` takes the clipped last step of the run
+    that ends at t_k from the lane's state and first stage: bit for bit the
+    final state of :func:`evolve` with ``t_final=t_k`` and no snapshots.
+    ``state()`` may run on another thread while the lane steps on; a
+    BlowUpError from a fork concerns its time only, one from the lane every
+    time not yet yielded.
     """
     g = u0.grid
     hs, eps = half_spectrum(g), cfg.eps
     pending = sorted(set(cfg.snapshot_times) | {cfg.t_final})
     max0 = float(np.max(np.abs(u0.values)))
 
-    uh = np.fft.rfftn(u0.values)
-    t = 0.0
-    while True:
+    uh, t = np.fft.rfftn(u0.values), 0.0
+    traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep == 0.0)
+    while pending:
         acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
-        dt = _step_size(cfg, g, speed)
+        dt = cfg.dt if cfg.dt is not None else cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
+        clip = None  # the time this step lands on, in the default mode
         while pending and t + dt >= pending[0] - 1e-15 * pending[0]:
             target = pending.pop(0)
+            if not fork:
+                clip, dt = target, target - t
+                break
             # the lane never writes what a fork reads: _finish_step leaves uh
-            # as it is, and the lane consumes acc, so a fork it outlives
-            # gets a copy
+            # as it is and consumes acc, so a fork the lane outlives gets a copy
             k1 = acc.copy() if pending else acc
             yield target, partial(_fork_state, g, uh, k1, target - t, target, hs, eps, max0)
-        if not pending:
+        if not pending and clip is None:
             return
-        t += dt
-        uh, _, _ = _finish_step(uh, acc, dt, t, hs, eps, max0)
-
-
-def _step_size(cfg: SolverConfig, g: Grid, speed: float) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    return cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
+        t = t + dt if clip is None else clip
+        uh, u, amax = _finish_step(uh, acc, dt, t, hs, eps, max0)
+        traj.steps.append({"t": t, "dt": dt, "mean": float(np.mean(u)),
+                           "max_abs": amax, "max_speed": speed})
+        if clip is not None:
+            yield clip, partial(Field, g, u)
+        del u  # so the next step does not keep the array alive
 
 
 def _finish_step(uh: np.ndarray, acc: np.ndarray, dt: float, t: float, hs: HalfSpectrum,

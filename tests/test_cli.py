@@ -470,9 +470,17 @@ class TestUsageErrorsBeforeTheStore:
         (["rates", "--times", "1e-4,1e-4,1e-3,1e-2"], "duplicate output times"),
         (["rates", "--times", "1e-4,nan,1e-3,1e-2"], "output times must be positive and finite"),
         (["calibrate", "--jmin", 4, "--jmax", 5, "--eps0", "nan"], "eps0 must be positive"),
+        # later flags override the --n 2048 --nmax 5 the test puts first
+        (["rates", "--cfl", 2], "cfl must lie in (0, 1]"),
+        (["rates", "--nmax", 6], "n_max=6 outside [3, j_max=5]"),
+        (["inflation", "--n", 4096, "--nmax", 6, "--jmin", 5, "--jmax", 5, "--cfl", 2],
+         "cfl must lie in (0, 1]"),
+        (["calibrate", "--jmin", 4, "--jmax", 5, "--cfl", 2], "cfl must lie in (0, 1]"),
+        (["jk", "--nmax", 6, "--jmin", 4, "--jmax", 5], "n_max=6 outside [3, j_max=5]"),
     ], ids=["rates-p", "rates-times", "inflation-range", "inflation-empty",
             "calibrate-range", "calibrate-eps0", "rates-duplicate-times",
-            "rates-nan-time", "calibrate-nan-eps0"])
+            "rates-nan-time", "calibrate-nan-eps0", "rates-cfl", "rates-nmax",
+            "inflation-cfl", "calibrate-cfl", "jk-nmax"])
     def test_rejected_before_store_and_data(self, argv, message, tmp_path,
                                             capsys, monkeypatch):
         def no_data(args):
@@ -484,6 +492,13 @@ class TestUsageErrorsBeforeTheStore:
                           *argv[1:], "--outdir", out], capsys)
         assert rc == 2
         assert message in err
+        assert not out.exists()
+
+    def test_construct_checks_nmax_before_the_store(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        rc, _, err = run(["construct", "--n", 2048, "--nmax", 6, "--outdir", out], capsys)
+        assert rc == 2
+        assert "n_max=6 outside [3, j_max=5]" in err
         assert not out.exists()
 
 

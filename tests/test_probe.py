@@ -17,7 +17,7 @@ from hks import littlewood_paley as lpmod
 from hks import probe, solver
 from hks.construction import carrier_frequency
 from hks.littlewood_paley import BesovParams, lp_block, make_partition
-from hks.solver import BlowUpError, SolverConfig, evolve
+from hks.solver import BlowUpError, SolverConfig, Trajectory, evolve
 from hks.spectral import Field, half_spectrum, lp_norm, make_grid
 
 
@@ -191,15 +191,15 @@ class TestRateSweep:
         assert sweep.records == expected
 
     def test_blow_up_mid_sweep_propagates(self, data_2048_5, monkeypatch):
-        stream = probe._snapshots
+        lane = probe._lane
 
-        def two_then_blow_up(*args):
-            snapshots = stream(*args)
-            yield next(snapshots)
-            yield next(snapshots)
+        def two_then_blow_up(*args, **kwargs):
+            states = lane(*args, **kwargs)
+            yield next(states)
+            yield next(states)
             raise BlowUpError("guard tripped")
 
-        monkeypatch.setattr(probe, "_snapshots", two_then_blow_up)
+        monkeypatch.setattr(probe, "_lane", two_then_blow_up)
         before = threading.active_count()
         with pytest.raises(BlowUpError, match="guard tripped"):
             probe.rate_sweep(data_2048_5, BesovParams(2.0, 2.0),
@@ -282,7 +282,8 @@ class TestInflationSweep:
         finals = {t: evolve(data.u0, SolverConfig(t_final=t, cfl=0.4)) for t in ts}
         assert len({len(traj.steps) for traj in finals.values()}) > 1
         cfg = SolverConfig(t_final=max(ts), cfl=0.4, snapshot_times=tuple(ts))
-        forked = [(t, fork().values) for t, fork in solver._forks(data.u0, cfg)]
+        lane = solver._lane(data.u0, cfg, Trajectory(data.grid, [], [], []), fork=True)
+        forked = [(t, state().values) for t, state in lane]
         assert [t for t, _ in forked] == sorted(ts)
         for t, u in forked:
             assert np.array_equal(u, finals[t].states[-1].values)
@@ -536,7 +537,7 @@ class TestCalibration:
         def no_evolve(*args, **kwargs):
             raise AssertionError("evolve called before start was validated")
 
-        monkeypatch.setattr(probe, "_forks", no_evolve)
+        monkeypatch.setattr(probe, "_lane", no_evolve)
         with pytest.raises(ValueError, match="eps0 must be positive"):
             probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), [4], start=start)
 
@@ -545,7 +546,7 @@ class TestCalibration:
         def no_evolve(*args, **kwargs):
             raise AssertionError("evolve called before the range was validated")
 
-        monkeypatch.setattr(probe, "_forks", no_evolve)
+        monkeypatch.setattr(probe, "_lane", no_evolve)
         with pytest.raises(ValueError, match=r"\[3, n_max\] = \[3, 5\]"):
             probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), js)
 

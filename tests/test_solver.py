@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import build_data
 from hks import solver
-from hks.solver import BlowUpError, SolverConfig, evolve, rhs, solve_S, transport_divergence
+from hks.solver import (BlowUpError, SolverConfig, Trajectory, evolve, rhs, solve_S,
+                        transport_divergence)
 from hks.spectral import Field, band_limited_noise, half_spectrum, lp_norm, make_grid
 
 
@@ -201,6 +202,30 @@ class TestEvolve:
         steps = len(traj.steps)
         assert steps == 3
         assert sum(fft_counts.values()) == 1 + steps * (4 * (3 + 2 * d) + 1)
+
+
+class TestForkLane:
+    # the forks fall on different lane steps in each case: under CFL the
+    # d = 2 lane's steps are about 1.2, 1.4 and 1.6 long
+    @pytest.mark.parametrize("d, N, n_max, dt, ts", [
+        (1, 16384, 8, 0.01, (0.015625, 0.03125, 0.0625)),
+        (2, 512, 3, None, (0.5, 2.0, 4.0)),
+        (2, 512, 3, 1.0, (0.5, 1.5, 2.5)),
+    ], ids=["d1-dt", "d2-cfl", "d2-dt"])
+    def test_forks_equal_independent_evolves(self, d, N, n_max, dt, ts):
+        data = build_data(d, 1, N, n_max)
+        finals = {t: evolve(data.u0, SolverConfig(t_final=t, dt=dt)) for t in ts}
+        assert len({len(traj.steps) for traj in finals.values()}) == len(ts)
+        cfg = SolverConfig(t_final=max(ts), dt=dt, snapshot_times=ts)
+        lane = Trajectory(data.grid, [], [], [])
+        forked = [(t, state().values) for t, state in solver._lane(data.u0, cfg, lane, fork=True)]
+        assert [t for t, _ in forked] == sorted(ts)
+        for t, u in forked:
+            assert np.array_equal(u, finals[t].states[-1].values)
+        # the lane takes the full steps of the run to the largest time and
+        # forks its clipped last one
+        assert lane.steps == finals[max(ts)].steps[:-1]
+        assert lane.unevolved_share == finals[max(ts)].unevolved_share
 
 
 _LOG2_N = {1: (4, 8), 2: (4, 6), 3: (4, 5)}
