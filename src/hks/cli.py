@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import ksf, probe
-from .construction import _check_n_max, make_bump, make_initial_data
+from .construction import _check_bump, _check_n_max, make_bump, make_initial_data
 from .littlewood_paley import BesovParams, besov_norm, make_partition
 from .probe import InflationError
 from .report import render_report
@@ -184,9 +184,11 @@ def _build_data(args):
 
 
 def _check_flags(args) -> None:
-    """The grid's, make_initial_data's (--nmax) and the solver's (--cfl) checks;
-    not make_bump's, which builds a profile of N points to make its own."""
-    _check_n_max(args.nmax, make_grid(args.d, args.m, args.n))
+    """The grid's, make_bump's (--m against --d), make_initial_data's (--nmax)
+    and the solver's (--cfl) checks, none of which builds an array."""
+    grid = make_grid(args.d, args.m, args.n)
+    _check_bump(args.d, grid)
+    _check_n_max(args.nmax, grid)
     if "cfl" in args:
         SolverConfig(t_final=1.0, cfl=args.cfl)
 

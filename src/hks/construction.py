@@ -18,6 +18,14 @@ sum's exact half spectrum, and the first-order drift
 v0 = div(u0 (1-u0) grad S0), evaluated with the same dealiased flux
 routine the time stepper uses, so the solver's right-hand side at u0 is
 exactly -v0.
+
+Construction costs what the periods and supports cost, and every array
+is the one the N-point formulas give, bit for bit.  The carrier's
+argument is an integer modulo N that repeats with period
+P = N / gcd(k_c, N) (N / 2^n for odd M), so sin is evaluated on one
+period, about N/4 points per datum across all packets, and each packet
+is written in one pass as profile rows times that period.  The envelope's
+smooth step is evaluated on its ramp only, O(M) lattice points.
 """
 
 from __future__ import annotations
@@ -106,17 +114,11 @@ def _check_bump_grid(bump: Bump, grid: Grid) -> None:
         )
 
 
-def make_bump(d: int, grid: Grid) -> Bump:
-    """Envelope with Fourier profile 1 on [0, 4^-d], 0 beyond 2^-d.
-
-    Requires at least four lattice frequencies across the support
-    [0, 2^-d]; coarser grids cannot resolve the transition region and the
-    error suggests raising M.
-    """
-    if d != grid.d:
-        raise ValueError(f"dimension mismatch: d={d} vs grid.d={grid.d}")
+def _check_bump(d: int, grid: Grid) -> None:
+    """The lattice test of :func:`make_bump`, in O(1): at least four lattice
+    frequencies across the support [0, 2^-d], else an error that suggests
+    raising M (coarser grids cannot resolve the transition region)."""
     support = 2.0 ** (-d)
-    plateau = 4.0 ** (-d)
     n_support = int(math.floor(support / grid.freq_step)) + 1
     if n_support < _MIN_SUPPORT_POINTS:
         raise ValueError(
@@ -124,13 +126,31 @@ def make_bump(d: int, grid: Grid) -> Bump:
             f"{n_support} lattice points in [0, {support:.4g}]; raise M "
             f"(need M >= {math.ceil(3.0 / (12.0 * support))})"
         )
+
+
+def make_bump(d: int, grid: Grid) -> Bump:
+    """Envelope with Fourier profile 1 on [0, 4^-d], 0 beyond 2^-d.
+
+    The grid must pass :func:`_check_bump`.  The profile is 0 or 1 off the
+    ramp 4^-d < |xi| < 2^-d, which holds O(M) lattice points around the
+    origin, so the radii are formed and the smooth step evaluated on those
+    points only.
+    """
+    if d != grid.d:
+        raise ValueError(f"dimension mismatch: d={d} vs grid.d={grid.d}")
+    _check_bump(d, grid)
+    support = 2.0 ** (-d)
+    plateau = 4.0 ** (-d)
+    # every |k| > reach has |k| / (12M) > support, even after rounding
+    reach = min(math.ceil(support / grid.freq_step) + 1, grid.N // 2)
+    k = np.arange(-reach, min(reach + 1, grid.N // 2))
+    r = np.abs(k * grid.freq_step)  # as in grid.frequency_axes()
+    idx = k % grid.N  # fft order
+    ramp = (r > plateau) & (r < support)
+    hat = np.zeros(grid.N)
+    hat[idx[r <= plateau]] = 1.0
+    hat[idx[ramp]] = smooth_step((support - r[ramp]) / (support - plateau))
     line = make_grid(1, grid.M, grid.N)
-    r = np.abs(line.frequency_axes()[0])
-    hat = np.where(
-        r <= plateau,
-        1.0,
-        np.where(r >= support, 0.0, smooth_step((support - r) / (support - plateau))),
-    )
     profile = inverse_transform(SpectralField(line, hat.astype(np.complex128))).values
     return Bump(d=d, M=grid.M, N=grid.N, hat=hat, profile=profile)
 
@@ -140,15 +160,20 @@ def _carrier_index(n: int, grid: Grid) -> int:
     return 17 * (1 << n) * grid.M
 
 
-def _carrier_samples(n: int, grid: Grid) -> np.ndarray:
-    """sin(c_n x) sampled exactly on the 1-D coordinate axis.
+def _carrier_period(n: int, grid: Grid) -> np.ndarray:
+    """sin(c_n x) on the first P = N / gcd(k_c, N) points of the 1-D
+    coordinate axis: one period of its samples.
 
     c_n x_j = 2 pi k_c (j - N/2) / N with the integer k_c = 17 * 2^n * M,
-    so the argument is reduced modulo N in exact integer arithmetic, in
-    place, before a single sin evaluation per point, also in place.
+    so the argument is reduced modulo N in exact integer arithmetic,
+    r_j = (j - N/2) k_c mod N, in place, before a single sin evaluation
+    per point, also in place.  P k_c is a multiple of N, so r_{j+P} = r_j:
+    equal integers give equal float arguments and equal sines, and the
+    samples on the whole axis are this period repeated N / P times, bit
+    for bit.  For odd M, P = N / 2^n.
     """
     kc = _carrier_index(n, grid)
-    r = np.arange(grid.N, dtype=np.int64)
+    r = np.arange(grid.N // math.gcd(kc, grid.N), dtype=np.int64)
     r -= grid.N // 2
     r *= kc % grid.N
     r %= grid.N
@@ -168,8 +193,9 @@ def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
             f"carrier {c:.4g} + support {bump.support_radius:.4g} reaches the "
             f"Nyquist frequency {grid.nyquist:.4g}; raise N"
         )
-    vals = _carrier_samples(n, grid)
-    vals *= bump.profile
+    carrier = _carrier_period(n, grid)
+    # one pass over the axis: every row of the profile meets one carrier period
+    vals = (bump.profile.reshape(-1, carrier.size) * carrier).reshape(grid.N)
     for _ in range(grid.d - 1):
         vals = np.multiply.outer(vals, bump.profile)
     return Field(grid, vals)
@@ -244,7 +270,9 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
     _check_n_max(n_max, grid)
     vals = np.zeros(grid.shape)
     for n in range(N_MIN_PACKET, n_max + 1):
-        vals += 2.0 ** (-n * (s + 2.0)) * make_fn(n, bump, grid).values
+        f = make_fn(n, bump, grid).values
+        f *= 2.0 ** (-n * (s + 2.0))
+        vals += f
     S0 = Field(grid, vals)
     hs = half_spectrum(grid)
     u0_half = _packet_sum_half(s, n_max, bump, grid) * one_minus_laplacian().fn(hs.xi)

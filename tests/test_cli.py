@@ -501,6 +501,19 @@ class TestUsageErrorsBeforeTheStore:
         assert "n_max=6 outside [3, j_max=5]" in err
         assert not out.exists()
 
+    def test_construct_checks_m_for_d_before_the_store(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_data(args):
+            raise AssertionError("initial data built before the arguments were checked")
+
+        monkeypatch.setattr("hks.cli._build_data", no_data)
+        out = tmp_path / "c"
+        rc, _, err = run(["construct", "--d", 3, "--n", 512, "--nmax", 3,
+                          "--outdir", out], capsys)
+        assert rc == 2
+        assert "raise M (need M >= 2)" in err
+        assert not out.exists()
+
 
 class TestCalibrateCli:
     def test_immediate_pass(self, tmp_path, capsys):

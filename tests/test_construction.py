@@ -6,19 +6,23 @@ import pytest
 import dft_oracle as oracle
 from conftest import build_data
 from hks.construction import (
+    Bump,
+    _packet_sum_half,
     carrier_frequency,
     expanded_v0,
     make_bump,
     make_fn,
     make_initial_data,
 )
-from hks.littlewood_paley import BesovParams, besov_norm, lp_block, make_partition
+from hks.littlewood_paley import BesovParams, besov_norm, lp_block, make_partition, smooth_step
 from hks.solver import transport_divergence
 from hks.spectral import (
     Field,
+    SpectralField,
     apply_multiplier,
     dealiased_product,
     derivative,
+    half_spectrum,
     inverse_transform,
     lp_norm,
     make_grid,
@@ -31,6 +35,116 @@ def reflected(values):
     """values at -x, using the periodic wrap of the sample lattice."""
     idx = (-np.arange(values.shape[0])) % values.shape[0]
     return values[idx]
+
+
+def reference_bump(d, grid):
+    """The envelope from the N-point formula on the whole frequency axis."""
+    support, plateau = 2.0 ** (-d), 4.0 ** (-d)
+    line = make_grid(1, grid.M, grid.N)
+    r = np.abs(line.frequency_axes()[0])
+    hat = np.where(r <= plateau, 1.0, np.where(
+        r >= support, 0.0, smooth_step((support - r) / (support - plateau))))
+    profile = inverse_transform(SpectralField(line, hat.astype(np.complex128))).values
+    return Bump(d=d, M=grid.M, N=grid.N, hat=hat, profile=profile)
+
+
+def reference_carrier(n, grid):
+    """sin(c_n x_1) from the N-point formula: one sin per point of the axis."""
+    kc = 17 * 2**n * grid.M
+    r = (np.arange(grid.N, dtype=np.int64) - grid.N // 2) * (kc % grid.N) % grid.N
+    return np.sin((2.0 * np.pi / grid.N) * r)
+
+
+def reference_packet(n, bump, grid):
+    vals = reference_carrier(n, grid) * bump.profile
+    for _ in range(grid.d - 1):
+        vals = np.multiply.outer(vals, bump.profile)
+    return vals
+
+
+def admissible_packets(grid):
+    """Every n >= 3 whose carrier band stays below the Nyquist frequency."""
+    n = 3
+    while carrier_frequency(n) + 2.0 ** (-grid.d) < grid.nyquist:
+        yield n
+        n += 1
+
+
+class TestAgainstFullAxisFormulas:
+    """The period-wise carrier and the ramp-only bump reproduce the N-point
+    formulas bit for bit."""
+
+    @pytest.mark.parametrize("d,log2n", [(1, k) for k in range(5, 17)]
+                             + [(2, k) for k in range(5, 10)])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_packets(self, d, log2n, M):
+        g = make_grid(d, M, 2**log2n)
+        bump = make_bump(d, g)
+        for n in admissible_packets(g):
+            assert make_fn(n, bump, g).values.tobytes() == \
+                reference_packet(n, bump, g).tobytes(), n
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_bumps(self, d, M):
+        for log2n in range(5, min(16, 31 // d) + 1):  # N^d <= 2^31
+            g = make_grid(d, M, 2**log2n)
+            if 2.0 ** (-d) / g.freq_step < 3.0:
+                with pytest.raises(ValueError, match="raise M"):
+                    make_bump(d, g)
+                continue
+            bump, ref = make_bump(d, g), reference_bump(d, g)
+            assert bump.hat.tobytes() == ref.hat.tobytes(), log2n
+            assert bump.profile.tobytes() == ref.profile.tobytes(), log2n
+
+    def test_datum(self):
+        g = make_grid(1, 1, 65536)
+        s, n_max = 2.0, 10
+        data = make_initial_data(s, n_max, make_bump(1, g), g)
+        ref = reference_bump(1, g)
+        S0 = np.zeros(g.shape)
+        for n in range(3, n_max + 1):
+            S0 += 2.0 ** (-n * (s + 2.0)) * reference_packet(n, ref, g)
+        hs = half_spectrum(g)
+        u0_half = _packet_sum_half(s, n_max, ref, g) * one_minus_laplacian().fn(hs.xi)
+        u0 = np.fft.fftshift(hs.irfftn(u0_half)) * g.N
+        v0 = transport_divergence(Field(g, u0), Field(g, S0)).values
+        assert data.S0.values.tobytes() == S0.tobytes()
+        assert data.u0.values.tobytes() == u0.tobytes()
+        assert data.v0.values.tobytes() == v0.tobytes()
+
+
+class TestConstructionWork:
+    @pytest.mark.parametrize("M,N,n_max", [(1, 16384, 8), (2, 16384, 7), (3, 8192, 6)])
+    def test_sin_evaluates_one_carrier_period_per_packet(self, M, N, n_max, monkeypatch):
+        g = make_grid(1, M, N)
+        bump = make_bump(1, g)
+        sizes, sin = [], np.sin
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        make_initial_data(2.0, n_max, bump, g)
+        assert sum(sizes) == sum(N // math.gcd(17 * 2**n * M, N)
+                                 for n in range(3, n_max + 1))
+
+    @pytest.mark.parametrize("d,M,ramp", [(1, 1, 4), (1, 3, 16), (2, 1, 4), (3, 2, 4)])
+    def test_smooth_step_sees_only_the_ramp(self, d, M, ramp, monkeypatch):
+        g = make_grid(d, M, 64)
+        seen = []
+
+        def counted(t):
+            seen.append(np.asarray(t))
+            return smooth_step(t)
+
+        monkeypatch.setattr("hks.construction.smooth_step", counted)
+        make_bump(d, g)
+        r = np.abs(make_grid(1, M, 64).frequency_axes()[0])
+        assert np.count_nonzero((r > 4.0 ** (-d)) & (r < 2.0 ** (-d))) == ramp
+        assert len(seen) == 1 and seen[0].size == ramp
+        assert np.all((seen[0] > 0.0) & (seen[0] < 1.0))
 
 
 class TestCarrier:
