@@ -12,6 +12,7 @@ CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -30,7 +31,7 @@ def _parse_extended(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return float("inf")
     value = float(text)
-    if value < 1:
+    if not value >= 1:  # also rejects nan
         raise argparse.ArgumentTypeError("integrability index must be >= 1 or inf")
     return value
 
@@ -184,8 +185,11 @@ def _build_data(args):
 
 
 def _check_flags(args) -> None:
-    """The grid's, make_bump's (--m against --d), make_initial_data's (--nmax)
-    and the solver's (--cfl) checks, none of which builds an array."""
+    """A finite --s, and the grid's, make_bump's (--m against --d),
+    make_initial_data's (--nmax) and the solver's (--cfl) checks, none of
+    which builds an array."""
+    if not math.isfinite(args.s):
+        raise ValueError(f"s must be finite, got {args.s}")
     grid = make_grid(args.d, args.m, args.n)
     _check_bump(args.d, grid)
     _check_n_max(args.nmax, grid)

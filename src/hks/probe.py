@@ -19,7 +19,10 @@ lane and measures its states on a worker thread while the lane steps on
 (``_lane_outcomes``).  The rate sweep's lane steps onto every output time;
 the inflation sweep and the calibration search fork the last step of
 every t_j off one lane to the largest t_j, which gives each u(t_j) bit for
-bit as an independent evolve to t_j would (``_block_outcomes``).
+bit as an independent evolve to t_j would (``_block_outcomes``).  Every
+Besov sup and named block norm of the sweeps comes from
+``littlewood_paley.block_sups``, which at p != 2 transforms only the blocks
+that can hold a sup.
 
 The anatomy rows and the commutator blocks are measured on two threads:
 once the j-independent half spectra of a phase are built, the calling
@@ -44,7 +47,7 @@ import numpy as np
 from . import littlewood_paley as lpmod
 from . import spectral as sp
 from .construction import N_MIN_PACKET, InitialData
-from .littlewood_paley import BesovParams, block_norms, make_partition
+from .littlewood_paley import BesovParams, block_sups, make_partition
 # evolve is not called here; it stays bound as hks.probe.evolve for tools
 # that patch the package's names, such as the benchmark's tracer.
 from .solver import BlowUpError, SolverConfig, Trajectory, _lane, evolve  # noqa: F401
@@ -130,11 +133,6 @@ def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
     return sp.Field(u0.grid, u_t.values - u0.values + t * v0.values)
 
 
-def _weighted_sup(norms: np.ndarray, s: float) -> float:
-    js = np.arange(-1, norms.size - 1)
-    return float(np.max(2.0 ** (s * js) * norms))
-
-
 def _drain(fn, items) -> list:
     """``[fn(item) for item in items]``, drained by the calling thread and
     one worker that pull items in order from a shared iterator.
@@ -206,19 +204,19 @@ class RateRecord:
 
 
 def _rate_record(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
-                 t: float, params: BesovParams) -> tuple[RateRecord, np.ndarray, np.ndarray]:
-    """The rate record of u(t), with the block L^p profiles it is read from:
-    those of the deviation u(t) - u0 and of the remainder h = u(t) - u0 +
-    t*v0.  h is built in place from the deviation with the arithmetic of
-    :func:`h_field`."""
+                 t: float, params: BesovParams,
+                 blocks: tuple = ()) -> tuple[RateRecord, np.ndarray, np.ndarray]:
+    """The rate record of u(t), with the L^p norms of the blocks ``blocks``
+    of the deviation u(t) - u0 and of the remainder h = u(t) - u0 + t*v0.
+    h is built in place from the deviation with the arithmetic of
+    :func:`h_field`, once the deviation's spectrum is taken."""
     s, p = params.s, params.p
     diff = u_t.values - data.u0.values
-    dn = block_norms(part, sp.Field(data.grid, diff), p)
+    (dev_s, dev_s1, dev_s2), dn = block_sups(part, sp.Field(data.grid, diff), p,
+                                             (s, s - 1, s - 2), blocks)
     diff += t * data.v0.values
-    hn = block_norms(part, sp.Field(data.grid, diff), p)
-    rate = RateRecord(t=t, dev_s=_weighted_sup(dn, s), dev_s1=_weighted_sup(dn, s - 1),
-                      dev_s2=_weighted_sup(dn, s - 2), h_s2=_weighted_sup(hn, s - 2))
-    return rate, dn, hn
+    (h_s2,), hn = block_sups(part, sp.Field(data.grid, diff), p, (s - 2,), blocks)
+    return RateRecord(t=t, dev_s=dev_s, dev_s1=dev_s1, dev_s2=dev_s2, h_s2=h_s2), dn, hn
 
 
 @dataclass(frozen=True)
@@ -387,21 +385,21 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
     js = validate_inflation_sweep(params, data.grid.d, data.n_max, eps0, j_range)
     s, p = params.s, params.p
     part = make_partition(data.grid)
-    v0_norms = block_norms(part, data.v0, p)
-    u0_norm = _weighted_sup(block_norms(part, data.u0, p), s)
+    v0_norms = dict(zip(js, block_sups(part, data.v0, p, (), js)[1]))
+    (u0_norm,), _ = block_sups(part, data.u0, p, (s,))
 
     def record(j: int, t_j: float, u_t: sp.Field) -> tuple[InflationRecord, float]:
-        rate, dn, hn = _rate_record(part, data, u_t, t_j, params)
+        rate, (dn_j,), (hn_j,) = _rate_record(part, data, u_t, t_j, params, (j,))
         w = 2.0 ** (j * s)
-        rec = InflationRecord(j=j, **vars(rate), block_j=w * dn[j + 1],
-                              tv0_block_j=w * t_j * v0_norms[j + 1], h_block_j=w * hn[j + 1])
+        rec = InflationRecord(j=j, **vars(rate), block_j=w * dn_j,
+                              tv0_block_j=w * t_j * v0_norms[j], h_block_j=w * hn_j)
         # Triangle chain, each side computed independently.
         slack = 1e-10 * max(1.0, rec.dev_s)
         if rec.dev_s < rec.block_j - slack:
             raise RuntimeError(f"block {j} exceeds the Besov sup")
         if rec.block_j < rec.tv0_block_j - rec.h_block_j - slack:
             raise RuntimeError(f"triangle inequality failed at block {j}")
-        return rec, _weighted_sup(block_norms(part, u_t, p), s)
+        return rec, block_sups(part, u_t, p, (s,))[0][0]
 
     outcomes = _block_outcomes(data, eps0, js, cfl, record)
     failed = [j for j in js if isinstance(outcomes[j], RuntimeError)]
@@ -799,7 +797,7 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
 
     def h_ratio(j: int, t_j: float, u_t: sp.Field) -> float:
-        rate, _, _ = _rate_record(part, data, u_t, t_j, params)
+        rate = _rate_record(part, data, u_t, t_j, params)[0]
         return rate.h_s2 / max(rate.dev_s2, 1e-300)
 
     eps0 = float(start)

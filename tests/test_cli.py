@@ -131,6 +131,16 @@ class TestParsing:
             build_parser().parse_args(["norms", "--in", "x", "--p", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["norms", "--in", "x", "--p", "nan"],
+                                      ["norms", "--in", "x", "--r", "nan"],
+                                      ["probe", "rates", "--p", "nan"]],
+                             ids=["norms-p", "norms-r", "rates-p"])
+    def test_extended_index_rejects_nan(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1 or inf" in capsys.readouterr().err
+
     def test_no_threads_flag(self, capsys):
         # the inflation sweep runs one trajectory: there is no pool to size
         with pytest.raises(SystemExit) as exc:
@@ -477,10 +487,15 @@ class TestUsageErrorsBeforeTheStore:
          "cfl must lie in (0, 1]"),
         (["calibrate", "--jmin", 4, "--jmax", 5, "--cfl", 2], "cfl must lie in (0, 1]"),
         (["jk", "--nmax", 6, "--jmin", 4, "--jmax", 5], "n_max=6 outside [3, j_max=5]"),
+        (["jk", "--s", "nan"], "s must be finite, got nan"),
+        (["rates", "--s", "inf"], "s must be finite, got inf"),
+        (["inflation", "--s=-inf"], "s must be finite, got -inf"),
+        (["calibrate", "--s", "nan"], "s must be finite, got nan"),
     ], ids=["rates-p", "rates-times", "inflation-range", "inflation-empty",
             "calibrate-range", "calibrate-eps0", "rates-duplicate-times",
             "rates-nan-time", "calibrate-nan-eps0", "rates-cfl", "rates-nmax",
-            "inflation-cfl", "calibrate-cfl", "jk-nmax"])
+            "inflation-cfl", "calibrate-cfl", "jk-nmax", "jk-nan-s", "rates-inf-s",
+            "inflation-minus-inf-s", "calibrate-nan-s"])
     def test_rejected_before_store_and_data(self, argv, message, tmp_path,
                                             capsys, monkeypatch):
         def no_data(args):
@@ -499,6 +514,19 @@ class TestUsageErrorsBeforeTheStore:
         rc, _, err = run(["construct", "--n", 2048, "--nmax", 6, "--outdir", out], capsys)
         assert rc == 2
         assert "n_max=6 outside [3, j_max=5]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+    def test_construct_checks_s_before_the_store(self, s, tmp_path, capsys, monkeypatch):
+        def no_data(args):
+            raise AssertionError("initial data built before the arguments were checked")
+
+        monkeypatch.setattr("hks.cli._build_data", no_data)
+        out = tmp_path / "c"
+        rc, _, err = run(["construct", "--n", 2048, "--nmax", 5, f"--s={s}",
+                          "--outdir", out], capsys)
+        assert rc == 2
+        assert f"s must be finite, got {s}" in err
         assert not out.exists()
 
     def test_construct_checks_m_for_d_before_the_store(self, tmp_path, capsys,

@@ -7,12 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dft_oracle as oracle
-from conftest import dense_block_norms
+from conftest import build_data, dense_block_norms
 from hks.littlewood_paley import (
+    BOUND_MARGIN,
     BesovParams,
+    _norm_bounds,
     annulus_profile,
     besov_norm,
     block_norms,
+    block_sups,
     commutator,
     decompose,
     low_cutoff_profile,
@@ -160,6 +163,17 @@ class TestBesovNorm:
             BesovParams(2.0, 0.5)
         with pytest.raises(ValueError):
             BesovParams(2.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("s,p,r,message", [
+        (2.0, math.nan, math.inf, "p must be >= 1 or inf, got nan"),
+        (2.0, 2.0, math.nan, "r must be >= 1 or inf, got nan"),
+        (math.nan, 2.0, math.inf, "s must be finite, got nan"),
+        (math.inf, 2.0, math.inf, "s must be finite, got inf"),
+        (-math.inf, 2.0, math.inf, "s must be finite, got -inf"),
+    ])
+    def test_params_reject_nan_and_non_finite_s(self, s, p, r, message):
+        with pytest.raises(ValueError, match=message):
+            BesovParams(s, p, r)
 
     def test_single_block_field(self):
         g = make_grid(1, 1, 512)
@@ -391,3 +405,98 @@ class TestHalfSpectrumBlocks:
         assert np.array_equal(res.js, np.arange(-1, part.j_max + 1))
         expected = 2.0 ** (1.5 * res.js) * block_norms(part, f, 2.0)
         assert np.array_equal(res.profile, expected)
+
+
+def single_mode(g, k):
+    """cos(xi . x) for the lattice mode k; its value at the origin is 1, so
+    the L^inf bound of the block it lies in is attained."""
+    xi = np.asarray(k) * g.freq_step
+    x = np.ix_(*[g.axis_coordinates()] * g.d)
+    return Field(g, np.cos(sum(a * b for a, b in zip(xi, x))))
+
+
+@pytest.fixture(scope="module")
+def sup_fields():
+    """Band-limited noise, the packet datum and single modes, in d = 1, 2, 3."""
+    fields = []
+    for d, N in ((1, 4096), (2, 256), (3, 64)):
+        g = make_grid(d, 1, N)
+        fields.append(band_limited_noise(g, N // 3, seed=d))
+        j_top = make_partition(g).j_max
+        for j in range(-1, j_top + 1):
+            # a plateau mode of block j and one in its transition band
+            for r in (1.4, 1.0) if j >= 0 else (0.5, 1.0):
+                k = max(1, int(round(r * 2.0 ** max(j, 0) / g.freq_step)))
+                fields.append(single_mode(g, [k] + [0] * (d - 1)))
+    fields.append(build_data(1, 1, 4096, 6).u0)
+    fields.append(build_data(2, 1, 512, 3).u0)
+    return fields
+
+
+SUP_PS = (1.0, 1.5, 3.0, 4.0, math.inf)
+
+
+class TestBlockSups:
+    @pytest.mark.parametrize("p", SUP_PS)
+    def test_block_norms_within_their_bounds(self, p, sup_fields):
+        for f in sup_fields:
+            part = make_partition(f.grid)
+            bounds = _norm_bounds(part, np.fft.rfftn(f.values), p)
+            assert np.all(block_norms(part, f, p) <= bounds)
+
+    @pytest.mark.parametrize("d,N", [(1, 4096), (2, 256), (3, 64)])
+    def test_sup_bound_is_attained_by_a_single_mode(self, d, N):
+        # the block holding cos(xi . x) has L^inf norm w(xi), which the
+        # triangle inequality gives exactly: only the margin and the
+        # transform's roundoff on the other modes lie between
+        g = make_grid(d, 1, N)
+        part = make_partition(g)
+        f = single_mode(g, [int(round(1.4 * 2.0**part.j_max / g.freq_step))] + [0] * (d - 1))
+        norms = block_norms(part, f, math.inf)
+        bounds = _norm_bounds(part, np.fft.rfftn(f.values), math.inf)
+        top = part.j_max + 1
+        assert norms[top] == pytest.approx(1.0, rel=1e-12)
+        assert norms[top] <= bounds[top] <= BOUND_MARGIN * norms[top] * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("p", SUP_PS + (2.0,))
+    def test_sups_equal_full_profile_maxima(self, p, sup_fields):
+        for f in sup_fields:
+            part = make_partition(f.grid)
+            full = block_norms(part, f, p)
+            js = np.arange(-1, part.j_max + 1)
+            named = [part.j_max, -1, part.j_max]
+            for s in (2.0, 1.5, 2.7):
+                sigmas = (s, s - 1, s - 2)
+                sups, norms = block_sups(part, f, p, sigmas, named)
+                assert sups == [float(np.max(2.0 ** (sigma * js) * full)) for sigma in sigmas]
+                assert np.array_equal(norms, full[np.array(named) + 1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=grids(), p=st.sampled_from(SUP_PS + (2.0,)),
+           s=st.sampled_from((2.0, 1.5, 2.7)), seed=st.integers(0, 2**16))
+    def test_sups_equal_full_profile_maxima_on_white_noise(self, g, p, s, seed):
+        part = make_partition(g)
+        f = white_noise(g, seed)
+        full = block_norms(part, f, p)
+        js = np.arange(-1, part.j_max + 1)
+        sups, norms = block_sups(part, f, p, (s, s - 1, s - 2), [0])
+        assert sups == [float(np.max(2.0 ** (sigma * js) * full)) for sigma in (s, s - 1, s - 2)]
+        assert np.array_equal(norms, full[1:2])
+
+    def test_transforms_only_blocks_that_can_hold_the_sup(self, fft_counts):
+        # the packet datum's B^2_{inf,inf} sup sits in its top block, and no
+        # other block's bound reaches it
+        f = build_data(1, 1, 4096, 6).u0
+        part = make_partition(f.grid)
+        fft_counts.clear()
+        (sup,), norms = block_sups(part, f, math.inf, (2.0,))
+        assert fft_counts == {"rfftn": 1, "irfftn": 1} and norms.size == 0
+        js = np.arange(-1, part.j_max + 1)
+        assert sup == float(np.max(2.0 ** (2.0 * js) * block_norms(part, f, math.inf)))
+
+    def test_rejects_blocks_outside_the_partition(self, sup_fields):
+        f = sup_fields[0]
+        part = make_partition(f.grid)
+        for j in (-2, part.j_max + 1):
+            with pytest.raises(ValueError, match="outside"):
+                block_sups(part, f, math.inf, (2.0,), [j])

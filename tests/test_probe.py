@@ -169,10 +169,11 @@ class TestRateSweep:
         assert devs == sorted(devs)
         assert all(r.h_s2 < r.dev_s2 for r in sweep.records)
 
-    @pytest.mark.parametrize("p", [math.inf, 3.0])
+    @pytest.mark.parametrize("p", [math.inf, 3.0, 1.5, 1.0])
     def test_records_match_sequential_reference(self, data_2048_5, p):
-        # one evolve, then every snapshot through dense windows, in order
-        d, s, times = data_2048_5, 2.0, [1e-4, 5e-4, 2e-3, 1e-2]
+        # one evolve, then every snapshot through dense windows, in order;
+        # p = 1 needs s - 1 > d/p = 1
+        d, s, times = data_2048_5, 2.0 if p > 1 else 2.5, [1e-4, 5e-4, 2e-3, 1e-2]
         sweep = probe.rate_sweep(d, BesovParams(s, p), times)
         traj = evolve(d.u0, SolverConfig(t_final=times[-1], snapshot_times=tuple(times)))
         part = make_partition(d.grid)
@@ -189,6 +190,21 @@ class TestRateSweep:
             expected.append(probe.RateRecord(t, sup(dn, s), sup(dn, s - 1),
                                              sup(dn, s - 2), sup(hn, s - 2)))
         assert sweep.records == expected
+
+    def test_fft_count_at_p_inf(self, fft_counts):
+        # the lane's FFTs (those of the evolve it equals), one rfftn per
+        # profile, and per record the inverse transforms of the blocks that
+        # can hold a sup: 8, 5, 4 of the deviation (sigma = s, s-1, s-2) and
+        # 5 of the remainder, where a full profile takes j_max + 2 = 10 each
+        data = build_data(1, 1, 16384, 8)
+        times = [float(t) for t in np.geomspace(1e-4, 1e-2, 5)]
+        fft_counts.clear()
+        evolve(data.u0, SolverConfig(t_final=times[-1], snapshot_times=tuple(times)))
+        lane = dict(fft_counts)
+        fft_counts.clear()
+        probe.rate_sweep(data, BesovParams(2.0, math.inf), times)
+        assert fft_counts == {"rfftn": lane["rfftn"] + 2 * len(times),
+                              "irfftn": lane["irfftn"] + 4 * len(times)}
 
     def test_blow_up_mid_sweep_propagates(self, data_2048_5, monkeypatch):
         lane = probe._lane
@@ -328,6 +344,35 @@ class TestInflationSweep:
         probe.inflation_sweep(data, BesovParams(2.0, 2.0), 2.0, js)
         assert sum(fft_counts.values()) == (1 + (lane - 1) * 21 + 5
                                             + len(js) * (16 + 3) + 2)
+
+    def test_records_match_dense_reference_at_p_inf(self):
+        # every record, u0_norm and kappa from independent evolves and
+        # dense-window profiles of every block
+        data, s, p = build_data(1, 1, 16384, 8), 2.0, math.inf
+        js, eps0 = (5, 6, 7), 2.0
+        sweep = probe.inflation_sweep(data, BesovParams(s, p), eps0, js)
+        part = make_partition(data.grid)
+        ks = np.arange(-1, part.j_max + 1)
+
+        def sup(norms, weight):
+            return float(np.max(2.0 ** (weight * ks) * norms))
+
+        v0n = dense_block_norms(part, data.v0, p)
+        u0_norm = sup(dense_block_norms(part, data.u0, p), s)
+        expected, u_sups = [], []
+        for j in js:
+            t = eps0 * 2.0**-j
+            u_t = evolve(data.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
+            dn = dense_block_norms(part, u_t - data.u0, p)
+            hn = dense_block_norms(part, probe.h_field(u_t, data.u0, data.v0, t), p)
+            w = 2.0 ** (j * s)
+            expected.append(probe.InflationRecord(
+                j, t, sup(dn, s), sup(dn, s - 1), sup(dn, s - 2), sup(hn, s - 2),
+                w * dn[j + 1], w * t * v0n[j + 1], w * hn[j + 1]))
+            u_sups.append(sup(dense_block_norms(part, u_t, p), s))
+        assert sweep.records == expected
+        assert sweep.u0_norm == u0_norm
+        assert sweep.kappa == max(u_sups) / u0_norm
 
     def test_error_carries_partial_records(self):
         exc = probe.InflationError("boom", records=[1, 2, 3])
@@ -552,18 +597,22 @@ class TestCalibration:
 
     def test_attempts_match_independent_evolves(self, data_2048_5):
         # each attempt's pair of probes comes from one trajectory; the
-        # h-ratios are those of two independent evolves
-        d, P, js = data_2048_5, BesovParams(2.0, 2.0), [4, 5]
-        result = probe.calibrate_eps0(d, P, js, start=50.0)
+        # h-ratios are those of two independent evolves, read from
+        # dense-window profiles of every block (the B^{s-2} = B^0 weights
+        # are 1)
+        d, js = data_2048_5, [4, 5]
         part = make_partition(d.grid)
-        for att in result.attempts:
-            for j in js:
-                t = att["eps0"] * 2.0**-j
-                u_t = evolve(d.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
-                _, dn, hn = probe._rate_record(part, d, u_t, t, P)
-                ratio = probe._weighted_sup(hn, 0.0) / probe._weighted_sup(dn, 0.0)
-                assert att[f"j{j}"] == f"h-ratio {ratio:.4f}"
-        assert list(result.attempts[0]) == ["eps0", "passed", "j4", "j5"]
+        for p in (2.0, math.inf):
+            result = probe.calibrate_eps0(d, BesovParams(2.0, p), js, start=50.0)
+            for att in result.attempts:
+                for j in js:
+                    t = att["eps0"] * 2.0**-j
+                    u_t = evolve(d.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
+                    dn = dense_block_norms(part, u_t - d.u0, p)
+                    hn = dense_block_norms(part, probe.h_field(u_t, d.u0, d.v0, t), p)
+                    ratio = np.max(hn) / np.max(dn)
+                    assert att[f"j{j}"] == f"h-ratio {ratio:.4f}"
+            assert list(result.attempts[0]) == ["eps0", "passed", "j4", "j5"]
 
     @pytest.mark.parametrize("where", ["lane", "fork"])
     def test_blow_up_fails_the_blocks_it_reaches(self, monkeypatch, where):
