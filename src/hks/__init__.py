@@ -6,6 +6,7 @@ and the measurement sweeps that exhibit the model's norm-inflation
 signature at short times.
 """
 
+from . import _alloc  # noqa: F401  (sets the allocator policy first)
 from .construction import (Bump, InitialData, carrier_frequency, expanded_v0,
                            make_bump, make_initial_data)
 from .ksf import read_field, write_field

@@ -1,0 +1,48 @@
+"""The process's glibc allocator policy, set once when ``hks`` is imported.
+
+The solver and the block profiles allocate and free arrays of 2-16 MiB at
+every transform.  Under glibc's defaults, freed blocks at the top of the
+heap are given back and faulted in again, zeroed, at the next allocation,
+and the flux kernel's helper thread (``solver._helper``) allocates from an
+arena of its own.  The policy:
+
+* ``M_ARENA_MAX = 1``: every thread allocates from the main arena.  With
+  the helper's own arena, ``probe rates --p inf`` at N = 2^19 peaked
+  10-16 MB higher.
+* ``M_MMAP_THRESHOLD = 32 MiB``: every array up to the complex
+  full-lattice ones of ``probe jk`` at N = 2^20 (16 MiB) comes from the
+  heap.  At 4-8 MiB those arrays would be mapped and faulted in afresh
+  at every transform.
+* ``M_TRIM_THRESHOLD = 64 MiB``: up to that much free heap top is kept for
+  reuse, and more is given back, which holds the commands' peak memory.
+
+Importing ``hks`` runs this module first, so the allocations made while the
+initial data is built follow the policy too.  Where glibc or ``mallopt`` is
+absent it does nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+
+_POLICY = ((_M_ARENA_MAX, 1),
+           (_M_MMAP_THRESHOLD, 32 << 20),
+           (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _set_malloc_policy() -> None:
+    """Apply ``_POLICY`` through glibc's ``mallopt``; a no-op without it."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _POLICY:
+        mallopt(param, value)
+
+
+_set_malloc_policy()

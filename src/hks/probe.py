@@ -203,19 +203,30 @@ class RateRecord:
     h_s2: float
 
 
+def _deviation_sups(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
+                    t: float, params: BesovParams, sigmas,
+                    blocks: tuple = ()) -> tuple[list, float, np.ndarray, np.ndarray]:
+    """The sups of the deviation u(t) - u0 at ``sigmas``, the B^{s-2} sup of
+    the remainder h = u(t) - u0 + t*v0, and the L^p norms of the blocks
+    ``blocks`` of each.  The deviation is built in place of u_t's values,
+    which this consumes, and h in place of the deviation with the
+    arithmetic of :func:`h_field`, once the deviation's spectrum is taken."""
+    diff = np.subtract(u_t.values, data.u0.values, out=u_t.values)
+    dev, dn = block_sups(part, sp.Field(data.grid, diff), params.p, sigmas, blocks)
+    diff += t * data.v0.values
+    (h_s2,), hn = block_sups(part, sp.Field(data.grid, diff), params.p, (params.s - 2,), blocks)
+    return dev, h_s2, dn, hn
+
+
 def _rate_record(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
                  t: float, params: BesovParams,
                  blocks: tuple = ()) -> tuple[RateRecord, np.ndarray, np.ndarray]:
-    """The rate record of u(t), with the L^p norms of the blocks ``blocks``
-    of the deviation u(t) - u0 and of the remainder h = u(t) - u0 + t*v0.
-    h is built in place from the deviation with the arithmetic of
-    :func:`h_field`, once the deviation's spectrum is taken."""
-    s, p = params.s, params.p
-    diff = u_t.values - data.u0.values
-    (dev_s, dev_s1, dev_s2), dn = block_sups(part, sp.Field(data.grid, diff), p,
-                                             (s, s - 1, s - 2), blocks)
-    diff += t * data.v0.values
-    (h_s2,), hn = block_sups(part, sp.Field(data.grid, diff), p, (s - 2,), blocks)
+    """The rate record of u(t), which consumes u_t, with the L^p norms of
+    the blocks ``blocks`` of the deviation and of the remainder
+    (:func:`_deviation_sups`)."""
+    s = params.s
+    (dev_s, dev_s1, dev_s2), h_s2, dn, hn = _deviation_sups(part, data, u_t, t, params,
+                                                            (s, s - 1, s - 2), blocks)
     return RateRecord(t=t, dev_s=dev_s, dev_s1=dev_s1, dev_s2=dev_s2, h_s2=h_s2), dn, hn
 
 
@@ -389,6 +400,7 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
     (u0_norm,), _ = block_sups(part, data.u0, p, (s,))
 
     def record(j: int, t_j: float, u_t: sp.Field) -> tuple[InflationRecord, float]:
+        (u_norm,), _ = block_sups(part, u_t, p, (s,))  # before the record consumes u_t
         rate, (dn_j,), (hn_j,) = _rate_record(part, data, u_t, t_j, params, (j,))
         w = 2.0 ** (j * s)
         rec = InflationRecord(j=j, **vars(rate), block_j=w * dn_j,
@@ -399,7 +411,7 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
             raise RuntimeError(f"block {j} exceeds the Besov sup")
         if rec.block_j < rec.tv0_block_j - rec.h_block_j - slack:
             raise RuntimeError(f"triangle inequality failed at block {j}")
-        return rec, block_sups(part, u_t, p, (s,))[0][0]
+        return rec, u_norm
 
     outcomes = _block_outcomes(data, eps0, js, cfl, record)
     failed = [j for j in js if isinstance(outcomes[j], RuntimeError)]
@@ -797,8 +809,9 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
 
     def h_ratio(j: int, t_j: float, u_t: sp.Field) -> float:
-        rate = _rate_record(part, data, u_t, t_j, params)[0]
-        return rate.h_s2 / max(rate.dev_s2, 1e-300)
+        # the ratio reads only the B^{s-2} sups of the rate record
+        (dev_s2,), h_s2, _, _ = _deviation_sups(part, data, u_t, t_j, params, (params.s - 2,))
+        return h_s2 / max(dev_s2, 1e-300)
 
     eps0 = float(start)
     attempts = []

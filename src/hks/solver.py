@@ -19,6 +19,13 @@ transform per step gives the state's diagnostics and snapshots.  The CFL
 speed is taken from the first stage's dealiased state.  Modes above the
 dealias cutoff get no flux, so u0's part there is carried unevolved.
 
+The flux kernel puts the second core on that chain: the d inverse
+transforms of grad S (one irfftn of uh * helm_inv * i xi_a * keep per
+axis) run on one persistent helper thread, created on first use, while
+the calling thread truncates u * u; the other 3 + d transforms stay on
+the calling thread.  The helper's tasks only transform, so any thread may
+call the kernel, and every value is that of a serial loop.
+
 One private lane holds the step loop and streams each output time as soon
 as a step reaches it, so a caller can measure it while the lane steps on.
 It either clips its step onto each time (the run :func:`evolve` collects
@@ -29,6 +36,9 @@ the clipped last step of the run that ends there.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
@@ -117,13 +127,61 @@ def _check_stage(values: np.ndarray, stage: str) -> None:
         raise BlowUpError(f"non-finite values produced at stage '{stage}'")
 
 
-def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum,
-                   with_speed: bool = False) -> tuple[np.ndarray, float | None]:
+_HELPER: ThreadPoolExecutor | None = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _helper() -> ThreadPoolExecutor:
+    """The flux kernel's one helper thread, created on first use.  Its tasks
+    are leaf transforms that never submit or wait, so the lane, the forks
+    measured on another thread and any other caller share it without
+    deadlock."""
+    global _HELPER
+    with _HELPER_LOCK:
+        if _HELPER is None:
+            _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hks-flux")
+        return _HELPER
+
+
+def _forget_helper() -> None:
+    """In a forked child: neither the helper thread nor a thread holding
+    the lock came along."""
+    global _HELPER, _HELPER_LOCK
+    _HELPER, _HELPER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _grad_S(uh: np.ndarray, S_half: np.ndarray | None, hs: HalfSpectrum, a: int) -> np.ndarray:
+    """d_a S of the dealiased S on the grid, from the half spectrum of S or,
+    when ``S_half`` is None, from the half spectrum of u through
+    S = (1 - Laplacian)^{-1} u: one inverse real FFT."""
+    if S_half is None:
+        F = uh * hs.helm_inv
+        F *= hs.masked_xi[a]
+    else:
+        F = S_half * hs.masked_xi[a]
+    F *= 1j
+    ds = hs.irfftn(F)
+    del F
+    _check_stage(ds, f"grad_S[{a}]")
+    return ds
+
+
+def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
+                   S_half: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
     """Half spectrum of div(u(1-u) grad S) with dealiased products, from the
-    half spectra of u and S: 3 + 2d real FFTs.
+    half spectrum of u and, unless ``S_half`` gives S's own, that of
+    S = (1 - Laplacian)^{-1} u: 3 + 2d real FFTs.
 
     With ``with_speed`` it also returns the advective speed
     max|1 - 2u| |grad S| of the dealiased state, from the same arrays.
+    The d inverse transforms of grad S run on the helper thread
+    (:func:`_grad_S`) while this thread truncates u * u; their results are
+    taken in axis order, so ``out`` is summed and the stage checks raise in
+    the order of a serial loop, and no helper task outlives the call.
     The symbols i xi_a are applied as the real tables xi_a * keep followed
     by an in-place product with 1j, which gives the values of the complex
     products bit for bit.  Each temporary is released before the next
@@ -132,26 +190,36 @@ def _div_flux_half(uh: np.ndarray, S_half: np.ndarray, hs: HalfSpectrum,
     """
     ud = hs.irfftn(uh * hs.keep)
     _check_stage(ud, "dealias(u)")
-    g = ud - hs.truncate(ud * ud)  # dealiased u(1-u)
-    out = None
-    g2 = np.zeros(hs.shape) if with_speed else None
-    for a, xka in enumerate(hs.masked_xi):
-        F = S_half * xka
-        F *= 1j
-        ds = hs.irfftn(F)
+    F = np.fft.rfftn(ud * ud)
+    # submitted once ud * ud is freed, so the helper's arrays never live
+    # alongside it
+    grads = [_helper().submit(_grad_S, uh, S_half, hs, a) for a in range(len(hs.shape))]
+    try:
+        F *= hs.keep
+        g = hs.irfftn(F)
         del F
-        _check_stage(ds, f"grad_S[{a}]")
-        if with_speed:
-            g2 += ds * ds
-        ds *= g
-        F = np.fft.rfftn(ds)
-        del ds
-        F *= xka
-        F *= 1j
-        if out is None:
-            out = F
-        else:
-            out += F
+        np.subtract(ud, g, out=g)  # dealiased u(1-u)
+        out = g2 = None
+        for xka in hs.masked_xi:
+            ds = grads.pop(0).result()
+            if with_speed:
+                if g2 is None:
+                    g2 = ds * ds
+                else:
+                    g2 += ds * ds
+            ds *= g
+            F = np.fft.rfftn(ds)
+            del ds
+            F *= xka
+            F *= 1j
+            if out is None:
+                out = F
+            else:
+                out += F
+    finally:
+        for grad in grads:
+            grad.cancel()
+        wait(grads)
     speed = None
     if with_speed:  # max|1 - 2u| |grad S|, in place
         w = 2.0 * ud
@@ -177,7 +245,7 @@ def transport_divergence(u: Field, S: Field) -> Field:
     """
     hs = half_spectrum(u.grid)
     uh, S_half = np.fft.rfftn(u.values), np.fft.rfftn(S.values)
-    div_half, _ = _div_flux_half(uh, S_half, hs)
+    div_half, _ = _div_flux_half(uh, hs, S_half=S_half)
     out = hs.irfftn(div_half)
     _check_stage(out, "divergence")
     return Field(u.grid, out)
@@ -196,7 +264,7 @@ def _rhs_half(uh: np.ndarray, eps: float, hs: HalfSpectrum,
               with_speed: bool = False) -> tuple[np.ndarray, float | None]:
     """Half spectrum of the right-hand side at the state with half spectrum
     ``uh``, and the advective speed when ``with_speed``."""
-    div_half, speed = _div_flux_half(uh, uh * hs.helm_inv, hs, with_speed)
+    div_half, speed = _div_flux_half(uh, hs, with_speed)
     out_half = np.negative(div_half, out=div_half)
     if eps > 0.0:
         out_half -= (eps * hs.xi2) * uh
@@ -284,12 +352,14 @@ def _finish_step(uh: np.ndarray, acc: np.ndarray, dt: float, t: float, hs: HalfS
     k = acc * (0.5 * dt)
     k += uh
     k, _ = _rhs_half(k, eps, hs)
-    acc += 2.0 * k
-    k *= 0.5 * dt
+    k *= 2.0  # 2 k and (c/2) dt are exact scalings, so no float moves
+    acc += k
+    k *= 0.25 * dt
     k += uh
     k, _ = _rhs_half(k, eps, hs)
-    acc += 2.0 * k
-    k *= dt
+    k *= 2.0
+    acc += k
+    k *= 0.5 * dt
     k += uh
     k, _ = _rhs_half(k, eps, hs)
     acc += k

@@ -380,6 +380,40 @@ class TestInflationSweep:
         assert exc.records == [1, 2, 3]
 
 
+class TestSharedFluxHelper:
+    # the lane and the forks measured on the outcomes worker submit to the
+    # solver's one helper thread; its tasks never wait, so both finish
+
+    @staticmethod
+    def finishes(fn):
+        done = []
+        runner = threading.Thread(target=lambda: done.append(fn()), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "deadlocked on the flux helper"
+        return done[0]
+
+    def test_block_outcomes(self, monkeypatch):
+        data = build_data(1, 1, 4096, 6)
+        helper, submitters = solver._helper, set()
+
+        def spied():
+            submitters.add(threading.current_thread().name)
+            return helper()
+
+        monkeypatch.setattr(solver, "_helper", spied)
+        out = self.finishes(lambda: probe._block_outcomes(
+            data, 2.0, [3, 4, 5], 0.4, lambda j, t, u_t: float(np.max(u_t.values))))
+        assert sorted(out) == [3, 4, 5]
+        assert all(isinstance(v, float) for v in out.values())
+        assert len(submitters) == 2  # the lane's thread and the outcomes worker
+
+    def test_rate_sweep(self, data_2048_5):
+        sweep = self.finishes(lambda: probe.rate_sweep(
+            data_2048_5, BesovParams(2.0, 2.0), [1e-4, 5e-4, 2e-3, 1e-2]))
+        assert len(sweep.records) == 4
+
+
 class TestDrain:
     def test_results_in_item_order(self):
         before = threading.active_count()
@@ -644,6 +678,38 @@ class TestCalibration:
         else:
             assert list(att) == ["eps0", "passed", "j5", "j7"]
             assert att["j5"] == clean["j5"] and att["j5"].startswith("h-ratio")
+
+    def test_h_ratio_transforms_only_the_s2_blocks(self, monkeypatch):
+        # the h-ratio reads only the B^{s-2} sups, so calibration asks
+        # block_sups for sigma = s - 2 alone: 22 blocks transformed over the
+        # five attempts, where the full rate records take 48 for the same
+        # ratios
+        data, P = build_data(1, 1, 16384, 8), BesovParams(2.0, math.inf)
+        part = make_partition(data.grid)
+        transformed = {"calibration": 0, "records": 0}
+        block_norms, block_outcomes = lpmod._block_norms, probe._block_outcomes
+        where = threading.local()
+
+        def counted(part, Fh, p, js=None):
+            if p != 2:
+                transformed[where.name] += part.j_max + 2 if js is None else len(js)
+            return block_norms(part, Fh, p, js)
+
+        def checked(data, eps0, js, cfl, measure):
+            def both(j, t, u_t):
+                where.name = "calibration"
+                ratio = measure(j, t, Field(u_t.grid, u_t.values.copy()))
+                where.name = "records"
+                rate = probe._rate_record(part, data, u_t, t, P)[0]
+                assert ratio == rate.h_s2 / max(rate.dev_s2, 1e-300)
+                return ratio
+            return block_outcomes(data, eps0, js, cfl, both)
+
+        monkeypatch.setattr(lpmod, "_block_norms", counted)
+        monkeypatch.setattr(probe, "_block_outcomes", checked)
+        result = probe.calibrate_eps0(data, P, [5, 7], start=100.0)
+        assert [a["passed"] for a in result.attempts] == [False] * 4 + [True]
+        assert transformed == {"calibration": 22, "records": 48}
 
     def test_default_start_passes_immediately(self, data_8192_6):
         result = probe.calibrate_eps0(data_8192_6, BesovParams(2.0, 2.0), [5])

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -284,3 +286,159 @@ class TestDealiasedFlux:
         with mock.patch.object(solver, "_rhs_half", spy):
             evolve(u0, cfg)
         assert peaks and max(peaks) == 0.0
+
+
+def serial_div_flux_half(uh, S_half, hs, with_speed=False):
+    """The flux kernel as one serial loop on the calling thread: the
+    reference the helper-thread kernel must equal bit for bit."""
+    ud = hs.irfftn(uh * hs.keep)
+    g = ud - hs.truncate(ud * ud)
+    out = None
+    g2 = np.zeros(hs.shape) if with_speed else None
+    for xka in hs.masked_xi:
+        F = S_half * xka
+        F *= 1j
+        ds = hs.irfftn(F)
+        if with_speed:
+            g2 += ds * ds
+        ds *= g
+        F = np.fft.rfftn(ds)
+        F *= xka
+        F *= 1j
+        out = F if out is None else out + F
+    speed = None
+    if with_speed:
+        speed = float(np.max(np.abs(1.0 - 2.0 * ud) * np.sqrt(g2)))
+    return out, speed
+
+
+def serial_finish_step(uh, acc, dt, t, hs, eps, max0):
+    """solver._finish_step with the stage weights applied as 2.0 * k and
+    c * dt, the form the exact power-of-two scalings replace."""
+    k = acc * (0.5 * dt)
+    k += uh
+    k, _ = solver._rhs_half(k, eps, hs)
+    acc += 2.0 * k
+    k *= 0.5 * dt
+    k += uh
+    k, _ = solver._rhs_half(k, eps, hs)
+    acc += 2.0 * k
+    k *= dt
+    k += uh
+    k, _ = solver._rhs_half(k, eps, hs)
+    acc += k
+    acc *= dt / 6.0
+    acc += uh
+    u = hs.irfftn(acc)
+    return acc, u, float(np.max(np.abs(u)))
+
+
+def noisy_state(d, N, seed=47):
+    g = make_grid(d, 1, N)
+    # noise up to just below Nyquist, so the truncations act
+    return Field(g, 0.3 + 0.1 * band_limited_noise(g, N // 2 - 1, seed=seed).values)
+
+
+_GEOMETRIES = [(1, 256), (2, 32), (3, 16)]
+
+
+class TestHelperFlux:
+    @pytest.mark.parametrize("d, N", _GEOMETRIES)
+    def test_flux_and_speed_equal_serial_loop(self, d, N):
+        u = noisy_state(d, N)
+        hs = half_spectrum(u.grid)
+        uh = np.fft.rfftn(u.values)
+        S_half = np.fft.rfftn(solve_S(u).values)
+        for with_speed in (False, True):
+            out, speed = solver._div_flux_half(uh, hs, with_speed)
+            ref, ref_speed = serial_div_flux_half(uh, uh * hs.helm_inv, hs, with_speed)
+            assert out.tobytes() == ref.tobytes()
+            assert np.float64(speed).tobytes() == np.float64(ref_speed).tobytes()
+        out, _ = solver._div_flux_half(uh, hs, S_half=S_half)
+        assert out.tobytes() == serial_div_flux_half(uh, S_half, hs)[0].tobytes()
+
+    @pytest.mark.parametrize("d, N", _GEOMETRIES)
+    @pytest.mark.parametrize("dt", [None, 0.004])
+    def test_evolve_equals_serial_kernel(self, d, N, dt, monkeypatch):
+        u0 = noisy_state(d, N, seed=48)
+        cfg = SolverConfig(t_final=0.02, dt=dt, snapshot_times=(0.01,))
+        traj = evolve(u0, cfg)
+        monkeypatch.setattr(solver, "_div_flux_half",
+                            lambda uh, hs, with_speed=False, S_half=None: serial_div_flux_half(
+                                uh, uh * hs.helm_inv if S_half is None else S_half, hs,
+                                with_speed))
+        monkeypatch.setattr(solver, "_finish_step", serial_finish_step)
+        ref = evolve(u0, cfg)
+        assert traj.times == ref.times
+        assert [s.values.tobytes() for s in traj.states] \
+            == [s.values.tobytes() for s in ref.states]
+        assert traj.steps == ref.steps and len(traj.steps) >= 2
+
+    def test_non_finite_state_names_dealias(self):
+        u = noisy_state(1, 256)
+        hs = half_spectrum(u.grid)
+        uh = np.fft.rfftn(u.values)
+        uh[3] = np.nan
+        with pytest.raises(BlowUpError, match=r"stage 'dealias\(u\)'"):
+            solver._div_flux_half(uh, hs, with_speed=True)
+
+    def test_non_finite_gradient_raises_from_helper(self):
+        u = noisy_state(2, 32)
+        hs = half_spectrum(u.grid)
+        S_half = np.fft.rfftn(u.values)
+        S_half[1, 2] = np.nan
+        with pytest.raises(BlowUpError, match=r"stage 'grad_S\[0\]'"):
+            solver._div_flux_half(np.fft.rfftn(u.values), hs, S_half=S_half)
+
+    def test_helper_error_reraises_in_caller_in_axis_order(self, monkeypatch):
+        u = noisy_state(2, 32)
+        hs = half_spectrum(u.grid)
+        uh = np.fft.rfftn(u.values)
+        expected, _ = solver._div_flux_half(uh, hs)
+        grad_S, ran = solver._grad_S, []
+
+        def failing(uh, S_half, hs, a):
+            ran.append(a)
+            raise ValueError(f"axis {a} failed")
+
+        monkeypatch.setattr(solver, "_grad_S", failing)
+        with pytest.raises(ValueError, match="axis 0 failed"):
+            solver._div_flux_half(uh, hs)
+        assert ran in ([0], [0, 1])  # axis 1 either ran or was cancelled
+        # the helper keeps serving once the failed call has returned
+        monkeypatch.setattr(solver, "_grad_S", grad_S)
+        assert solver._div_flux_half(uh, hs)[0].tobytes() == expected.tobytes()
+
+    def test_threads_sharing_the_helper_get_serial_values(self, monkeypatch):
+        # more callers than cores race for the helper, its creation included,
+        # with a short switch interval; each gets its own serial values
+        monkeypatch.setattr(solver, "_HELPER", None)
+        states = [noisy_state(2, 32, seed=60 + i) for i in range(4)]
+        hs = half_spectrum(states[0].grid)
+        spectra = [np.fft.rfftn(u.values) for u in states]
+        expected = [serial_div_flux_half(uh, uh * hs.helm_inv, hs, True) for uh in spectra]
+        results, errors = {}, []
+
+        def run(i):
+            try:
+                for _ in range(20):
+                    out, speed = solver._div_flux_half(spectra[i], hs, True)
+                    results.setdefault(i, []).append((out.tobytes(), speed))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        solver._HELPER.shutdown()  # the helper this test created
+        assert not errors
+        for i, (out, speed) in enumerate(expected):
+            assert results[i] == [(out.tobytes(), speed)] * 20
