@@ -11,8 +11,8 @@ Run with: python3 demos/03_wave_packets.py
 import numpy as np
 
 from hks.construction import carrier_frequency, make_bump, make_fn, make_initial_data
-from hks.littlewood_paley import BesovParams, besov_norm, lp_block, make_partition
-from hks.spectral import lp_norm, make_grid, transform
+from hks.littlewood_paley import BesovParams, besov_norm, decompose, lp_block, make_partition
+from hks.spectral import lp_norm, make_grid
 
 g = make_grid(d=1, M=1, N=8192)
 bump = make_bump(1, g)
@@ -61,6 +61,5 @@ for n_max in (4, 5, 6):
 
 # Spectral mass never reaches the top of the lattice, so the norms above
 # carry no truncation error.
-F = transform(data.u0)
 print(f"\nresolved: mass beyond the covered band = "
-      f"{part.resolved_mass_fraction(F):.1e}")
+      f"{decompose(part, data.u0).unresolved_fraction:.1e}")

@@ -18,10 +18,8 @@ from .probe import (InflationError, calibrate_eps0, commutator_check,
                     jk_decomposition, jk_report, lemma_suite, rate_sweep)
 from .solver import (BlowUpError, SolverConfig, Trajectory, evolve, rhs,
                      solve_S, transport_divergence)
-from .spectral import (Field, Grid, MultiplierSymbol, SpectralField,
-                       apply_multiplier, band_limited_noise, dealiased_product,
-                       derivative, helmholtz_inverse, inverse_transform,
-                       laplacian, lp_norm, make_grid, one_minus_laplacian,
+from .spectral import (Field, Grid, SpectralField, band_limited_noise,
+                       dealiased_product, inverse_transform, lp_norm, make_grid,
                        transform)
 from .store import ResultStore
 
@@ -30,14 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BesovParams", "BlockDecomposition", "BlowUpError", "Bump",
     "DyadicPartition", "Field", "Grid", "InflationError", "InitialData",
-    "MultiplierSymbol", "ResultStore", "SolverConfig", "SpectralField",
-    "Trajectory", "apply_multiplier", "band_limited_noise", "besov_norm", "block_norms",
-    "c0_anchor", "calibrate_eps0", "carrier_frequency", "commutator",
-    "commutator_check", "dealiased_product", "decompose", "derivative",
-    "evolve", "expanded_v0", "fit_loglog", "h_field", "helmholtz_inverse",
-    "inflation_sweep", "inverse_transform", "jk_decomposition", "jk_report",
-    "laplacian", "lemma_suite", "lp_block", "lp_norm", "make_bump",
-    "make_grid", "make_initial_data", "make_partition",
-    "one_minus_laplacian", "rate_sweep", "read_field", "rhs", "solve_S",
-    "transform", "transport_divergence", "write_field",
+    "ResultStore", "SolverConfig", "SpectralField", "Trajectory",
+    "band_limited_noise", "besov_norm", "block_norms", "c0_anchor",
+    "calibrate_eps0", "carrier_frequency", "commutator", "commutator_check",
+    "dealiased_product", "decompose", "evolve", "expanded_v0", "fit_loglog",
+    "h_field", "inflation_sweep", "inverse_transform", "jk_decomposition",
+    "jk_report", "lemma_suite", "lp_block", "lp_norm", "make_bump",
+    "make_grid", "make_initial_data", "make_partition", "rate_sweep",
+    "read_field", "rhs", "solve_S", "transform", "transport_divergence",
+    "write_field",
 ]

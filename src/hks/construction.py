@@ -45,9 +45,7 @@ from .spectral import (
     dealiased_product,
     half_spectrum,
     inverse_transform,
-    laplacian,
     make_grid,
-    one_minus_laplacian,
 )
 
 __all__ = [
@@ -144,7 +142,7 @@ def make_bump(d: int, grid: Grid) -> Bump:
     # every |k| > reach has |k| / (12M) > support, even after rounding
     reach = min(math.ceil(support / grid.freq_step) + 1, grid.N // 2)
     k = np.arange(-reach, min(reach + 1, grid.N // 2))
-    r = np.abs(k * grid.freq_step)  # as in grid.frequency_axes()
+    r = np.abs(k * grid.freq_step)  # as in HalfSpectrum.xi
     idx = k % grid.N  # fft order
     ramp = (r > plateau) & (r < support)
     hat = np.zeros(grid.N)
@@ -275,7 +273,7 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
         vals += f
     S0 = Field(grid, vals)
     hs = half_spectrum(grid)
-    u0_half = _packet_sum_half(s, n_max, bump, grid) * one_minus_laplacian().fn(hs.xi)
+    u0_half = _packet_sum_half(s, n_max, bump, grid) * (1.0 + hs.xi2)
     # fftshift moves numpy's origin (index 0) to the anchored one (index N/2)
     u0 = Field(grid, np.fft.fftshift(hs.irfftn(u0_half)) * grid.N**grid.d)
     v0 = transport_divergence(u0, S0)
@@ -295,13 +293,13 @@ def expanded_v0(data: InitialData) -> Field:
     """
     g, hs = data.grid, half_spectrum(data.grid)
     u0, S0 = data.u0, data.S0
-    grad = hs.gradient_symbol()
-    dS, du = hs.apply(S0.values, grad), hs.apply(u0.values, grad)
+    dS = hs.irfftn(hs.gradient(np.fft.rfftn(S0.values)))
+    du = hs.irfftn(hs.gradient(np.fft.rfftn(u0.values)))
     grad_dot = None
     for a in range(g.d):
         term = dealiased_product(Field(g, dS[a]), Field(g, du[a]))
         grad_dot = term if grad_dot is None else grad_dot + term
-    lap_S = Field(g, hs.apply(S0.values, laplacian().fn(hs.xi)))
+    lap_S = Field(g, hs.apply(S0.values, -hs.xi2))
     u_lap = dealiased_product(u0, lap_S)
     u2 = dealiased_product(u0, u0)
     u2_lap = dealiased_product(u2, lap_S)

@@ -43,8 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import (Field, Grid, SpectralField, _check_same_grid, _half_power,
-                       _tail_fraction, half_spectrum, lp_norm)
+from .spectral import (Field, Grid, _check_same_grid, _half_power, _tail_share,
+                       half_spectrum, lp_norm)
 
 __all__ = [
     "smooth_step",
@@ -104,7 +104,8 @@ class DyadicPartition:
     spectrum and are built together at the first block request.  Each window
     is stored over its support only, as flat half-spectrum indices and values,
     so the tables of all blocks take about as much memory as two dense
-    half-spectrum windows; ``_half_window`` expands one on demand.
+    half-spectrum windows; ``block_window`` expands one onto the full lattice
+    on demand.
     """
 
     grid: Grid
@@ -147,25 +148,19 @@ class DyadicPartition:
             cache["lp_tables"] = (windows, r_half > RESOLVED_FACTOR * 2**self.j_max)
         return cache["lp_tables"]
 
-    def _half_window(self, j: int) -> np.ndarray:
-        """Window of block j expanded onto the whole half spectrum."""
+    def _window(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat half-spectrum indices and values of block j's window."""
         if j < -1 or j > self.j_max:
             raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
-        windows, beyond = self._tables()
-        idx, vals = windows[j + 1]
-        w = np.zeros(beyond.shape)
-        w.reshape(-1)[idx] = vals
-        return w
+        return self._tables()[0][j + 1]
 
     def _windowed(self, F: np.ndarray, j: int) -> np.ndarray:
         """F times the window of block j, as a new array cut after the
         window's last nonzero mode along the last axis and filled on the
         window's support only; F is a half spectrum, or a stack of them on
         leading axes.  ``HalfSpectrum.irfftn`` zero-fills the modes cut off,
-        so it transforms the values of ``F * _half_window(j)``."""
-        if j < -1 or j > self.j_max:
-            raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
-        idx, vals = self._tables()[0][j + 1]
+        so it transforms the values of F times the dense window."""
+        idx, vals = self._window(j)
         row, col = np.divmod(idx, self.grid.N // 2 + 1)
         m = int(col.max()) + 1
         lead = F.shape[:F.ndim - self.grid.d]
@@ -173,19 +168,15 @@ class DyadicPartition:
         out.reshape(lead + (-1,))[..., row * m + col] = F.reshape(lead + (-1,))[..., idx] * vals
         return out
 
-    def _full_lattice(self, half: np.ndarray) -> np.ndarray:
-        """A radial half-spectrum table mirrored onto the full fft-ordered lattice."""
-        n = self.grid.N
-        return np.concatenate([half, half[..., n // 2 - 1:0:-1]], axis=-1)
-
     def block_window(self, j: int) -> np.ndarray:
-        """Window values on the lattice for block j (j = -1 is the low ball)."""
-        return self._full_lattice(self._half_window(j))
-
-    def resolved_mass_fraction(self, F: SpectralField) -> float:
-        """l2 coefficient mass fraction beyond (3/2)*2^j_max."""
-        return _tail_fraction(np.abs(F.coefficients) ** 2,
-                              self._full_lattice(self._tables()[1]))
+        """Window values on the full fft-ordered lattice for block j (j = -1
+        is the low ball).  The window is radial, so the half spectrum is
+        mirrored along the last axis."""
+        idx, vals = self._window(j)
+        n = self.grid.N
+        half = np.zeros(self.grid.shape[:-1] + (n // 2 + 1,))
+        half.reshape(-1)[idx] = vals
+        return np.concatenate([half, half[..., n // 2 - 1:0:-1]], axis=-1)
 
 
 def make_partition(grid: Grid) -> DyadicPartition:
@@ -202,7 +193,7 @@ def make_partition(grid: Grid) -> DyadicPartition:
 
 def _check_resolved(part: DyadicPartition, Fh: np.ndarray, message: str) -> tuple[bool, float]:
     """Resolvedness flag and unresolved mass fraction; warns when unresolved."""
-    frac = _tail_fraction(_half_power(Fh), part._tables()[1])
+    frac = _tail_share(Fh, part._tables()[1])
     if frac > _RESOLVED_TOL:
         warnings.warn(message.format(frac), stacklevel=3)
     return frac <= _RESOLVED_TOL, frac
@@ -298,7 +289,8 @@ def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float
 
 def lp_block(part: DyadicPartition, f: Field, j: int) -> Field:
     """The j-th dyadic block of f as a physical field."""
-    return Field(part.grid, half_spectrum(part.grid).apply(f.values, part._half_window(j)))
+    windowed = part._windowed(np.fft.rfftn(f.values), j)
+    return Field(part.grid, half_spectrum(part.grid).irfftn(windowed))
 
 
 @dataclass
@@ -326,8 +318,7 @@ def decompose(part: DyadicPartition, f: Field) -> BlockDecomposition:
     """
     g, hs = part.grid, half_spectrum(part.grid)
     Fh = np.fft.rfftn(f.values)
-    blocks = [Field(g, hs.irfftn(Fh * part._half_window(j)))
-              for j in range(-1, part.j_max + 1)]
+    blocks = [Field(g, hs.irfftn(part._windowed(Fh, j))) for j in range(-1, part.j_max + 1)]
     resolved, frac = _check_resolved(
         part, Fh, "field has {:.3e} of its spectral mass beyond the resolved band")
     return BlockDecomposition(part, blocks, resolved, frac)

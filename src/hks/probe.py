@@ -648,8 +648,8 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     num = max(_drain(lambda j: 2.0 ** (j * s) * sp.lp_norm(block(j), 2.0),
                      range(0, part.j_max + 1)))
     hs = sp.half_spectrum(grid)
-    dv = sp.Field(grid, hs.apply(v.values, sp.derivative(0).fn(hs.xi)))
-    df = sp.Field(grid, hs.apply(f.values, sp.derivative(0).fn(hs.xi)))
+    dv = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(v.values), 0)))
+    df = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), 0)))
     fb = lpmod.besov_norm(part, f, BesovParams(s, 2.0)).value
     dvb = lpmod.besov_norm(part, dv, BesovParams(s - 1.0, 2.0)).value
     den = (np.max(np.abs(dv.values)) * fb + np.max(np.abs(df.values)) * dvb)
@@ -728,7 +728,7 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
             fj = lpmod.lp_block(
                 part, sp.band_limited_noise(grid, hi, seed=seed + 10 + j,
                                             kmin=lo), j)
-            grad = sp.Field(grid, hs.apply(fj.values, sp.derivative(0).fn(hs.xi)))
+            grad = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(fj.values), 0)))
             ratios.append(sp.lp_norm(grad, p) / (2.0 ** j * sp.lp_norm(fj, p)))
         spread = max(ratios) / min(ratios)
         spreads.append(spread)

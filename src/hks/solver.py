@@ -45,7 +45,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .spectral import Field, Grid, HalfSpectrum, _half_power, _tail_fraction, half_spectrum
+from .spectral import Field, Grid, HalfSpectrum, _tail_share, half_spectrum
 
 __all__ = [
     "SolverConfig",
@@ -310,7 +310,7 @@ def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
     max0 = float(np.max(np.abs(u0.values)))
 
     uh, t = np.fft.rfftn(u0.values), 0.0
-    traj.unevolved_share = _tail_fraction(_half_power(uh), hs.keep == 0.0)
+    traj.unevolved_share = _tail_share(uh, hs.keep == 0.0)
     while pending:
         acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
         dt = cfg.dt if cfg.dt is not None else cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,20 +41,13 @@ __all__ = [
     "Grid",
     "Field",
     "SpectralField",
-    "MultiplierSymbol",
     "make_grid",
     "transform",
     "inverse_transform",
-    "apply_multiplier",
     "lp_norm",
-    "helmholtz_inverse",
-    "one_minus_laplacian",
-    "derivative",
-    "laplacian",
     "dealias_cutoff_index",
     "HalfSpectrum",
     "half_spectrum",
-    "dealias_field",
     "dealiased_product",
     "band_limited_noise",
 ]
@@ -120,18 +112,12 @@ class Grid:
             self._cache[key] = np.fft.fftfreq(self.N, d=1.0 / self.N)
         return self._cache[key]
 
-    def frequency_axes(self) -> tuple[np.ndarray, ...]:
-        """Per-axis frequency arrays xi_a = k_a/(12 M), broadcast-ready."""
-        key = "xi_axes"
-        if key not in self._cache:
-            self._cache[key] = np.ix_(*[self.axis_wavenumbers() * self.freq_step] * self.d)
-        return self._cache[key]
-
     def frequency_norm2(self) -> np.ndarray:
         """|xi|^2 on the full lattice."""
         key = "xi_norm2"
         if key not in self._cache:
-            self._cache[key] = _norm2(self.frequency_axes())
+            xi = self.axis_wavenumbers() * self.freq_step
+            self._cache[key] = _norm2(np.ix_(*[xi] * self.d))
         return self._cache[key]
 
     def origin_index(self) -> tuple[int, ...]:
@@ -216,71 +202,9 @@ def inverse_transform(F: SpectralField) -> Field:
     return Field(g, np.ascontiguousarray(vals.real))
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """Fourier multiplier xi -> sigma(xi).
-
-    ``fn`` receives a tuple of broadcast-ready per-axis frequency arrays,
-    the full lattice's (``Grid.frequency_axes``) or the half spectrum's
-    (``HalfSpectrum.xi``), and returns the symbol evaluated on them.
-    """
-
-    name: str
-    fn: Callable[[tuple[np.ndarray, ...]], np.ndarray]
-
-    def evaluate(self, grid: Grid) -> np.ndarray:
-        out = np.asarray(self.fn(grid.frequency_axes()))
-        out = np.broadcast_to(out, grid.shape)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"symbol {self.name!r} is not finite on the lattice")
-        return out
-
-    def __mul__(self, other: "MultiplierSymbol") -> "MultiplierSymbol":
-        f1, f2 = self.fn, other.fn
-        return MultiplierSymbol(
-            name=f"{self.name}*{other.name}",
-            fn=lambda axes: np.asarray(f1(axes)) * np.asarray(f2(axes)),
-        )
-
-
 def _norm2(axes: tuple[np.ndarray, ...]) -> np.ndarray:
     """|xi|^2 from broadcast-ready per-axis frequency arrays."""
     return sum(a**2 for a in axes)
-
-
-def helmholtz_inverse() -> MultiplierSymbol:
-    """Symbol of (1 - Laplacian)^{-1}, i.e. 1/(1+|xi|^2)."""
-    return MultiplierSymbol("helmholtz_inverse", lambda axes: 1.0 / (1.0 + _norm2(axes)))
-
-
-def one_minus_laplacian() -> MultiplierSymbol:
-    """Symbol of (1 - Laplacian), i.e. 1 + |xi|^2."""
-    return MultiplierSymbol("one_minus_laplacian", lambda axes: 1.0 + _norm2(axes))
-
-
-def derivative(axis: int) -> MultiplierSymbol:
-    """Symbol of the partial derivative along ``axis`` (0-based), i*xi_a."""
-
-    def fn(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        if axis >= len(axes):
-            raise ValueError(f"axis {axis} out of range for d={len(axes)}")
-        return 1j * axes[axis]
-
-    return MultiplierSymbol(f"d/dx{axis + 1}", fn)
-
-
-def laplacian() -> MultiplierSymbol:
-    """Symbol of the Laplacian, i.e. -|xi|^2."""
-    return MultiplierSymbol("laplacian", lambda axes: -_norm2(axes))
-
-
-def apply_multiplier(symbol: MultiplierSymbol, F: SpectralField) -> SpectralField:
-    """Coefficientwise product with the symbol evaluated on the lattice.
-
-    Composition is exact: applying sigma1 then sigma2 equals applying the
-    pointwise product symbol sigma1*sigma2.
-    """
-    return SpectralField(F.grid, F.coefficients * symbol.evaluate(F.grid))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -290,7 +214,7 @@ def lp_norm(f: Field, p: float) -> float:
     """
     if p == math.inf:
         return float(max(np.max(f.values), -np.min(f.values)))  # no |f| temporary
-    if p < 1:
+    if not p >= 1:  # also rejects nan
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w = f.grid.spacing ** f.grid.d
     a = np.abs(f.values)  # the one temporary
@@ -311,9 +235,10 @@ class HalfSpectrum:
     """Frequency tables on the ``rfftn`` half spectrum (last axis k = 0..N/2).
 
     ``k`` and ``xi = k/(12 M)`` are broadcast-ready per axis, ``xi2`` is
-    |xi|^2 and ``helm_inv`` is 1/(1+|xi|^2); a :class:`MultiplierSymbol`'s
-    ``fn(hs.xi)`` samples it here.  :func:`half_spectrum` holds the one
-    table of each grid; the table keeps no reference to the grid, so the
+    |xi|^2 and ``helm_inv`` is 1/(1+|xi|^2); every multiplier of the
+    package (derivatives, Laplacian, Helmholtz, dealias mask, dyadic
+    windows) is a product of these tables.  :func:`half_spectrum` holds the
+    one table of each grid; the table keeps no reference to the grid, so the
     grid's cache forms no reference cycle.
     """
 
@@ -338,10 +263,6 @@ class HalfSpectrum:
         above the dealias cutoff zeroed."""
         return tuple(xi * self.keep for xi in self.xi)
 
-    def gradient_symbol(self) -> np.ndarray:
-        """The symbols i*xi_a of the d partial derivatives, stacked on a first axis."""
-        return np.stack(np.broadcast_arrays(*(1j * xi for xi in self.xi)))
-
     def differentiate(self, F: np.ndarray, axis: int) -> np.ndarray:
         """Multiply the half spectrum F by the symbol i*xi_axis in place and
         return it.  The real table is applied first and 1j after it, which
@@ -353,8 +274,7 @@ class HalfSpectrum:
 
     def gradient(self, F: np.ndarray) -> np.ndarray:
         """The half spectra of the d partial derivatives of the field whose
-        half spectrum is F, stacked on a first axis: the values of
-        ``F * gradient_symbol()``."""
+        half spectrum is F, stacked on a first axis."""
         out = np.empty((len(self.xi),) + F.shape, dtype=np.complex128)
         for a in range(len(self.xi)):
             out[a] = F
@@ -389,8 +309,10 @@ def _half_power(Fh: np.ndarray) -> np.ndarray:
     return c2
 
 
-def _tail_fraction(c2: np.ndarray, beyond: np.ndarray) -> float:
-    """Share of the total of ``c2`` on the entries where ``beyond`` holds."""
+def _tail_share(Fh: np.ndarray, beyond: np.ndarray) -> float:
+    """Share of the L2 mass of the field whose half spectrum is Fh on the
+    modes where the half-spectrum mask ``beyond`` holds."""
+    c2 = _half_power(Fh)
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
@@ -402,11 +324,6 @@ def half_spectrum(grid: Grid) -> HalfSpectrum:
     if "half" not in grid._cache:
         grid._cache["half"] = HalfSpectrum(grid)
     return grid._cache["half"]
-
-
-def dealias_field(f: Field) -> Field:
-    """Zero all modes with any axis index above the dealias cutoff."""
-    return Field(f.grid, half_spectrum(f.grid).truncate(f.values))
 
 
 def dealiased_product(a: Field, b: Field) -> Field:
@@ -428,8 +345,9 @@ def band_limited_noise(grid: Grid, kmax: int, seed: int, kmin: int = 0) -> Field
     Deterministic for fixed (grid, kmax, kmin, seed); used by the lemma
     checks and the property tests.
     """
-    if kmax >= grid.N // 2:
-        raise ValueError("kmax must stay below the Nyquist index")
+    if not 0 <= kmin <= kmax < grid.N // 2:
+        raise ValueError(f"need 0 <= kmin <= kmax < N/2 = {grid.N // 2} (the Nyquist "
+                         f"index), got kmin={kmin}, kmax={kmax}")
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     kinf = functools.reduce(np.maximum, np.ix_(*[np.abs(grid.axis_wavenumbers())] * grid.d))

@@ -18,6 +18,23 @@ def build_data(d, M, N, n_max, s=2.0):
     return make_initial_data(s, n_max, make_bump(d, grid), grid)
 
 
+def derivative(f, axis):
+    """The derivative of the real field f along ``axis``, on its half spectrum."""
+    hs = half_spectrum(f.grid)
+    return hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), axis))
+
+
+def dense_half_window(part, j):
+    """The window of block j on the whole real-FFT half spectrum."""
+    return part.block_window(j)[..., :part.grid.N // 2 + 1]
+
+
+def dense_gradient_symbol(hs):
+    """The symbols i*xi_a of the d partial derivatives on the half spectrum,
+    as one dense complex array stacked on a first axis."""
+    return np.stack(np.broadcast_arrays(*(1j * xi for xi in hs.xi)))
+
+
 def dense_block_norms(part, f, p):
     """Reference block norms through dense half-spectrum windows built from
     the window formulas: Parseval over the whole half spectrum at p = 2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dft_oracle as oracle
-from conftest import build_data
+from conftest import build_data, derivative
 from hks.construction import (
     Bump,
     _packet_sum_half,
@@ -19,16 +19,24 @@ from hks.solver import transport_divergence
 from hks.spectral import (
     Field,
     SpectralField,
-    apply_multiplier,
     dealiased_product,
-    derivative,
     half_spectrum,
     inverse_transform,
     lp_norm,
     make_grid,
-    one_minus_laplacian,
     transform,
 )
+
+
+def radii(grid):
+    """|xi| along one axis, fft-ordered."""
+    return np.abs(grid.axis_wavenumbers() * grid.freq_step)
+
+
+def one_minus_laplacian(f):
+    """(1 - Laplacian) f through the full-lattice complex transform pair."""
+    coeffs = transform(f).coefficients * (1.0 + f.grid.frequency_norm2())
+    return inverse_transform(SpectralField(f.grid, coeffs))
 
 
 def reflected(values):
@@ -41,7 +49,7 @@ def reference_bump(d, grid):
     """The envelope from the N-point formula on the whole frequency axis."""
     support, plateau = 2.0 ** (-d), 4.0 ** (-d)
     line = make_grid(1, grid.M, grid.N)
-    r = np.abs(line.frequency_axes()[0])
+    r = radii(line)
     hat = np.where(r <= plateau, 1.0, np.where(
         r >= support, 0.0, smooth_step((support - r) / (support - plateau))))
     profile = inverse_transform(SpectralField(line, hat.astype(np.complex128))).values
@@ -106,7 +114,7 @@ class TestAgainstFullAxisFormulas:
         for n in range(3, n_max + 1):
             S0 += 2.0 ** (-n * (s + 2.0)) * reference_packet(n, ref, g)
         hs = half_spectrum(g)
-        u0_half = _packet_sum_half(s, n_max, ref, g) * one_minus_laplacian().fn(hs.xi)
+        u0_half = _packet_sum_half(s, n_max, ref, g) * (1.0 + hs.xi2)
         u0 = np.fft.fftshift(hs.irfftn(u0_half)) * g.N
         v0 = transport_divergence(Field(g, u0), Field(g, S0)).values
         assert data.S0.values.tobytes() == S0.tobytes()
@@ -141,7 +149,7 @@ class TestConstructionWork:
 
         monkeypatch.setattr("hks.construction.smooth_step", counted)
         make_bump(d, g)
-        r = np.abs(make_grid(1, M, 64).frequency_axes()[0])
+        r = radii(make_grid(1, M, 64))
         assert np.count_nonzero((r > 4.0 ** (-d)) & (r < 2.0 ** (-d))) == ramp
         assert len(seen) == 1 and seen[0].size == ramp
         assert np.all((seen[0] > 0.0) & (seen[0] < 1.0))
@@ -158,7 +166,7 @@ class TestBump:
     def test_hat_plateau_and_support(self):
         g = make_grid(1, 1, 512)
         bump = make_bump(1, g)
-        r = np.abs(g.frequency_axes()[0]).ravel()
+        r = radii(g)
         assert np.all(bump.hat[r <= 0.25] == 1.0)
         assert np.all(bump.hat[r >= 0.5] == 0.0)
         mid = bump.hat[(r > 0.25) & (r < 0.5)]
@@ -220,7 +228,7 @@ class TestPacket:
         g = make_grid(1, 1, 4096)
         f = make_fn(5, make_bump(1, g), g)
         F = transform(f).coefficients
-        r = np.abs(g.frequency_axes()[0]).ravel()
+        r = radii(g)
         outside = np.abs(r - carrier_frequency(5)) > 0.5
         assert np.max(np.abs(F[outside])) <= 1e-15
 
@@ -305,8 +313,7 @@ class TestInitialData:
             target = d.amplitude(j) * d.packet(j).values
             assert np.max(np.abs(blk_S.values - target)) <= 1e-13
             blk_u = lp_block(part, d.u0, j)
-            helm = inverse_transform(apply_multiplier(
-                one_minus_laplacian(), transform(d.packet(j))))
+            helm = one_minus_laplacian(d.packet(j))
             assert np.max(np.abs(blk_u.values - d.amplitude(j) * helm.values)) \
                 <= 1e-10
 
@@ -317,8 +324,7 @@ class TestInitialData:
         part = make_partition(d.grid)
         for j in (9, 10):
             blk = lp_block(part, d.u0, j).values
-            target = d.amplitude(j) * inverse_transform(apply_multiplier(
-                one_minus_laplacian(), transform(d.packet(j)))).values
+            target = d.amplitude(j) * one_minus_laplacian(d.packet(j)).values
             assert np.max(np.abs(blk - target)) <= 1e-10 * np.max(np.abs(target))
 
     def test_odd_symmetry_and_origin_values(self, data_8192_6):
@@ -351,15 +357,12 @@ class TestDrift:
         # full drift is the difference and has no parity of its own.
         d = data_8192_6
         g = d.grid
-        dS = inverse_transform(apply_multiplier(derivative(0),
-                                                transform(d.S0)))
+        dS = Field(g, derivative(d.S0, 0))
         flux_quad = dealiased_product(d.u0, dS)
         u2 = dealiased_product(d.u0, d.u0)
         flux_cub = dealiased_product(u2, dS)
-        v_quad = inverse_transform(apply_multiplier(derivative(0),
-                                                    transform(flux_quad)))
-        v_cub = inverse_transform(apply_multiplier(derivative(0),
-                                                   transform(flux_cub)))
+        v_quad = Field(g, derivative(flux_quad, 0))
+        v_cub = Field(g, derivative(flux_cub, 0))
         # roundoff floor is set by the larger intermediate fields, not by
         # the small cubic output, so both checks scale with the quad part
         sq = np.max(np.abs(v_quad.values))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dft_oracle as oracle
-from conftest import build_data, dense_block_norms
+from conftest import build_data, dense_block_norms, dense_half_window
 from hks.littlewood_paley import (
     BOUND_MARGIN,
     BesovParams,
@@ -145,6 +145,20 @@ class TestBlocks:
         with pytest.warns(UserWarning, match="resolved"):
             dec = decompose(part, f)
         assert not dec.resolved
+
+    @pytest.mark.filterwarnings("ignore:field has")
+    @pytest.mark.parametrize("d,N", [(1, 512), (2, 64)])
+    def test_unresolved_fraction_is_full_lattice_tail_share(self, d, N):
+        """The half-spectrum tail share equals the share of |F|^2 beyond
+        (3/2) 2^j_max summed over the full lattice."""
+        g = make_grid(d, 1, N)
+        part = make_partition(g)
+        f = white_noise(g, 9)
+        c2 = np.abs(transform(f).coefficients) ** 2
+        beyond = np.sqrt(g.frequency_norm2()) > 1.5 * 2.0**part.j_max
+        share = decompose(part, f).unresolved_fraction
+        assert 0.0 < share < 1.0
+        assert share == pytest.approx(np.sum(c2[beyond]) / np.sum(c2), rel=1e-12)
 
     def test_two_octave_orthogonality_of_blocks(self):
         g = make_grid(1, 1, 512)
@@ -323,9 +337,9 @@ class TestHalfSpectrumBlocks:
             assert np.array_equal(part.block_window(j), annulus_profile(r / 2.0**j))
         # the expanded support-only tables on the half spectrum
         r_half = np.sqrt(half_spectrum(g).xi2)
-        assert np.array_equal(part._half_window(-1), low_cutoff_profile(r_half))
+        assert np.array_equal(dense_half_window(part, -1), low_cutoff_profile(r_half))
         for j in range(part.j_max + 1):
-            assert np.array_equal(part._half_window(j), annulus_profile(r_half / 2.0**j))
+            assert np.array_equal(dense_half_window(part, j), annulus_profile(r_half / 2.0**j))
 
     @pytest.mark.parametrize("d,N", [(1, 1024), (2, 256), (3, 64)])
     def test_windowed_spectra_transform_as_dense_windows(self, d, N):
@@ -338,9 +352,9 @@ class TestHalfSpectrumBlocks:
         for j in range(-1, part.j_max + 1):
             cut = part._windowed(F, j)
             assert cut.shape[:-1] == F.shape[:-1] and cut.shape[-1] <= F.shape[-1]
-            assert np.array_equal(hs.irfftn(cut), hs.irfftn(F * part._half_window(j)))
-            assert np.array_equal(hs.irfftn(part._windowed(F[0], j)),
-                                  hs.irfftn(F[0] * part._half_window(j)))
+            w = dense_half_window(part, j)
+            assert np.array_equal(hs.irfftn(cut), hs.irfftn(F * w))
+            assert np.array_equal(hs.irfftn(part._windowed(F[0], j)), hs.irfftn(F[0] * w))
         with pytest.raises(ValueError, match="outside"):
             part._windowed(F, part.j_max + 1)
 
@@ -358,7 +372,7 @@ class TestHalfSpectrumBlocks:
     @given(g=grids())
     def test_half_windows_sum_to_one(self, g):
         part = make_partition(g)
-        windows = [part._half_window(j) for j in range(-1, part.j_max + 1)]
+        windows = [dense_half_window(part, j) for j in range(-1, part.j_max + 1)]
         beyond = part._tables()[1]
         r = np.sqrt(half_spectrum(g).xi2)
         total = sum(windows)
@@ -437,6 +451,14 @@ SUP_PS = (1.0, 1.5, 3.0, 4.0, math.inf)
 
 
 class TestBlockSups:
+    def test_profiles_reject_nan_p(self):
+        g = make_grid(1, 1, 512)
+        part, f = make_partition(g), band_limited_noise(g, 100, seed=3)
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            block_norms(part, f, math.nan)
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            block_sups(part, f, math.nan, [2.0])
+
     @pytest.mark.parametrize("p", SUP_PS)
     def test_block_norms_within_their_bounds(self, p, sup_fields):
         for f in sup_fields:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_data, dense_block_norms
+from conftest import build_data, dense_block_norms, dense_gradient_symbol, dense_half_window
 from hks import littlewood_paley as lpmod
 from hks import probe, solver
 from hks.construction import carrier_frequency
@@ -33,13 +33,13 @@ def serial_jk_rows(data, params, js):
     s, p = params.s, params.p
     part = make_partition(g)
     w = data.coefficients
-    grad = hs.gradient_symbol()
+    grad = dense_gradient_symbol(hs)
     du_half = np.fft.rfftn(data.u0.values) * grad
     d1 = grad[0]
     rows = []
     for j in js:
         scale = 2.0 ** (j * s)
-        blocks = hs.irfftn(du_half * part._half_window(j))
+        blocks = hs.irfftn(du_half * dense_half_window(part, j))
         J = scale * serial_norm(w[0] * blocks[0], g, p)
         K = 0.0
         for a in range(1, g.d):
@@ -68,12 +68,12 @@ def serial_commutator_values(data, params, js):
             total = total + hs.apply(v[a] * hs.apply(b[a], hs.keep), hs.keep)
         return total
 
-    grad = hs.apply(data.u0.values, hs.gradient_symbol())
+    grad = hs.apply(data.u0.values, dense_gradient_symbol(hs))
     adv_half = np.fft.rfftn(advect(grad))
     grad_half = [np.fft.rfftn(c) for c in grad]
     values = []
     for j in js:
-        w = part._half_window(j)
+        w = dense_half_window(part, j)
         block = hs.irfftn(adv_half * w) - advect([hs.irfftn(c * w) for c in grad_half])
         values.append(2.0 ** (j * params.s) * serial_norm(block, g, params.p))
     return values

@@ -6,23 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dft_oracle as oracle
+from conftest import derivative
 from hks.spectral import (
     Field,
-    MultiplierSymbol,
     SpectralField,
-    apply_multiplier,
     band_limited_noise,
     dealias_cutoff_index,
-    dealias_field,
     dealiased_product,
-    derivative,
     half_spectrum,
-    helmholtz_inverse,
     inverse_transform,
-    laplacian,
     lp_norm,
     make_grid,
-    one_minus_laplacian,
     transform,
 )
 
@@ -179,54 +173,33 @@ class TestLpNorm:
 
     def test_rejects_p_below_one(self):
         g = make_grid(1, 1, 64)
-        with pytest.raises(ValueError):
-            lp_norm(Field(g, np.ones(64)), 0.5)
+        for p in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+                lp_norm(Field(g, np.ones(64)), p)
 
 
 class TestMultipliers:
     def test_derivative_of_cosine(self):
         g = make_grid(1, 1, 256)
         xi0 = 17 * g.freq_step
-        out = inverse_transform(apply_multiplier(
-            derivative(0), transform(lattice_mode(g, 17, np.cos))))
+        out = derivative(lattice_mode(g, 17, np.cos), 0)
         expected = -xi0 * lattice_mode(g, 17, np.sin).values
-        assert np.max(np.abs(out.values - expected)) <= 1e-13
+        assert np.max(np.abs(out - expected)) <= 1e-13
 
     def test_laplacian_eigenvalue(self):
         g = make_grid(1, 1, 256)
+        hs = half_spectrum(g)
         xi0 = 24 * g.freq_step
         f = lattice_mode(g, 24, np.cos)
-        out = inverse_transform(apply_multiplier(laplacian(), transform(f)))
-        assert np.max(np.abs(out.values + xi0**2 * f.values)) <= 1e-12
+        out = hs.apply(f.values, -hs.xi2)
+        assert np.max(np.abs(out + xi0**2 * f.values)) <= 1e-12
 
     def test_helmholtz_inverts_one_minus_laplacian(self):
         g = make_grid(1, 1, 256)
+        hs = half_spectrum(g)
         f = band_limited_noise(g, 100, seed=4)
-        F = transform(f)
-        back = inverse_transform(apply_multiplier(
-            helmholtz_inverse(), apply_multiplier(one_minus_laplacian(), F)))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12
-
-    def test_symbol_product_equals_composition(self):
-        g = make_grid(1, 1, 128)
-        f = band_limited_noise(g, 50, seed=5)
-        combined = derivative(0) * helmholtz_inverse()
-        lhs = apply_multiplier(combined, transform(f)).coefficients
-        rhs = apply_multiplier(derivative(0), apply_multiplier(
-            helmholtz_inverse(), transform(f))).coefficients
-        assert np.max(np.abs(lhs - rhs)) <= 1e-15
-
-    def test_axis_out_of_range(self):
-        g = make_grid(1, 1, 64)
-        with pytest.raises(ValueError, match="axis"):
-            apply_multiplier(derivative(1), transform(Field(g, np.zeros(64))))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_symbol_rejected(self):
-        g = make_grid(1, 1, 64)
-        bad = MultiplierSymbol("inv", lambda axes: 1.0 / axes[0])
-        with pytest.raises(ValueError, match="finite"):
-            apply_multiplier(bad, transform(Field(g, np.zeros(64))))
+        back = hs.apply(hs.apply(f.values, 1.0 + hs.xi2), hs.helm_inv)
+        assert np.max(np.abs(back - f.values)) <= 1e-12
 
 
 @st.composite
@@ -246,24 +219,34 @@ class TestHalfSpectrumPath:
     @settings(max_examples=40, deadline=None)
     @given(f=noise_fields())
     def test_multipliers_match_complex_pair(self, f):
+        """Each half-spectrum multiplier against its symbol on the full
+        lattice, applied through the complex transform pair."""
         g = f.grid
         hs = half_spectrum(g)
-        symbols = [derivative(a) for a in range(g.d)]
-        symbols += [laplacian(), helmholtz_inverse(), one_minus_laplacian()]
-        for sym in symbols:
-            full = inverse_transform(apply_multiplier(sym, transform(f))).values
-            half = hs.apply(f.values, sym.fn(hs.xi))
-            scale = 1.0 + np.max(np.abs(sym.evaluate(g)))
-            assert np.max(np.abs(half - full)) <= 1e-12 * scale, sym.name
+        axes = np.ix_(*[g.axis_wavenumbers() * g.freq_step] * g.d)
+        norm2 = sum(a**2 for a in axes)
+        cases = [(f"d/dx{a + 1}", 1j * axes[a], derivative(f, a)) for a in range(g.d)]
+        cases += [
+            ("laplacian", -norm2, hs.apply(f.values, -hs.xi2)),
+            ("helmholtz_inverse", 1.0 / (1.0 + norm2), hs.apply(f.values, hs.helm_inv)),
+            ("one_minus_laplacian", 1.0 + norm2, hs.apply(f.values, 1.0 + hs.xi2)),
+        ]
+        F = transform(f).coefficients
+        for name, symbol, half in cases:
+            full = inverse_transform(SpectralField(g, F * symbol)).values
+            scale = 1.0 + np.max(np.abs(symbol))
+            assert np.max(np.abs(half - full)) <= 1e-12 * scale, name
 
     @settings(max_examples=40, deadline=None)
     @given(f=noise_fields())
     def test_gradient_symbol_stacks_derivatives(self, f):
+        """``HalfSpectrum.gradient`` applies the symbols i*xi_a of the d
+        partial derivatives, stacked on a first axis."""
         hs = half_spectrum(f.grid)
-        grad = hs.apply(f.values, hs.gradient_symbol())
+        grad = hs.irfftn(hs.gradient(np.fft.rfftn(f.values)))
         assert grad.shape == (f.grid.d,) + f.grid.shape
         for a in range(f.grid.d):
-            assert np.array_equal(grad[a], hs.apply(f.values, derivative(a).fn(hs.xi)))
+            assert np.array_equal(grad[a], derivative(f, a))
 
     @settings(max_examples=40, deadline=None)
     @given(f=noise_fields())
@@ -280,10 +263,11 @@ class TestDealiasing:
     def test_field_truncation(self):
         g = make_grid(1, 1, 64)
         low, high = lattice_mode(g, 10), lattice_mode(g, 30)
-        kept = dealias_field(low)
-        assert np.max(np.abs(kept.values - low.values)) <= 1e-14
-        gone = dealias_field(high)
-        assert np.max(np.abs(gone.values)) <= 1e-12
+        hs = half_spectrum(g)
+        kept = hs.truncate(low.values)
+        assert np.max(np.abs(kept - low.values)) <= 1e-14
+        gone = hs.truncate(high.values)
+        assert np.max(np.abs(gone)) <= 1e-12
 
     def test_product_without_truncation_is_pointwise(self):
         g = make_grid(1, 1, 128)
@@ -333,6 +317,9 @@ class TestBandLimitedNoise:
         assert np.max(np.abs(f.values)) == pytest.approx(1.0)
 
     def test_kmax_guard(self):
+        # an empty band (kmin > kmax) would give an all-zero field, not a
+        # normalised one
         g = make_grid(1, 1, 128)
-        with pytest.raises(ValueError, match="Nyquist"):
-            band_limited_noise(g, 64, seed=0)
+        for kmin, kmax in ((0, 64), (10, 5), (-1, 5)):
+            with pytest.raises(ValueError, match="Nyquist"):
+                band_limited_noise(g, kmax, seed=1, kmin=kmin)
