@@ -423,8 +423,8 @@ def _cmd_probe_calibrate(args, argv) -> int:
 def _cmd_report(args, argv) -> int:
     store = ResultStore(args.store)
     if not store.root.is_dir():
-        print(f"error: file not found: {args.store}", file=sys.stderr)
-        return 2
+        missing = NotADirectoryError if store.root.exists() else FileNotFoundError
+        raise missing(0, "", args.store)
     text = render_report(store)
     store.write_report(text)
     print(text)
@@ -440,6 +440,9 @@ def dispatch(argv) -> int:
     except FileNotFoundError as exc:
         name = getattr(exc, "filename", None) or exc
         print(f"error: file not found: {name}", file=sys.stderr)
+        return 2
+    except NotADirectoryError as exc:  # a store path names a file, or a path under one
+        print(f"error: {exc.filename} is not a directory", file=sys.stderr)
         return 2
     except (StoreExistsError, ValueError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import (Field, Grid, _check_same_grid, _half_power, _tail_share,
-                       half_spectrum, lp_norm)
+from .spectral import (_TABLES_LOCK, Field, Grid, _check_same_grid, _half_power,
+                       _tail_share, half_spectrum, lp_norm)
 
 __all__ = [
     "smooth_step",
@@ -125,7 +124,7 @@ class DyadicPartition:
     def _tables(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
         """Windows of blocks -1..j_max as (flat half-spectrum indices, values)
         over their nonzero support, and the modes beyond (3/2)*2^j_max, cached
-        on the grid at the first block request.
+        on the grid at the first block request from any thread.
 
         Block -1 is chi on |xi| < 4/3; window j >= 0 is evaluated only on the
         lattice points with 3/4 * 2^j < |xi| < 8/3 * 2^j, as
@@ -134,18 +133,23 @@ class DyadicPartition:
         exactly 0 off the points it keeps.
         """
         cache = self.grid._cache
-        if "lp_tables" not in cache:
-            r_half = np.sqrt(half_spectrum(self.grid).xi2)
-            r = r_half.reshape(-1)
-            idx = np.flatnonzero(r < 4.0 / 3.0)
-            candidates = [(idx, low_cutoff_profile(r[idx]))]
-            for j in range(self.j_max + 1):
-                scale = float(2**j)
-                idx = np.flatnonzero((r > 0.75 * scale) & (r < (8.0 / 3.0) * scale))
-                candidates.append((idx, low_cutoff_profile(r[idx] / (2.0 * scale))
-                                   - low_cutoff_profile(r[idx] / scale)))
-            windows = tuple((idx[vals != 0.0], vals[vals != 0.0]) for idx, vals in candidates)
-            cache["lp_tables"] = (windows, r_half > RESOLVED_FACTOR * 2**self.j_max)
+        if "lp_tables" in cache:  # read without the lock once built
+            return cache["lp_tables"]
+        hs = half_spectrum(self.grid)  # taken first: the lock is not reentrant
+        with _TABLES_LOCK:
+            if "lp_tables" not in cache:
+                r_half = np.sqrt(hs.xi2)
+                r = r_half.reshape(-1)
+                idx = np.flatnonzero(r < 4.0 / 3.0)
+                candidates = [(idx, low_cutoff_profile(r[idx]))]
+                for j in range(self.j_max + 1):
+                    scale = float(2**j)
+                    idx = np.flatnonzero((r > 0.75 * scale) & (r < (8.0 / 3.0) * scale))
+                    candidates.append((idx, low_cutoff_profile(r[idx] / (2.0 * scale))
+                                       - low_cutoff_profile(r[idx] / scale)))
+                windows = tuple((idx[vals != 0.0], vals[vals != 0.0])
+                                for idx, vals in candidates)
+                cache["lp_tables"] = (windows, r_half > RESOLVED_FACTOR * 2**self.j_max)
         return cache["lp_tables"]
 
     def _window(self, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +184,8 @@ class DyadicPartition:
 
 
 def make_partition(grid: Grid) -> DyadicPartition:
-    """The dyadic partition of ``grid``: one object per grid while in use."""
-    # Held weakly: a grid <-> partition cycle would keep the grid's cached
-    # arrays alive until a full garbage collection.
-    ref = grid._cache.get("partition")
-    part = ref() if ref is not None else None
-    if part is None:
-        part = DyadicPartition(grid)
-        grid._cache["partition"] = weakref.ref(part)
-    return part
+    """The dyadic partition of ``grid``; its windows live on the grid."""
+    return DyadicPartition(grid)
 
 
 def _check_resolved(part: DyadicPartition, Fh: np.ndarray, message: str) -> tuple[bool, float]:
@@ -402,7 +399,6 @@ def _commutator_block(
     for c in velocity:
         _check_same_grid(c.grid, g)
     hs = half_spectrum(g)
-    part._tables()  # built here, so the blocks only read the grid cache
     v = [hs.truncate(c.values) for c in velocity]
 
     def truncated(F: np.ndarray) -> np.ndarray:

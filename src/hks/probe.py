@@ -25,11 +25,11 @@ Besov sup and named block norm of the sweeps comes from
 that can hold a sup.
 
 The anatomy rows and the commutator blocks are measured on two threads:
-once the j-independent half spectra of a phase are built, the calling
-thread and one worker drain its blocks (``_drain``), the rows first and
-the commutator blocks after them, so one phase's set-up is alive at a
-time.  Each number is computed with the arithmetic of a serial loop, and a
-failure raises the error of the first failing block in block order.
+once the j-independent half spectra of a phase are built, a two-worker
+pool drains its blocks (``_drain``), the rows first and the commutator
+blocks after them, so one phase's set-up is alive at a time.  Each number
+is computed with the arithmetic of a serial loop, and a failure raises the
+error of the first failing block in block order.
 The validators ``validate_rate_sweep``, ``validate_inflation_sweep`` and
 ``validate_calibration`` hold the argument checks of the three sweeps, so
 the CLI rejects bad input before it creates a store or builds data.
@@ -38,7 +38,6 @@ the CLI rejects bad input before it creates a store or builds data.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -134,39 +133,11 @@ def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
 
 
 def _drain(fn, items) -> list:
-    """``[fn(item) for item in items]``, drained by the calling thread and
-    one worker that pull items in order from a shared iterator.
-
-    A failure stops both threads from pulling further items, and the
-    exception of the first failing item in item order is raised, as the
-    serial loop would raise it.  The worker is joined on every exit.
-    """
-    items = list(items)
-    results, errors = [None] * len(items), {}
-    pending, lock, stop = iter(range(len(items))), threading.Lock(), threading.Event()
-
-    def work() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised below, in item order
-                errors[i] = exc
-                stop.set()
-
-    worker = threading.Thread(target=work, name="hks-drain")
-    worker.start()
-    try:
-        work()
-    finally:
-        stop.set()
-        worker.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    """``[fn(item) for item in items]`` on two worker threads.  The first
+    failing item in item order raises, as in the serial loop, and the items
+    not yet started are cancelled."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(fn, items))
 
 
 def _lane_outcomes(lane, times, measure) -> list:
@@ -276,7 +247,6 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     """
     times = validate_rate_sweep(params, data.grid.d, times)
     part = make_partition(data.grid)
-    part._tables()  # built here, so the worker only reads the grid cache
     cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
 
     records = _lane_outcomes(_lane(data.u0, cfg, Trajectory(data.grid, [], [], [])), times,
@@ -483,7 +453,6 @@ def _jk_rows(data: InitialData, params: BesovParams, js) -> list:
     g, hs = data.grid, sp.half_spectrum(data.grid)
     s, p = params.s, params.p
     part = make_partition(g)
-    part._tables()  # built here, so the rows only read the grid cache
     w = data.coefficients
     du_half = hs.gradient(np.fft.rfftn(data.u0.values))
 
@@ -805,7 +774,6 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     """
     js = validate_calibration(data.n_max, start, j_range)
     part = make_partition(data.grid)
-    part._tables()  # built here, so the worker only reads the grid cache
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
 
     def h_ratio(j: int, t_j: float, u_t: sp.Field) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,18 +108,12 @@ class Grid:
 
     def axis_wavenumbers(self) -> np.ndarray:
         """Signed integer lattice indices along one axis, fft order."""
-        key = "k_axis"
-        if key not in self._cache:
-            self._cache[key] = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        return self._cache[key]
+        return np.fft.fftfreq(self.N, d=1.0 / self.N)
 
     def frequency_norm2(self) -> np.ndarray:
         """|xi|^2 on the full lattice."""
-        key = "xi_norm2"
-        if key not in self._cache:
-            xi = self.axis_wavenumbers() * self.freq_step
-            self._cache[key] = _norm2(np.ix_(*[xi] * self.d))
-        return self._cache[key]
+        xi = self.axis_wavenumbers() * self.freq_step
+        return _norm2(np.ix_(*[xi] * self.d))
 
     def origin_index(self) -> tuple[int, ...]:
         """Grid index of the physical point x = 0."""
@@ -210,16 +205,22 @@ def _norm2(axes: tuple[np.ndarray, ...]) -> np.ndarray:
 def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p norm with rectangle-rule quadrature weight spacing**d.
 
-    p may be any real >= 1 or math.inf.
+    p may be any real >= 1 or math.inf.  When the plain sum of |f|^p
+    overflows or underflows (a large p), |f| is rescaled by max|f| first.
     """
     if p == math.inf:
         return float(max(np.max(f.values), -np.min(f.values)))  # no |f| temporary
     if not p >= 1:  # also rejects nan
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    w = f.grid.spacing ** f.grid.d
-    a = np.abs(f.values)  # the one temporary
-    a **= p
-    return float((np.sum(a) * w) ** (1.0 / p))
+    w, scale = f.grid.spacing ** f.grid.d, 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.abs(f.values)  # the one temporary
+        a **= p
+        total = np.sum(a) * w
+        if not (np.isfinite(total) and total >= np.finfo(np.float64).tiny):
+            scale = lp_norm(f, math.inf) or 1.0  # 1 on f = 0, whose sum is 0 anyway
+            total = np.sum((np.abs(f.values) / scale) ** p) * w
+    return float(scale * total ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ class HalfSpectrum:
 
     def __init__(self, grid: Grid) -> None:
         k_half = np.arange(grid.N // 2 + 1, dtype=np.float64)
-        axes = [grid.axis_wavenumbers()] * (grid.d - 1) + [k_half]
+        axes = [grid.axis_wavenumbers() for _ in range(grid.d - 1)] + [k_half]
         self.shape, self._cutoff = grid.shape, dealias_cutoff_index(grid)
         self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
         self.xi = tuple(k * grid.freq_step for k in self.k)
@@ -319,11 +320,17 @@ def _tail_share(Fh: np.ndarray, beyond: np.ndarray) -> float:
     return float(np.sum(c2[beyond]) / total)
 
 
+# Guards the first build of every per-grid table (the half spectrum here,
+# the dyadic windows in littlewood_paley); not reentrant.
+_TABLES_LOCK = threading.Lock()
+
+
 def half_spectrum(grid: Grid) -> HalfSpectrum:
-    """The half-spectrum tables of ``grid``, built once per grid."""
-    if "half" not in grid._cache:
-        grid._cache["half"] = HalfSpectrum(grid)
-    return grid._cache["half"]
+    """The half-spectrum tables of ``grid``, built once from any thread."""
+    with _TABLES_LOCK:
+        if "half" not in grid._cache:
+            grid._cache["half"] = HalfSpectrum(grid)
+        return grid._cache["half"]
 
 
 def dealiased_product(a: Field, b: Field) -> Field:

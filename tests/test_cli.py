@@ -509,6 +509,21 @@ class TestUsageErrorsBeforeTheStore:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,under", [
+        (["construct", "--n", 2048, "--nmax", 5, "--outdir"], ""),
+        (["probe", "rates", "--n", 2048, "--nmax", 5, "--outdir"], "sub"),
+        (["report", "--store"], ""),
+    ], ids=["construct-file", "rates-under-file", "report-file"])
+    def test_directory_that_is_a_file(self, argv, under, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        target = afile / under if under else afile
+        rc, _, err = run([*argv, target], capsys)
+        assert rc == 2
+        assert f"error: {target} is not a directory" in err
+        assert afile.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_construct_checks_nmax_before_the_store(self, tmp_path, capsys):
         out = tmp_path / "c"
         rc, _, err = run(["construct", "--n", 2048, "--nmax", 6, "--outdir", out], capsys)

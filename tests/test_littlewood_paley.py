@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import dft_oracle as oracle
 from conftest import build_data, dense_block_norms, dense_half_window
+from hks import littlewood_paley as lpmod
 from hks.littlewood_paley import (
     BOUND_MARGIN,
     BesovParams,
@@ -308,11 +312,41 @@ def white_noise(g, seed):
 
 
 class TestHalfSpectrumBlocks:
-    def test_partition_memoized_per_grid(self):
+    def test_first_use_from_many_threads_builds_once(self, monkeypatch):
+        # eight threads race on a fresh grid; a slow window profile widens
+        # the race, and the count shows whether the windows were built twice
         g = make_grid(2, 1, 128)
-        part = make_partition(g)
-        assert make_partition(g) is part
-        assert make_partition(make_grid(2, 1, 128)) is not part
+        calls, lock = [], threading.Lock()
+
+        def slow_profile(r):
+            with lock:
+                calls.append(1)
+            time.sleep(0.002)
+            return low_cutoff_profile(r)
+
+        monkeypatch.setattr(lpmod, "low_cutoff_profile", slow_profile)
+        barrier, results = threading.Barrier(8), []
+
+        def first_use():
+            barrier.wait(timeout=60)
+            results.append((half_spectrum(g), make_partition(g)._tables()))
+
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert len({id(hs) for hs, _ in results}) == 1
+        assert len({id(tables) for _, tables in results}) == 1
+        j_max = make_partition(g).j_max
+        assert len(calls) == 1 + 2 * (j_max + 1)  # chi, then two per annulus
 
     def test_grid_does_not_keep_partition_alive(self):
         # No grid <-> partition cycle: dropping the last reference frees it.

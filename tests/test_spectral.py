@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ class TestLpNorm:
         for p in (1.0, 2.0, 3.5, math.inf):
             assert lp_norm(f, p) == pytest.approx(
                 oracle.slow_lp(f.values, 1, p), rel=1e-13)
+
+    @pytest.mark.parametrize("c,p", [(3.0, 700.0), (3.0, 1e4), (0.1, 400.0), (0.1, 1e5),
+                                     (1e-200, 3.0), (1e200, 3.0), (0.0, 1e4)])
+    def test_large_and_small_power_sums(self, c, p):
+        # |f|^p overflows or underflows; the norm is still c * |box|^(1/p)
+        g = make_grid(1, 1, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = lp_norm(Field(g, np.full(256, c)), p)
+        assert value == pytest.approx(c * g.length ** (1.0 / p), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_plain_formula_bit_for_bit(self, p):
+        g = make_grid(2, 1, 32)
+        v = np.random.default_rng(5).standard_normal(g.shape)
+        plain = float((np.sum(np.abs(v) ** p) * g.spacing**2) ** (1.0 / p))
+        assert lp_norm(Field(g, v), p) == plain
 
     def test_rejects_p_below_one(self):
         g = make_grid(1, 1, 64)
