@@ -401,23 +401,17 @@ def _commutator_block(
     hs = half_spectrum(g)
     v = [hs.truncate(c.values) for c in velocity]
 
-    def truncated(F: np.ndarray) -> np.ndarray:
-        """``hs.truncate`` of the field whose half spectrum F is in hand; F is
-        multiplied in place."""
-        F *= hs.keep
-        return hs.irfftn(F)
-
     def advect(b: list) -> np.ndarray:
         """v . b with the truncate-multiply-truncate rule of dealiased_product.
         It empties the list b and frees each field once it is transformed,
         so one field and one half spectrum are alive besides the sum."""
         total = None
         for a in range(g.d):
-            term = truncated(np.fft.rfftn(b.pop(0)))
+            term = hs.irfftn(hs.kept(np.fft.rfftn(b.pop(0))))
             term *= v[a]
             spectrum = np.fft.rfftn(term)
             del term
-            term = truncated(spectrum)
+            term = hs.irfftn(hs.kept(spectrum))
             del spectrum
             if total is None:
                 total = term

@@ -19,12 +19,18 @@ transform per step gives the state's diagnostics and snapshots.  The CFL
 speed is taken from the first stage's dealiased state.  Modes above the
 dealias cutoff get no flux, so u0's part there is carried unevolved.
 
-The flux kernel puts the second core on that chain: the d inverse
-transforms of grad S (one irfftn of uh * helm_inv * i xi_a * keep per
-axis) run on one persistent helper thread, created on first use, while
-the calling thread truncates u * u; the other 3 + d transforms stay on
-the calling thread.  The helper's tasks only transform, so any thread may
-call the kernel, and every value is that of a serial loop.
+Each RK4 stage is a chain of 3 + d transforms (the dealiased state, the
+transform of u * u, its truncation and the d forward transforms of the
+flux) that the calling thread runs, with the stage combinations.  One
+persistent helper thread, created on first use, runs the work off that
+chain: the d inverse transforms of grad S (one irfftn of
+uh * helm_inv * i xi_a * keep per axis), the CFL speed, and each new
+state's inverse transform, blow-up guard and diagnostics, while the
+calling thread starts the next step.  The two truncations on the chain
+cut the half spectrum at the cutoff (:meth:`HalfSpectrum.kept`) instead
+of multiplying it by the keep mask.  The helper's tasks never submit or
+wait, so any thread may call the kernel, and every value is that of a
+serial loop.
 
 One private lane holds the step loop and streams each output time as soon
 as a step reaches it, so a caller can measure it while the lane steps on.
@@ -84,8 +90,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt is None and not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.eps < math.inf:
@@ -132,10 +138,10 @@ _HELPER_LOCK = threading.Lock()
 
 
 def _helper() -> ThreadPoolExecutor:
-    """The flux kernel's one helper thread, created on first use.  Its tasks
-    are leaf transforms that never submit or wait, so the lane, the forks
-    measured on another thread and any other caller share it without
-    deadlock."""
+    """The solver's one helper thread, created on first use.  Its tasks (the
+    grad S transforms, the CFL speed and the lane's state checks) are leaf
+    tasks that never submit or wait, so the lane, the forks measured on
+    another thread and any other caller share it without deadlock."""
     global _HELPER
     with _HELPER_LOCK:
         if _HELPER is None:
@@ -154,10 +160,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _grad_S(uh: np.ndarray, S_half: np.ndarray | None, hs: HalfSpectrum, a: int) -> np.ndarray:
+def _grad_S(uh: np.ndarray, S_half: np.ndarray | None, hs: HalfSpectrum, a: int,
+            square: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """d_a S of the dealiased S on the grid, from the half spectrum of S or,
     when ``S_half`` is None, from the half spectrum of u through
-    S = (1 - Laplacian)^{-1} u: one inverse real FFT."""
+    S = (1 - Laplacian)^{-1} u: one inverse real FFT.  With ``square`` also
+    its square, else None in its place."""
     if S_half is None:
         F = uh * hs.helm_inv
         F *= hs.masked_xi[a]
@@ -167,7 +175,21 @@ def _grad_S(uh: np.ndarray, S_half: np.ndarray | None, hs: HalfSpectrum, a: int)
     ds = hs.irfftn(F)
     del F
     _check_stage(ds, f"grad_S[{a}]")
-    return ds
+    return ds, (ds * ds if square else None)
+
+
+def _speed(ud: np.ndarray, squares: list) -> float:
+    """max|1 - 2u| |grad S| from the dealiased state and the squares of the
+    d components of grad S, summed in axis order; the squares are summed in
+    place."""
+    g2 = squares[0]
+    for sq in squares[1:]:
+        g2 += sq
+    w = 2.0 * ud
+    np.subtract(1.0, w, out=w)
+    np.abs(w, out=w)
+    w *= np.sqrt(g2, out=g2)
+    return float(np.max(w))
 
 
 def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
@@ -178,35 +200,40 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
 
     With ``with_speed`` it also returns the advective speed
     max|1 - 2u| |grad S| of the dealiased state, from the same arrays.
-    The d inverse transforms of grad S run on the helper thread
-    (:func:`_grad_S`) while this thread truncates u * u; their results are
-    taken in axis order, so ``out`` is summed and the stage checks raise in
-    the order of a serial loop, and no helper task outlives the call.
-    The symbols i xi_a are applied as the real tables xi_a * keep followed
-    by an in-place product with 1j, which gives the values of the complex
-    products bit for bit.  Each temporary is released before the next
+    This thread runs the chain: the dealiased state, the transform of
+    u * u and its truncation, then per axis the forward transform of
+    d_a S * u(1-u).  The helper runs the d inverse transforms of grad S
+    (:func:`_grad_S`) while this thread transforms u * u and truncates it,
+    squaring them when the speed is asked for, and then the speed itself
+    (:func:`_speed`) while this thread transforms the last flux component.
+    Results are taken in axis order, so ``out`` is summed and the stage
+    checks raise in the order of a serial loop, and no helper task outlives
+    the call.  Both truncations cut the half spectrum at the cutoff, which
+    gives the values of the product with the keep mask.  The symbols i xi_a
+    are applied as the real tables xi_a * keep followed by an in-place
+    product with 1j, which gives the values of the complex products bit for
+    bit.  Each temporary of this thread is released before its next
     transform allocates, which keeps the number of live arrays per RHS
     evaluation, and so the step's peak memory, down.
     """
-    ud = hs.irfftn(uh * hs.keep)
+    d = len(hs.shape)
+    ud = hs.irfftn(hs.kept(uh))
     _check_stage(ud, "dealias(u)")
-    F = np.fft.rfftn(ud * ud)
-    # submitted once ud * ud is freed, so the helper's arrays never live
-    # alongside it
-    grads = [_helper().submit(_grad_S, uh, S_half, hs, a) for a in range(len(hs.shape))]
+    # submitted before u * u is transformed, so that the helper's transforms
+    # overlap two of this thread's and it does not wait for them
+    tasks = [_helper().submit(_grad_S, uh, S_half, hs, a, with_speed) for a in range(d)]
     try:
-        F *= hs.keep
-        g = hs.irfftn(F)
+        F = np.fft.rfftn(ud * ud)
+        g = hs.irfftn(hs.kept(F))
         del F
         np.subtract(ud, g, out=g)  # dealiased u(1-u)
-        out = g2 = None
-        for xka in hs.masked_xi:
-            ds = grads.pop(0).result()
+        out, squares = None, []
+        for a, xka in enumerate(hs.masked_xi):
+            ds, sq = tasks.pop(0).result()
             if with_speed:
-                if g2 is None:
-                    g2 = ds * ds
-                else:
-                    g2 += ds * ds
+                squares.append(sq)
+                if a == d - 1:
+                    tasks.append(_helper().submit(_speed, ud, squares))
             ds *= g
             F = np.fft.rfftn(ds)
             del ds
@@ -216,17 +243,11 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
                 out = F
             else:
                 out += F
+        speed = tasks.pop().result() if with_speed else None
     finally:
-        for grad in grads:
-            grad.cancel()
-        wait(grads)
-    speed = None
-    if with_speed:  # max|1 - 2u| |grad S|, in place
-        w = 2.0 * ud
-        np.subtract(1.0, w, out=w)
-        np.abs(w, out=w)
-        w *= np.sqrt(g2, out=g2)
-        speed = float(np.max(w))
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
     return out, speed
 
 
@@ -303,6 +324,15 @@ def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
     ``state()`` may run on another thread while the lane steps on; a
     BlowUpError from a fork concerns its time only, one from the lane every
     time not yet yielded.
+
+    Once a step's half spectrum is final, the helper transforms it and runs
+    the blow-up guard (:func:`_logged_state`) while this thread evaluates
+    the next step's first stage.  The lane then settles the task: it raises
+    the guard's error, or appends the step to ``traj.steps``.  That comes
+    before its next yield, the next step's entry and its return, and an
+    error of the first stage is raised only after it, so the guard's error
+    wins as in a serial loop.  A step clipped onto t_k settles at once,
+    since its state is the one yielded.
     """
     g = u0.grid
     hs, eps = half_spectrum(g), cfg.eps
@@ -311,8 +341,21 @@ def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
 
     uh, t = np.fft.rfftn(u0.values), 0.0
     traj.unevolved_share = _tail_share(uh, hs.keep == 0.0)
+    last = None  # the last step's state task, time, dt and speed, until settled
+
+    def settle() -> np.ndarray | None:
+        nonlocal last
+        (task, t_end, h, v), last = last, None
+        u, mean, amax = task.result()
+        traj.steps.append({"t": t_end, "dt": h, "mean": mean, "max_abs": amax, "max_speed": v})
+        return u
+
     while pending:
-        acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
+        try:
+            acc, speed = _rhs_half(uh, eps, hs, with_speed=True)
+        finally:
+            if last is not None:
+                settle()
         dt = cfg.dt if cfg.dt is not None else cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
         clip = None  # the time this step lands on, in the default mode
         while pending and t + dt >= pending[0] - 1e-15 * pending[0]:
@@ -320,33 +363,27 @@ def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
             if not fork:
                 clip, dt = target, target - t
                 break
-            # the lane never writes what a fork reads: _finish_step leaves uh
-            # as it is and consumes acc, so a fork the lane outlives gets a copy
+            # the lane never writes what a fork reads: _advance leaves uh as
+            # it is and consumes acc, so a fork the lane outlives gets a copy
             k1 = acc.copy() if pending else acc
             yield target, partial(_fork_state, g, uh, k1, target - t, target, hs, eps, max0)
         if not pending and clip is None:
             return
         t = t + dt if clip is None else clip
-        uh, u, amax = _finish_step(uh, acc, dt, t, hs, eps, max0)
-        traj.steps.append({"t": t, "dt": dt, "mean": float(np.mean(u)),
-                           "max_abs": amax, "max_speed": speed})
+        uh = _advance(uh, acc, dt, hs, eps)
+        last = (_helper().submit(_logged_state, uh, t, hs, max0, clip is not None), t, dt, speed)
         if clip is not None:
+            u = settle()
             yield clip, partial(Field, g, u)
-        del u  # so the next step does not keep the array alive
+            del u  # so the next step does not keep the array alive
 
 
-def _finish_step(uh: np.ndarray, acc: np.ndarray, dt: float, t: float, hs: HalfSpectrum,
-                 eps: float, max0: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _advance(uh: np.ndarray, acc: np.ndarray, dt: float, hs: HalfSpectrum,
+             eps: float) -> np.ndarray:
     """Stages 2-4 and the update of the RK4 step of size ``dt`` that starts
-    at the state with half spectrum ``uh`` and first stage ``acc`` and ends
-    at time ``t``.
-
-    Returns the new state's half spectrum and values and max|u|.  ``acc``
-    is consumed (it becomes the new half spectrum); ``uh`` is left as it
-    is.  Raises :class:`BlowUpError` when the new state is not finite or
-    max|u| exceeds ten times ``max0``, the initial max|u| (or 1 if that is
-    zero).
-    """
+    at the state with half spectrum ``uh`` and first stage ``acc``: the new
+    state's half spectrum.  ``acc`` is consumed (it becomes the result);
+    ``uh`` is left as it is."""
     # acc sums k1 + 2 k2 + 2 k3 + k4 as the stages arrive; each stage
     # state uh + c k is built in place of the k it comes from
     k = acc * (0.5 * dt)
@@ -366,7 +403,15 @@ def _finish_step(uh: np.ndarray, acc: np.ndarray, dt: float, t: float, hs: HalfS
     del k
     acc *= dt / 6.0
     acc += uh
-    u = hs.irfftn(acc)
+    return acc
+
+
+def _check_state(uh: np.ndarray, t: float, hs: HalfSpectrum,
+                 max0: float) -> tuple[np.ndarray, float]:
+    """The state at time ``t`` with half spectrum ``uh`` and its max|u|.
+    Raises :class:`BlowUpError` when the state is not finite or max|u|
+    exceeds ten times ``max0``, the initial max|u| (or 1 if that is zero)."""
+    u = hs.irfftn(uh)
     amax = float(np.max(np.abs(u)))
     if not math.isfinite(amax):
         raise BlowUpError(f"non-finite state at t={t:.6g}")
@@ -375,9 +420,19 @@ def _finish_step(uh: np.ndarray, acc: np.ndarray, dt: float, t: float, hs: HalfS
             f"blow-up guard tripped at t={t:.6g}: max|u|={amax:.3g} "
             f"exceeds 10 x initial scale {max0:.3g}"
         )
-    return acc, u, amax
+    return u, amax
 
 
-def _fork_state(g: Grid, *step: object) -> Field:
-    """The state at the end of the step that :func:`_finish_step` takes."""
-    return Field(g, _finish_step(*step)[1])
+def _logged_state(uh: np.ndarray, t: float, hs: HalfSpectrum, max0: float,
+                  keep: bool) -> tuple[np.ndarray | None, float, float]:
+    """The lane's state task: :func:`_check_state`, then the state (when
+    ``keep``, else None), its mean and its max|u|."""
+    u, amax = _check_state(uh, t, hs, max0)
+    return (u if keep else None), float(np.mean(u)), amax
+
+
+def _fork_state(g: Grid, uh: np.ndarray, acc: np.ndarray, dt: float, t: float,
+                hs: HalfSpectrum, eps: float, max0: float) -> Field:
+    """The state at time ``t`` at the end of the RK4 step of :func:`_advance`,
+    checked on the calling thread."""
+    return Field(g, _check_state(_advance(uh, acc, dt, hs, eps), t, hs, max0)[0])

@@ -26,7 +26,9 @@ given by their coefficients and the public :class:`SpectralField` API.
 
 Dealiasing has one rule, Orszag's 2/3 truncation: a mode is kept when
 every |k_a| is at most floor(2/3 * N/2) (:func:`dealias_cutoff_index`),
-and each grid's half spectrum holds the one keep mask.
+and each grid's half spectrum holds the one keep mask.  A truncation cuts
+the last axis at the cutoff (:meth:`HalfSpectrum.kept`) and lets the
+inverse transform zero-fill the rest.
 """
 
 from __future__ import annotations
@@ -258,6 +260,15 @@ class HalfSpectrum:
         inside = functools.reduce(np.logical_and, [np.abs(k) <= self._cutoff for k in self.k])
         return inside.astype(np.float64)
 
+    def kept(self, F: np.ndarray) -> np.ndarray:
+        """The modes of the half spectrum F that the dealias rule keeps, in
+        the form :meth:`irfftn` takes: F cut after the cutoff on the last
+        axis (a view at d = 1), times the keep mask on the other axes at
+        d >= 2.  ``irfftn(kept(F))`` is the field of ``F * keep``: the
+        transform zero-fills the modes cut off, where the product is zero."""
+        c = self._cutoff + 1
+        return F[..., :c] if len(self.shape) == 1 else F[..., :c] * self.keep[..., :c]
+
     @functools.cached_property
     def masked_xi(self) -> tuple[np.ndarray, ...]:
         """The d dense tables xi_a * keep: each axis frequency with the modes
@@ -298,7 +309,7 @@ class HalfSpectrum:
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
         """Zero every mode of ``values`` with an axis index above the cutoff."""
-        return self.apply(values, self.keep)
+        return self.irfftn(self.kept(np.fft.rfftn(values)))
 
 
 def _half_power(Fh: np.ndarray) -> np.ndarray:

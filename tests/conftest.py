@@ -69,15 +69,28 @@ def data_8192_6():
     return build_data(1, 1, 8192, 6)
 
 
-@pytest.fixture
-def fft_counts(monkeypatch):
-    """Counter of the numpy.fft.rfftn and irfftn calls made during the test,
-    on any thread."""
+def _count_ffts(monkeypatch, key):
+    """Counter of the numpy.fft.rfftn and irfftn calls made from now on, on
+    any thread, under ``key(function name)``."""
     counts, lock = Counter(), threading.Lock()
     for name in ("rfftn", "irfftn"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             with lock:
-                counts[_name] += 1
+                counts[key(_name)] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """Counter of the numpy.fft.rfftn and irfftn calls made during the test,
+    on any thread, by function name."""
+    return _count_ffts(monkeypatch, lambda name: name)
+
+
+@pytest.fixture
+def fft_threads(monkeypatch):
+    """Counter of the numpy.fft.rfftn and irfftn calls made during the test,
+    by the name of the thread that made them."""
+    return _count_ffts(monkeypatch, lambda name: threading.current_thread().name)

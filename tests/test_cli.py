@@ -252,6 +252,7 @@ class TestEvolveCli:
         (["--t", "inf"], "t_final must be positive and finite"),
         (["--t", "1e-3", "--snapshots", "nan"], "snapshot times"),
         (["--t", "1e-3", "--eps", "nan"], "eps must be nonnegative and finite"),
+        (["--t", "0.01", "--dt", "inf"], "dt must be positive and finite"),
     ])
     def test_non_finite_config_rejected_before_the_store(self, tmp_path, capsys,
                                                          flags, message):

@@ -316,15 +316,15 @@ class TestInflationSweep:
         data = build_data(1, 1, 16384, 8)
         P, t6 = BesovParams(2.0, 2.0), 2.0 * 2.0**-6
         alone = [probe.inflation_sweep(data, P, 2.0, [j]).records[0] for j in kept]
-        step = solver._finish_step
+        check = solver._check_state  # of the lane's steps and of the forks'
 
-        def guard(uh, acc, dt, t, *rest):
-            out = step(uh, acc, dt, t, *rest)
+        def guard(uh, t, *rest):
+            out = check(uh, t, *rest)
             if (t > t6) if where == "lane" else (t == t6):
                 raise BlowUpError(f"blow-up guard tripped at t={t:.6g}")
             return out
 
-        monkeypatch.setattr(solver, "_finish_step", guard)
+        monkeypatch.setattr(solver, "_check_state", guard)
         before = threading.active_count()
         with pytest.raises(probe.InflationError,
                            match=f"block {failed} .*guard tripped") as exc:
@@ -658,15 +658,15 @@ class TestCalibration:
         P, t7 = BesovParams(2.0, 2.0), 2.0 * 2.0**-7
         monkeypatch.setattr(probe, "CALIBRATION_MAX_HALVINGS", 0)
         (clean,) = probe.calibrate_eps0(data, P, [5, 6, 7], start=2.0).attempts
-        step = solver._finish_step
+        check = solver._check_state  # of the lane's steps and of the forks'
 
-        def guard(uh, acc, dt, t, *rest):
-            out = step(uh, acc, dt, t, *rest)
+        def guard(uh, t, *rest):
+            out = check(uh, t, *rest)
             if (t > t7) if where == "lane" else (t == t7):
                 raise BlowUpError(f"blow-up guard tripped at t={t:.6g}")
             return out
 
-        monkeypatch.setattr(solver, "_finish_step", guard)
+        monkeypatch.setattr(solver, "_check_state", guard)
         before = threading.active_count()
         result = probe.calibrate_eps0(data, P, [5, 6, 7], start=2.0)
         assert threading.active_count() == before

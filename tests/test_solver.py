@@ -74,6 +74,7 @@ class TestConfig:
         dict(t_final=0.0),
         dict(t_final=-1.0),
         dict(t_final=1.0, dt=0.0),
+        dict(t_final=1.0, dt=math.inf),
         dict(t_final=1.0, cfl=0.0),
         dict(t_final=1.0, cfl=1.5),
         dict(t_final=1.0, eps=-1e-6),
@@ -205,6 +206,24 @@ class TestEvolve:
         assert steps == 3
         assert sum(fft_counts.values()) == 1 + steps * (4 * (3 + 2 * d) + 1)
 
+    @pytest.mark.parametrize("d, N", [(1, 256), (2, 32)])
+    def test_fft_budget_per_thread(self, d, N, fft_threads):
+        # the calling thread transforms u0 and runs each stage's chain: the
+        # dealiased state, u * u, its truncation and the d flux transforms;
+        # the helper runs each stage's d grad S transforms and each step's
+        # inverse transform of the new state
+        g = make_grid(d, 1, N)
+        u0 = Field(g, 0.2 + 0.05 * band_limited_noise(g, N // 8, seed=46).values)
+        fft_threads.clear()
+        traj = evolve(u0, SolverConfig(t_final=0.3, dt=0.1))
+        steps = len(traj.steps)
+        assert steps == 3
+        caller = threading.current_thread().name
+        helper = [name for name in fft_threads if name != caller]
+        assert len(helper) == 1 and helper[0].startswith("hks-flux")
+        assert fft_threads[caller] == 1 + steps * 4 * (3 + d)
+        assert fft_threads[helper[0]] == steps * (4 * d + 1)
+
 
 class TestForkLane:
     # the forks fall on different lane steps in each case: under CFL the
@@ -312,9 +331,9 @@ def serial_div_flux_half(uh, S_half, hs, with_speed=False):
     return out, speed
 
 
-def serial_finish_step(uh, acc, dt, t, hs, eps, max0):
-    """solver._finish_step with the stage weights applied as 2.0 * k and
-    c * dt, the form the exact power-of-two scalings replace."""
+def serial_advance(uh, acc, dt, hs, eps):
+    """solver._advance with the stage weights applied as 2.0 * k and c * dt,
+    the form the exact power-of-two scalings replace."""
     k = acc * (0.5 * dt)
     k += uh
     k, _ = solver._rhs_half(k, eps, hs)
@@ -329,8 +348,13 @@ def serial_finish_step(uh, acc, dt, t, hs, eps, max0):
     acc += k
     acc *= dt / 6.0
     acc += uh
-    u = hs.irfftn(acc)
-    return acc, u, float(np.max(np.abs(u)))
+    return acc
+
+
+def serial_check_state(uh, t, hs, max0):
+    """solver._check_state without the guard."""
+    u = hs.irfftn(uh)
+    return u, float(np.max(np.abs(u)))
 
 
 def noisy_state(d, N, seed=47):
@@ -367,8 +391,19 @@ class TestHelperFlux:
                             lambda uh, hs, with_speed=False, S_half=None: serial_div_flux_half(
                                 uh, uh * hs.helm_inv if S_half is None else S_half, hs,
                                 with_speed))
-        monkeypatch.setattr(solver, "_finish_step", serial_finish_step)
+        calls = []
+
+        def spied(fn):
+            def run(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(solver, "_advance", spied(serial_advance))
+        monkeypatch.setattr(solver, "_check_state", spied(serial_check_state))
         ref = evolve(u0, cfg)
+        # the serial step routines took every step of the lane
+        assert sorted(calls) == sorted(["serial_advance", "serial_check_state"] * len(ref.steps))
         assert traj.times == ref.times
         assert [s.values.tobytes() for s in traj.states] \
             == [s.values.tobytes() for s in ref.states]
@@ -397,7 +432,7 @@ class TestHelperFlux:
         expected, _ = solver._div_flux_half(uh, hs)
         grad_S, ran = solver._grad_S, []
 
-        def failing(uh, S_half, hs, a):
+        def failing(uh, S_half, hs, a, square):
             ran.append(a)
             raise ValueError(f"axis {a} failed")
 
@@ -442,3 +477,93 @@ class TestHelperFlux:
         assert not errors
         for i, (out, speed) in enumerate(expected):
             assert results[i] == [(out.tobytes(), speed)] * 20
+
+
+class TestDeferredStateCheck:
+    # the lane checks a step's state on the helper while it evaluates the
+    # next step's first stage; it must yield, log and raise what a lane that
+    # checks each state at once does
+    CASES = {
+        # steps end at 0.1, 0.2 (clipped onto 0.2), 0.3, 0.35 (clipped), ...
+        "clip": dict(fork=False, cfg=SolverConfig(t_final=0.6, dt=0.1,
+                                                  snapshot_times=(0.2, 0.35))),
+        # forks 0.15 on step 1, 0.25 on step 2 and 0.45 on step 4, which the
+        # lane does not take
+        "fork": dict(fork=True, cfg=SolverConfig(t_final=0.45, dt=0.1,
+                                                 snapshot_times=(0.15, 0.25))),
+    }
+
+    @staticmethod
+    def run_lane(u0, cfg, fork):
+        """The lane's yielded times, each with the number of steps logged
+        when it came, and the lane's trajectory; forks are not evaluated."""
+        traj = Trajectory(u0.grid, [], [], [])
+        out = []
+        for t, _ in solver._lane(u0, cfg, traj, fork=fork):
+            out.append((t, len(traj.steps)))
+        return out, traj
+
+    @staticmethod
+    def patched_step(monkeypatch, n, spoil):
+        """Make the lane's step n (from 0) end in a state ``spoil`` changes;
+        returns the list that gets a copy of that state's half spectrum."""
+        advance, spoiled, calls = solver._advance, [], []
+
+        def patched(*args):
+            acc = advance(*args)
+            if len(calls) == n:
+                spoil(acc)
+                spoiled.append(acc.copy())
+            calls.append(n)
+            return acc
+
+        monkeypatch.setattr(solver, "_advance", patched)
+        return spoiled
+
+    @pytest.mark.parametrize("mode", sorted(CASES))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tripped_guard(self, mode, n, monkeypatch):
+        g = make_grid(1, 1, 256)
+        u0 = Field(g, 0.2 + 0.05 * band_limited_noise(g, 40, seed=49).values)
+        fork, cfg = self.CASES[mode]["fork"], self.CASES[mode]["cfg"]
+        ref_yields, ref = self.run_lane(u0, cfg, fork)
+        assert len(ref.steps) > n
+
+        def scale(acc):
+            acc *= 100.0
+
+        spoiled = self.patched_step(monkeypatch, n, scale)
+        traj, got = Trajectory(g, [], [], []), []
+        with pytest.raises(BlowUpError) as exc:
+            for t, _ in solver._lane(u0, cfg, traj, fork=fork):
+                got.append(t)
+        # the message of a guard checked at once, after step n
+        hs = half_spectrum(g)
+        amax = float(np.max(np.abs(hs.irfftn(spoiled[0]))))
+        max0 = float(np.max(np.abs(u0.values)))
+        assert str(exc.value) == (f"blow-up guard tripped at t={ref.steps[n]['t']:.6g}: "
+                                  f"max|u|={amax:.3g} exceeds 10 x initial scale {max0:.3g}")
+        # a fork of step n still comes out, the clipped state of step n does not
+        assert got == [t for t, logged in ref_yields if logged <= n]
+        assert traj.steps == ref.steps[:n]
+
+    @pytest.mark.parametrize("where", ["above", "below"])
+    def test_non_finite_mode_fails_its_step(self, where, monkeypatch):
+        # a NaN above the dealias cutoff is cut from every stage, so the
+        # state check of its step catches it; one below it would also fail
+        # the next step's first stage, and the state check's error wins
+        g = make_grid(1, 1, 256)
+        u0 = Field(g, 0.2 + 0.05 * band_limited_noise(g, 40, seed=49).values)
+        cfg = SolverConfig(t_final=0.6, dt=0.1)
+        ref = evolve(u0, cfg)
+        mode = g.N // 2 if where == "above" else 3
+
+        def poison(acc):
+            acc[mode] = np.nan
+
+        self.patched_step(monkeypatch, 1, poison)
+        with pytest.raises(BlowUpError, match=r"^non-finite state at t=") as exc:
+            evolve(u0, cfg)
+        assert str(exc.value) == f"non-finite state at t={ref.steps[1]['t']:.6g}"
+        if where == "below":
+            assert "dealias(u)" in str(exc.value.__context__)
