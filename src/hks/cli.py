@@ -337,14 +337,16 @@ def _cmd_probe_jk(args, argv) -> int:
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
     params = BesovParams(args.s, args.p)
-    rep = probe.jk_report(data, params)
+    # the rows, the anchor, the commutator blocks and v0's profile, as one
+    # schedule on two threads
+    block_js = list(range(args.jmin, args.jmax + 1))
+    rows, anchor, values, v0_norm = probe._anatomy(
+        data, params, range(3, args.nmax + 1), block_js, anchor=True, v0=True)
+    rep = probe.JKReport(rows=rows, anchor=anchor)
     window = [r for r in rep.rows if args.jmin <= r.j <= args.jmax]
     slope_j1 = probe.fit_loglog([2.0 ** r.j for r in window],
                                 [r.J1 for r in window])
-    cc = probe.commutator_check(data, params,
-                                range(args.jmin, args.jmax + 1))
-    part = make_partition(data.grid)
-    v0_norm = besov_norm(part, data.v0, params)
+    cc = probe._commutator_report(block_js, values)
     v0_rows = [(int(j), float(v)) for j, v in zip(v0_norm.js, v0_norm.profile)]
     # Packet-pair interference dents the profile below j=6; the asymptotic
     # doubling starts above, so the fit window is clipped when possible.

@@ -14,10 +14,11 @@ Initial data:
     S0 = sum_{n=3}^{n_max} 2^{-n(s+2)} f_n,     u0 = (1 - Laplacian) S0,
 
 S0 summed from the sampled packets and u0 synthesized from the packet
-sum's exact half spectrum, and the first-order drift
-v0 = div(u0 (1-u0) grad S0), evaluated with the same dealiased flux
-routine the time stepper uses, so the solver's right-hand side at u0 is
-exactly -v0.
+sum's exact half spectrum.  The first-order drift
+v0 = div(u0 (1-u0) grad S0) is derived from them on its first read
+(:attr:`InitialData.v0`), once, from whichever thread reads it first.  It
+is evaluated with the same dealiased flux routine the time stepper uses,
+so the solver's right-hand side at u0 is exactly -v0.
 
 Construction costs what the periods and supports cost, and every array
 is the one the N-point formulas give, bit for bit.  The carrier's
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +201,14 @@ def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
+# Guards the first build of every datum's drift v0; not reentrant.
+_V0_LOCK = threading.Lock()
+
+
 @dataclass
 class InitialData:
-    """The constructed triple (S0, u0, v0) and its parameters."""
+    """The constructed pair (S0, u0) and its parameters, with the drift v0
+    derived on first read."""
 
     grid: Grid
     bump: Bump
@@ -210,7 +217,16 @@ class InitialData:
     n_max: int
     S0: Field
     u0: Field
-    v0: Field
+
+    @property
+    def v0(self) -> Field:
+        """The drift ``transport_divergence(u0, S0)``, built on the first
+        read, once, from any thread (the lock makes later readers wait for
+        the first), and kept.  Read-only by convention, like u0 and S0."""
+        with _V0_LOCK:
+            if "_v0" not in self.__dict__:
+                self.__dict__["_v0"] = transport_divergence(self.u0, self.S0)
+            return self.__dict__["_v0"]
 
     def packet(self, n: int) -> Field:
         return make_fn(n, self.bump, self.grid)
@@ -223,9 +239,13 @@ class InitialData:
     def coefficients(self) -> np.ndarray:
         """(1 - 2 u0) d_a S0 for every axis a, stacked on a first axis: the
         transport coefficients of the linearization, built once per datum
-        and read-only."""
+        and read-only.  The product is taken in place of grad S0, so that
+        few full-grid arrays are alive at once."""
         hs = half_spectrum(self.grid)
-        w = (1.0 - 2.0 * self.u0.values) * hs.irfftn(hs.gradient(np.fft.rfftn(self.S0.values)))
+        w = hs.irfftn(hs.gradient(np.fft.rfftn(self.S0.values)))
+        factor = 2.0 * self.u0.values
+        np.subtract(1.0, factor, out=factor)
+        w *= factor
         w.flags.writeable = False
         return w
 
@@ -259,7 +279,8 @@ def _check_n_max(n_max: int, grid: Grid) -> None:
 
 
 def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialData:
-    """Assemble S0, u0 = (1-Laplacian)S0, and the drift v0.
+    """Assemble S0 and u0 = (1-Laplacian)S0; the drift v0 is built on its
+    first read.
 
     The packet sum is truncated at n_max, which must not exceed the
     grid's top resolvable block.  The probes check s against their own
@@ -276,10 +297,7 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
     u0_half = _packet_sum_half(s, n_max, bump, grid) * (1.0 + hs.xi2)
     # fftshift moves numpy's origin (index 0) to the anchored one (index N/2)
     u0 = Field(grid, np.fft.fftshift(hs.irfftn(u0_half)) * grid.N**grid.d)
-    v0 = transport_divergence(u0, S0)
-    return InitialData(
-        grid=grid, bump=bump, s=s, n_min=N_MIN_PACKET, n_max=n_max, S0=S0, u0=u0, v0=v0
-    )
+    return InitialData(grid=grid, bump=bump, s=s, n_min=N_MIN_PACKET, n_max=n_max, S0=S0, u0=u0)
 
 
 def expanded_v0(data: InitialData) -> Field:

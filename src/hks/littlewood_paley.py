@@ -381,18 +381,21 @@ def commutator(
     v . grad f, their half spectra and the truncated velocity do not depend
     on j and are built once for all blocks.
     """
-    block = _commutator_block(part, velocity, f)
+    hs = half_spectrum(part.grid)
+    block = _commutator_block(part, velocity, hs.gradient(np.fft.rfftn(f.values)))
     return [block(j) for j in js]
 
 
 def _commutator_block(
     part: DyadicPartition,
     velocity: Sequence[Field],
-    f: Field,
+    grad_f_half: np.ndarray,
 ) -> Callable[[int], Field]:
-    """The set-up of :func:`commutator`, and the function that gives its
-    block at one j.  The function only reads the set-up, so blocks can be
-    computed on several threads at once."""
+    """The set-up of :func:`commutator` from the half spectra of grad f
+    (``HalfSpectrum.gradient`` of f's rfftn, which the caller may share; it
+    is only read), and the function that gives its block at one j.  The
+    function only reads the set-up, so blocks can be computed on several
+    threads at once."""
     g = part.grid
     if len(velocity) != g.d:
         raise ValueError(f"velocity must have {g.d} components, got {len(velocity)}")
@@ -419,7 +422,7 @@ def _commutator_block(
                 total += term
         return total
 
-    grad = list(hs.irfftn(hs.gradient(np.fft.rfftn(f.values))))
+    grad = list(hs.irfftn(grad_f_half))
     grad_half = [np.fft.rfftn(c) for c in grad]
     adv_half = np.fft.rfftn(advect(grad))  # the blocks need only half spectra
 

@@ -24,12 +24,14 @@ Besov sup and named block norm of the sweeps comes from
 ``littlewood_paley.block_sups``, which at p != 2 transforms only the blocks
 that can hold a sup.
 
-The anatomy rows and the commutator blocks are measured on two threads:
-once the j-independent half spectra of a phase are built, a two-worker
-pool drains its blocks (``_drain``), the rows first and the commutator
-blocks after them, so one phase's set-up is alive at a time.  Each number
-is computed with the arithmetic of a serial loop, and a failure raises the
-error of the first failing block in block order.
+The work of ``hks probe jk`` (the anatomy rows, the origin anchor, the
+commutator blocks and the Besov profile of the drift v0) runs as one
+schedule on one two-worker pool scoped to the call (``_anatomy``): v0 is
+built on its first read beside the first rows, and the commutator set-up
+beside the last row; ``jk_report`` and ``commutator_check`` run their part
+of it.  The rows and the set-up share the half spectra of grad u0.  Each
+number is computed with the arithmetic of a serial loop, and a failure
+raises the error of the first failing item in the order of a serial run.
 The validators ``validate_rate_sweep``, ``validate_inflation_sweep`` and
 ``validate_calibration`` hold the argument checks of the three sweeps, so
 the CLI rejects bad input before it creates a store or builds data.
@@ -37,8 +39,9 @@ the CLI rejects bad input before it creates a store or builds data.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +250,7 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     """
     times = validate_rate_sweep(params, data.grid.d, times)
     part = make_partition(data.grid)
+    data.v0  # built here, before the lane and its worker start
     cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
 
     records = _lane_outcomes(_lane(data.u0, cfg, Trajectory(data.grid, [], [], [])), times,
@@ -442,24 +446,20 @@ class JKReport:
         return self.anchor.delta
 
 
-def _jk_rows(data: InitialData, params: BesovParams, js) -> list:
-    """Rows of the lower-bound anatomy for the blocks js.  The half spectra
-    of grad u0 are taken once for all rows, and each row costs one rfftn of
-    its packet plus inverse transforms; the rows are drained by two
-    threads."""
-    js = [int(j) for j in js]
-    if any(not 3 <= j <= data.n_max for j in js):
-        raise ValueError(f"block index must lie in [3, n_max] = [3, {data.n_max}]")
+def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
+    """The function that gives the anatomy row at one block j from du_half,
+    the half spectra of grad u0 (``HalfSpectrum.gradient`` of u0's rfftn),
+    which it only reads.  A row costs one rfftn of its packet plus inverse
+    transforms, and each norm squares its own array in place."""
     g, hs = data.grid, sp.half_spectrum(data.grid)
     s, p = params.s, params.p
     part = make_partition(g)
     w = data.coefficients
-    du_half = hs.gradient(np.fft.rfftn(data.u0.values))
 
     def weighted_norm(values: np.ndarray) -> float:
-        """L^p norm of w_1 * values, the product taken in place."""
+        """L^p norm of w_1 * values, taken in place of values."""
         values *= w[0]
-        return sp.lp_norm(sp.Field(g, values), p)
+        return sp._lp_norm(sp.Field(g, values), p, consume=True)
 
     def second(F: np.ndarray, a: int) -> np.ndarray:
         """F times (i xi_a)^2, in a new array."""
@@ -472,7 +472,7 @@ def _jk_rows(data: InitialData, params: BesovParams, js) -> list:
         K = 0.0
         for a in range(1, g.d):
             blocks[a] *= w[a]
-            K += scale * sp.lp_norm(sp.Field(g, blocks[a]), p)
+            K += scale * sp._lp_norm(sp.Field(g, blocks[a]), p, consume=True)
         del blocks
 
         F1 = hs.differentiate(np.fft.rfftn(data.packet(j).values), 0)
@@ -491,7 +491,83 @@ def _jk_rows(data: InitialData, params: BesovParams, js) -> list:
             raise RuntimeError(f"lower-bound split violated at block {j}")
         return JKRow(j=j, J=J, J1=J1, J2=J2, J3=J3, K=K)
 
-    return _drain(row, js)
+    return row
+
+
+# The commutator set-up enters the pool's queue this many rows before the
+# end of the rows, so that it runs beside the last row.  Chosen by
+# measurement of ``probe jk`` at N = 2^20 on 2 cores: 3 rows ran as fast,
+# 2 to 5 raised the traced numpy peak by 8 MB, and 0 was about 9% slower.
+_SETUP_LEAD = 1
+
+
+def _finished(fn, *args) -> Future:
+    """fn(*args), run on the calling thread, as a finished Future."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _anatomy(data: InitialData, params: BesovParams, js=(), block_js=(),
+             anchor: bool = False, v0: bool = False) -> tuple:
+    """The work of ``hks probe jk`` as one schedule on a two-worker pool
+    scoped to the call: ``(rows, anchor, values, profile)``, the anatomy
+    rows of the blocks js, the origin anchor (with ``anchor``, else None),
+    the commutator values 2^{js} ||[Delta_j, V . grad] u0||_p of the blocks
+    block_js, and the Besov profile of the drift v0 (with ``v0``, else None).
+
+    The pool's queue holds v0's build (:attr:`InitialData.v0`) and profile
+    first, then the rows with the commutator set-up entered _SETUP_LEAD rows
+    before their end, then the commutator blocks, each of which waits for
+    the set-up (queued before it, so already started).  So v0 is built
+    beside the first rows and the set-up beside the last.  Meanwhile the
+    calling thread takes the half spectra of grad u0, which the rows and the
+    set-up share, and then, once v0 is done, the anchor.  Every number is
+    that of a serial loop.  Results come in block order; the first failing
+    item in the order of a serial run (rows, anchor, set-up and blocks, v0)
+    raises, and the items not yet started are cancelled.  The pool's threads
+    are joined before the call returns, and the gradient spectra are freed
+    once the last row and the set-up have read them.
+    """
+    js, block_js = [int(j) for j in js], [int(j) for j in block_js]
+    if any(not 3 <= j <= data.n_max for j in js):
+        raise ValueError(f"block index must lie in [3, n_max] = [3, {data.n_max}]")
+    g, s, p = data.grid, params.s, params.p
+    part = make_partition(g)
+    profile = setup = origin = None
+    rows, blocks = [], []
+
+    def value(j: int) -> float:
+        return 2.0 ** (j * s) * sp._lp_norm(setup.result()(j), p, consume=True)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            if v0:
+                profile = pool.submit(lambda: lpmod.besov_norm(part, data.v0, params))
+            if js or block_js:
+                vel = [sp.Field(g, c) for c in data.coefficients]  # built before any worker
+                du_half = sp.half_spectrum(g).gradient(np.fft.rfftn(data.u0.values))
+                row = _jk_row(data, params, du_half)
+                lead = max(len(js) - _SETUP_LEAD, 0)
+                rows = [pool.submit(row, j) for j in js[:lead]]
+                if block_js:
+                    setup = pool.submit(lpmod._commutator_block, part, vel, du_half)
+                rows += [pool.submit(row, j) for j in js[lead:]]
+                del du_half, row  # the tasks hold them while they need them
+            blocks = [pool.submit(value, j) for j in block_js]
+            if anchor:
+                if profile is not None:
+                    wait([profile])  # so that the anchor's arrays join the rows' only
+                origin = _finished(c0_anchor, data)
+            return ([f.result() for f in rows], origin.result() if anchor else None,
+                    [f.result() for f in blocks], profile.result() if v0 else None)
+        finally:
+            for f in (profile, setup, *rows, *blocks):
+                if f is not None:
+                    f.cancel()
 
 
 def jk_decomposition(data: InitialData, params: BesovParams, j: int) -> JKRow:
@@ -503,7 +579,7 @@ def jk_decomposition(data: InitialData, params: BesovParams, j: int) -> JKRow:
     pointwise identity behind the split gives
     J >= 2^{-2j} (J1 - J2 - J3), which is asserted as computed.
     """
-    return _jk_rows(data, params, [j])[0]
+    return _anatomy(data, params, [j])[0][0]
 
 
 def c0_anchor(data: InitialData) -> AnchorReport:
@@ -512,17 +588,22 @@ def c0_anchor(data: InitialData) -> AnchorReport:
     The closed form is (17/12) phi(0)^{2d} sum_n 2^{-n(s+1)} with phi the
     one-dimensional envelope profile; c0 is half the measured value, and
     delta is the radius up to which the function stays above half its
-    origin value on the lattice.
+    origin value on the lattice.  Each full-grid array is formed in place
+    of the one before it where it can be, so that few are alive at once.
     """
     g = data.grid
-    anchor = np.abs(data.coefficients[0] * data.bump.envelope(g).values)
+    anchor = data.coefficients[0] * data.bump.envelope(g).values
+    np.abs(anchor, out=anchor)
     measured = float(anchor[g.origin_index()])
     phi0 = float(data.bump.value_at_origin())
     formula = (17.0 / 12.0) * phi0 ** (2 * g.d) * sum(
         2.0 ** (-n * (data.s + 1.0)) for n in range(data.n_min, data.n_max + 1))
-    radius = np.sqrt(sum(a * a for a in np.ix_(*[g.axis_coordinates()] * g.d)))
     below = anchor < 0.5 * measured
-    delta = float(radius[below].min()) if np.any(below) else float(radius.max())
+    del anchor
+    radius = functools.reduce(np.add, (a * a for a in np.ix_(*[g.axis_coordinates()] * g.d)))
+    np.sqrt(radius, out=radius)
+    delta = float(np.min(radius, where=below, initial=np.inf) if np.any(below)
+                  else np.max(radius))
     return AnchorReport(
         measured=measured,
         formula=formula,
@@ -533,10 +614,12 @@ def c0_anchor(data: InitialData) -> AnchorReport:
 
 
 def jk_report(data: InitialData, params: BesovParams, js=None) -> JKReport:
-    """Anatomy rows for js (default 3..n_max) and the origin anchor."""
+    """Anatomy rows for js (default 3..n_max), measured on two threads, and
+    the origin anchor (:func:`_anatomy`)."""
     if js is None:
         js = range(3, data.n_max + 1)
-    return JKReport(rows=_jk_rows(data, params, js), anchor=c0_anchor(data))
+    rows, anchor, _, _ = _anatomy(data, params, js, anchor=True)
+    return JKReport(rows=rows, anchor=anchor)
 
 
 @dataclass(frozen=True)
@@ -550,22 +633,22 @@ class CommutatorReport:
         return all(c.passed for c in checks({"commutator_slope": self.slope}))
 
 
+def _commutator_report(js: list, values: list) -> CommutatorReport:
+    """The report of the commutator values of the blocks js, with their slope."""
+    return CommutatorReport(js=js, values=values,
+                            slope=fit_loglog([2.0 ** j for j in js], values))
+
+
 def commutator_check(data: InitialData, params: BesovParams,
                      j_range) -> CommutatorReport:
     """Flatness of 2^{js} ||[Delta_j, V . grad] u0||_p for the transport
     coefficient V = (1 - 2 u0) grad S0; boundedness shows as slope <= 0.3.
     The blocks are measured on two threads once the j-independent fields
-    are built."""
+    are built (:func:`_anatomy`)."""
     js = sorted(int(j) for j in j_range)
-    part = make_partition(data.grid)
-    if not js or js[0] < -1 or js[-1] > part.j_max:
+    if not js or js[0] < -1 or js[-1] > make_partition(data.grid).j_max:
         raise ValueError("block range outside the partition")
-    vel = [sp.Field(data.grid, w) for w in data.coefficients]
-    s, p = params.s, params.p
-    block = lpmod._commutator_block(part, vel, data.u0)
-    values = _drain(lambda j: 2.0 ** (j * s) * sp.lp_norm(block(j), p), js)
-    slope = fit_loglog([2.0 ** j for j in js], values)
-    return CommutatorReport(js=js, values=values, slope=slope)
+    return _commutator_report(js, _anatomy(data, params, block_js=js)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +696,10 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     part = make_partition(grid)
     v = _matched_noise(grid, kmax, seed)
     f = _matched_noise(grid, kmax, seed + 1)
-    block = lpmod._commutator_block(part, [v], f)
-    num = max(_drain(lambda j: 2.0 ** (j * s) * sp.lp_norm(block(j), 2.0),
-                     range(0, part.j_max + 1)))
     hs = sp.half_spectrum(grid)
+    block = lpmod._commutator_block(part, [v], hs.gradient(np.fft.rfftn(f.values)))
+    num = max(_drain(lambda j: 2.0 ** (j * s) * sp._lp_norm(block(j), 2.0, consume=True),
+                     range(0, part.j_max + 1)))
     dv = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(v.values), 0)))
     df = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), 0)))
     fb = lpmod.besov_norm(part, f, BesovParams(s, 2.0)).value
@@ -774,6 +857,7 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     """
     js = validate_calibration(data.n_max, start, j_range)
     part = make_partition(data.grid)
+    data.v0  # built here, before the lanes and their workers start
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
 
     def h_ratio(j: int, t_j: float, u_t: sp.Field) -> float:

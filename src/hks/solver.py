@@ -162,20 +162,31 @@ if hasattr(os, "register_at_fork"):
 
 def _grad_S(uh: np.ndarray, S_half: np.ndarray | None, hs: HalfSpectrum, a: int,
             square: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """d_a S of the dealiased S on the grid, from the half spectrum of S or,
-    when ``S_half`` is None, from the half spectrum of u through
-    S = (1 - Laplacian)^{-1} u: one inverse real FFT.  With ``square`` also
-    its square, else None in its place."""
+    """d_a S of the dealiased S on the grid, from the half spectrum of S,
+    which the last axis consumes, or, when ``S_half`` is None, from the half
+    spectrum of u through S = (1 - Laplacian)^{-1} u: one inverse real FFT.
+    With ``square`` also its square, else None in its place."""
     if S_half is None:
         F = uh * hs.helm_inv
         F *= hs.masked_xi[a]
-    else:
+    elif a < len(hs.shape) - 1:
         F = S_half * hs.masked_xi[a]
+    else:
+        F = S_half
+        F *= hs.masked_xi[a]
     F *= 1j
     ds = hs.irfftn(F)
     del F
     _check_stage(ds, f"grad_S[{a}]")
     return ds, (ds * ds if square else None)
+
+
+def _grads_of_S(S: np.ndarray, hs: HalfSpectrum) -> list:
+    """The d results of :func:`_grad_S` (without squares) from S's values:
+    one rfftn of S and d inverse real FFTs.  S's half spectrum lives only
+    inside this task, and the last axis takes it in place."""
+    S_half = np.fft.rfftn(S)
+    return [_grad_S(None, S_half, hs, a, False) for a in range(len(hs.shape))]
 
 
 def _speed(ud: np.ndarray, squares: list) -> float:
@@ -193,10 +204,11 @@ def _speed(ud: np.ndarray, squares: list) -> float:
 
 
 def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
-                   S_half: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
+                   S: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
     """Half spectrum of div(u(1-u) grad S) with dealiased products, from the
-    half spectrum of u and, unless ``S_half`` gives S's own, that of
-    S = (1 - Laplacian)^{-1} u: 3 + 2d real FFTs.
+    half spectrum of u and, unless ``S`` gives S's own values, that of
+    S = (1 - Laplacian)^{-1} u: 3 + 2d real FFTs, and one more for the
+    transform of ``S``, which the helper takes (:func:`_grads_of_S`).
 
     With ``with_speed`` it also returns the advective speed
     max|1 - 2u| |grad S| of the dealiased state, from the same arrays.
@@ -208,28 +220,40 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
     (:func:`_speed`) while this thread transforms the last flux component.
     Results are taken in axis order, so ``out`` is summed and the stage
     checks raise in the order of a serial loop, and no helper task outlives
-    the call.  Both truncations cut the half spectrum at the cutoff, which
-    gives the values of the product with the keep mask.  The symbols i xi_a
+    the call.  Given ``S``, one helper task transforms it and takes all d
+    components, so S's half spectrum never outlives that task.  Both
+    truncations cut the half spectrum at the cutoff, which gives the values
+    of the product with the keep mask.  The symbols i xi_a
     are applied as the real tables xi_a * keep followed by an in-place
     product with 1j, which gives the values of the complex products bit for
-    bit.  Each temporary of this thread is released before its next
-    transform allocates, which keeps the number of live arrays per RHS
-    evaluation, and so the step's peak memory, down.
+    bit.  Each temporary of this thread, ``uh`` and, without the speed, the
+    dealiased state included, is released once the chain has used it, which
+    keeps the number of live arrays per RHS evaluation, and so the step's
+    peak memory, down; a caller that passes its only reference to ``uh``
+    frees it here.
     """
     d = len(hs.shape)
     ud = hs.irfftn(hs.kept(uh))
     _check_stage(ud, "dealias(u)")
     # submitted before u * u is transformed, so that the helper's transforms
     # overlap two of this thread's and it does not wait for them
-    tasks = [_helper().submit(_grad_S, uh, S_half, hs, a, with_speed) for a in range(d)]
+    if S is None:
+        tasks = [_helper().submit(_grad_S, uh, None, hs, a, with_speed) for a in range(d)]
+    else:
+        tasks = [_helper().submit(_grads_of_S, S, hs)]
+    del uh
     try:
         F = np.fft.rfftn(ud * ud)
         g = hs.irfftn(hs.kept(F))
         del F
         np.subtract(ud, g, out=g)  # dealiased u(1-u)
-        out, squares = None, []
+        if not with_speed:
+            del ud
+        out, squares, grads = None, [], []
         for a, xka in enumerate(hs.masked_xi):
-            ds, sq = tasks.pop(0).result()
+            if not grads:  # the next task's: one axis, or all d from S
+                grads = [tasks.pop(0).result()] if S is None else tasks.pop(0).result()
+            ds, sq = grads.pop(0)
             if with_speed:
                 squares.append(sq)
                 if a == d - 1:
@@ -262,11 +286,15 @@ def transport_divergence(u: Field, S: Field) -> Field:
 
     The drift field of the first-order expansion is exactly this operator
     applied to the initial data, so building it here keeps the solver and
-    the construction bit-consistent.
+    the construction bit-consistent.  It takes 6 + 2d real FFTs: the flux
+    kernel's 3 + 2d, the transforms of u and (on the helper) of S, and the
+    inverse transform of the result.  The kernel gets the only reference to
+    u's half spectrum and frees it after its first transform, and S's half
+    spectrum lives only inside the helper's task, so the chain holds few
+    arrays at once.
     """
     hs = half_spectrum(u.grid)
-    uh, S_half = np.fft.rfftn(u.values), np.fft.rfftn(S.values)
-    div_half, _ = _div_flux_half(uh, hs, S_half=S_half)
+    div_half, _ = _div_flux_half(np.fft.rfftn(u.values), hs, S=S.values)
     out = hs.irfftn(div_half)
     _check_stage(out, "divergence")
     return Field(u.grid, out)

@@ -379,10 +379,13 @@ class TestProbeInflationCli:
 
 
 class TestProbeJkCli:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_default_geometry_passes(self, tmp_path, capsys):
+        # the v0 profile is judged although besov_norm reports v0 as
+        # under-resolved at this geometry (ROADMAP item 3); the warning is
+        # asserted, from the pool's worker that computes the profile
         out = tmp_path / "jk"
-        rc, stdout, _ = run(["probe", "jk", "--outdir", out], capsys)
+        with pytest.warns(UserWarning, match="under-resolved"):
+            rc, stdout, _ = run(["probe", "jk", "--outdir", out], capsys)
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is True

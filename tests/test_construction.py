@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import dft_oracle as oracle
 from conftest import build_data, derivative
+from hks import construction
 from hks.construction import (
     Bump,
     _packet_sum_half,
@@ -343,6 +347,60 @@ class TestDrift:
     def test_make_v0_reproduces_stored(self, data_8192_6):
         d = data_8192_6
         assert np.array_equal(transport_divergence(d.u0, d.S0).values, d.v0.values)
+
+    @pytest.mark.parametrize("d,N,n_max", [(1, 8192, 6), (2, 1024, 4)])
+    def test_built_on_first_read_only(self, d, N, n_max, fft_counts):
+        # the datum takes one inverse transform, u0's synthesis, and none of
+        # v0's; the first read takes exactly transport_divergence's, the
+        # second none, and the drift is transport_divergence's bit for bit
+        grid = make_grid(d, 1, N)
+        bump = make_bump(d, grid)
+        fft_counts.clear()
+        data = make_initial_data(2.0, n_max, bump, grid)
+        assert fft_counts == {"irfftn": 1}
+        fft_counts.clear()
+        expected = transport_divergence(data.u0, data.S0)
+        direct = dict(fft_counts)
+        fft_counts.clear()
+        v0 = data.v0
+        assert fft_counts == direct
+        fft_counts.clear()
+        assert data.v0 is v0
+        assert sum(fft_counts.values()) == 0
+        assert v0.values.tobytes() == expected.values.tobytes()
+
+    def test_first_read_from_many_threads_builds_once(self, monkeypatch):
+        # eight threads first-read v0 behind a barrier; a slow build widens
+        # the race, and the count shows whether v0 was built twice
+        data = build_data(1, 1, 2048, 5)
+        calls, lock = [], threading.Lock()
+
+        def slow_build(u, S):
+            with lock:
+                calls.append(1)
+            time.sleep(0.002)
+            return transport_divergence(u, S)
+
+        monkeypatch.setattr(construction, "transport_divergence", slow_build)
+        barrier, results = threading.Barrier(8), []
+
+        def first_read():
+            barrier.wait(timeout=60)
+            results.append(data.v0)
+
+        threads = [threading.Thread(target=first_read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and all(v is results[0] for v in results)
+        assert calls == [1]
 
     def test_two_forms_agree_when_resolved(self):
         d = build_data(1, 1, 32768, 8)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import build_data, dense_block_norms, dense_gradient_symbol, dense_half_window
+from hks import construction, probe, solver
 from hks import littlewood_paley as lpmod
-from hks import probe, solver
+from hks.cli import dispatch
 from hks.construction import carrier_frequency
-from hks.littlewood_paley import BesovParams, lp_block, make_partition
-from hks.solver import BlowUpError, SolverConfig, Trajectory, evolve
+from hks.littlewood_paley import BesovParams, besov_norm, lp_block, make_partition
+from hks.solver import BlowUpError, SolverConfig, Trajectory, evolve, transport_divergence
 from hks.spectral import Field, half_spectrum, lp_norm, make_grid
 
 
@@ -197,6 +198,7 @@ class TestRateSweep:
         # can hold a sup: 8, 5, 4 of the deviation (sigma = s, s-1, s-2) and
         # 5 of the remainder, where a full profile takes j_max + 2 = 10 each
         data = build_data(1, 1, 16384, 8)
+        data.v0  # built on first read, outside the count
         times = [float(t) for t in np.geomspace(1e-4, 1e-2, 5)]
         fft_counts.clear()
         evolve(data.u0, SolverConfig(t_final=times[-1], snapshot_times=tuple(times)))
@@ -338,6 +340,7 @@ class TestInflationSweep:
         # step; per block a forked step (3 RHS evaluations and one inverse
         # transform) and 3 profiles of one rfftn each; 2 profiles of the data
         data = build_data(1, 1, 16384, 8)
+        data.v0  # built on first read, outside the count
         js = (5, 6, 7)
         lane = len(evolve(data.u0, SolverConfig(t_final=2.0 * 2.0**-5, cfl=0.4)).steps)
         fft_counts.clear()
@@ -583,6 +586,104 @@ class TestCommutatorCheck:
         assert all(v > 0 for v in report.values)
         assert report.slope <= probe.FLATNESS_MAX
         assert report.passed
+
+
+class TestAnatomySchedule:
+    # probe._anatomy runs the work of `hks probe jk` as one schedule on a
+    # two-worker pool: rows, anchor, commutator blocks and the v0 profile
+
+    @pytest.mark.filterwarnings("ignore:besov_norm on under-resolved")
+    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
+    def test_equals_serial_loop(self, d, N, n_max):
+        data = build_data(d, 1, N, n_max)
+        params = BesovParams(2.0, 2.0)
+        js = range(3, n_max + 1)
+        solver._helper().submit(int).result()  # the solver's persistent thread, started
+        before = threading.active_count()
+        rows, anchor, values, profile = probe._anatomy(data, params, js, js,
+                                                       anchor=True, v0=True)
+        assert threading.active_count() == before
+        assert rows == serial_jk_rows(data, params, js)
+        assert values == serial_commutator_values(data, params, js)
+        expected = besov_norm(make_partition(data.grid),
+                              transport_divergence(data.u0, data.S0), params)
+        assert profile.value == expected.value and profile.resolved == expected.resolved
+        assert profile.profile.tobytes() == expected.profile.tobytes()
+        assert anchor == probe.c0_anchor(data)
+
+    @pytest.mark.filterwarnings("ignore:besov_norm on under-resolved")
+    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
+    def test_one_rfftn_fewer_than_the_serial_calls(self, d, N, n_max, fft_counts):
+        # the rows and the commutator set-up share the half spectra of
+        # grad u0, which jk_report and commutator_check each take
+        params = BesovParams(2.0, 2.0)
+        js = range(3, n_max + 1)
+        serial_data, data = build_data(d, 1, N, n_max), build_data(d, 1, N, n_max)
+        part = make_partition(data.grid)
+        fft_counts.clear()
+        probe.jk_report(serial_data, params, js)
+        probe.commutator_check(serial_data, params, js)
+        besov_norm(part, serial_data.v0, params)
+        serial = dict(fft_counts)
+        fft_counts.clear()
+        probe._anatomy(data, params, js, js, anchor=True, v0=True)
+        assert fft_counts == {"rfftn": serial["rfftn"] - 1, "irfftn": serial["irfftn"]}
+
+    def test_first_failing_item_in_serial_order_raises(self, monkeypatch):
+        # row 6 violates the split after a delay, block 5 fails at once and
+        # the v0 build first of all; row 6 comes first in a serial run
+        data = build_data(1, 1, 16384, 8)
+        amplitude, setup, failed = data.amplitude, lpmod._commutator_block, []
+
+        def inflated(n):
+            if n == 6:
+                time.sleep(0.2)
+                return 1e6 * amplitude(n)
+            return amplitude(n)
+
+        def failing_setup(*args):
+            block = setup(*args)
+
+            def fn(j):
+                if j == 5:
+                    failed.append(j)
+                    raise RuntimeError("block 5 failed")
+                return block(j)
+            return fn
+
+        def failing_v0(u, S):
+            failed.append("v0")
+            raise BlowUpError("v0 failed")
+
+        monkeypatch.setattr(data, "amplitude", inflated)
+        monkeypatch.setattr(lpmod, "_commutator_block", failing_setup)
+        monkeypatch.setattr(construction, "transport_divergence", failing_v0)
+        solver._helper().submit(int).result()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="split violated at block 6$"):
+            probe._anatomy(data, BesovParams(2.0, 2.0), range(3, 9), range(4, 8),
+                           anchor=True, v0=True)
+        assert threading.active_count() == before
+        assert failed == ["v0", 5]
+        # without the failing row, the block's error comes before v0's
+        monkeypatch.setattr(data, "amplitude", amplitude)
+        with pytest.raises(RuntimeError, match="block 5 failed"):
+            probe._anatomy(data, BesovParams(2.0, 2.0), range(3, 9), range(4, 8),
+                           anchor=True, v0=True)
+        assert threading.active_count() == before
+
+    def test_v0_blow_up_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        def failing_v0(u, S):
+            raise BlowUpError("non-finite values produced at stage 'divergence'")
+
+        monkeypatch.setattr(construction, "transport_divergence", failing_v0)
+        solver._helper().submit(int).result()
+        before = threading.active_count()
+        rc = dispatch(["probe", "jk", "--n", "2048", "--nmax", "5", "--jmin", "4",
+                       "--jmax", "5", "--outdir", str(tmp_path / "jk")])
+        assert rc == 1
+        assert "error: non-finite values produced at stage 'divergence'" in capsys.readouterr().err
+        assert threading.active_count() == before
 
 
 class TestLemmaSuite:

@@ -372,14 +372,14 @@ class TestHelperFlux:
         u = noisy_state(d, N)
         hs = half_spectrum(u.grid)
         uh = np.fft.rfftn(u.values)
-        S_half = np.fft.rfftn(solve_S(u).values)
         for with_speed in (False, True):
             out, speed = solver._div_flux_half(uh, hs, with_speed)
             ref, ref_speed = serial_div_flux_half(uh, uh * hs.helm_inv, hs, with_speed)
             assert out.tobytes() == ref.tobytes()
             assert np.float64(speed).tobytes() == np.float64(ref_speed).tobytes()
-        out, _ = solver._div_flux_half(uh, hs, S_half=S_half)
-        assert out.tobytes() == serial_div_flux_half(uh, S_half, hs)[0].tobytes()
+        S = solve_S(u).values
+        out, _ = solver._div_flux_half(uh, hs, S=S)
+        assert out.tobytes() == serial_div_flux_half(uh, np.fft.rfftn(S), hs)[0].tobytes()
 
     @pytest.mark.parametrize("d, N", _GEOMETRIES)
     @pytest.mark.parametrize("dt", [None, 0.004])
@@ -388,8 +388,8 @@ class TestHelperFlux:
         cfg = SolverConfig(t_final=0.02, dt=dt, snapshot_times=(0.01,))
         traj = evolve(u0, cfg)
         monkeypatch.setattr(solver, "_div_flux_half",
-                            lambda uh, hs, with_speed=False, S_half=None: serial_div_flux_half(
-                                uh, uh * hs.helm_inv if S_half is None else S_half, hs,
+                            lambda uh, hs, with_speed=False, S=None: serial_div_flux_half(
+                                uh, uh * hs.helm_inv if S is None else np.fft.rfftn(S), hs,
                                 with_speed))
         calls = []
 
@@ -420,10 +420,10 @@ class TestHelperFlux:
     def test_non_finite_gradient_raises_from_helper(self):
         u = noisy_state(2, 32)
         hs = half_spectrum(u.grid)
-        S_half = np.fft.rfftn(u.values)
-        S_half[1, 2] = np.nan
+        S = u.values.copy()
+        S[1, 2] = np.nan
         with pytest.raises(BlowUpError, match=r"stage 'grad_S\[0\]'"):
-            solver._div_flux_half(np.fft.rfftn(u.values), hs, S_half=S_half)
+            solver._div_flux_half(np.fft.rfftn(u.values), hs, S=S)
 
     def test_helper_error_reraises_in_caller_in_axis_order(self, monkeypatch):
         u = noisy_state(2, 32)
