@@ -327,57 +327,20 @@ def _cmd_probe_inflation(args, argv) -> int:
 
 
 def _cmd_probe_jk(args, argv) -> int:
-    # the anatomy rows are j = 3..nmax; the fit uses those inside the window
-    if min(args.jmax, args.nmax) - max(args.jmin, 3) < 1:
-        raise ValueError("slope-fit window holds fewer than two blocks")
-    # the commutator blocks jmin..jmax must exist on the grid; checked
-    # before the store and the data exist (building the partition is cheap)
-    if args.jmin < -1 or args.jmax > make_partition(make_grid(args.d, args.m, args.n)).j_max:
-        raise ValueError("block range outside the partition")
+    js = range(args.jmin, args.jmax + 1)
+    probe.validate_jk(make_grid(args.d, args.m, args.n), args.nmax, js)  # before store and data
     store = ResultStore.create(args.outdir, force=args.force)
     data = _build_data(args)
-    params = BesovParams(args.s, args.p)
-    # the rows, the anchor, the commutator blocks and v0's profile, as one
-    # schedule on two threads
-    block_js = list(range(args.jmin, args.jmax + 1))
-    rows, anchor, values, v0_norm = probe._anatomy(
-        data, params, range(3, args.nmax + 1), block_js, anchor=True, v0=True)
-    rep = probe.JKReport(rows=rows, anchor=anchor)
-    window = [r for r in rep.rows if args.jmin <= r.j <= args.jmax]
-    slope_j1 = probe.fit_loglog([2.0 ** r.j for r in window],
-                                [r.J1 for r in window])
-    cc = probe._commutator_report(block_js, values)
-    v0_rows = [(int(j), float(v)) for j, v in zip(v0_norm.js, v0_norm.profile)]
-    # Packet-pair interference dents the profile below j=6; the asymptotic
-    # doubling starts above, so the fit window is clipped when possible.
-    v0_lo = max(args.jmin, 6) if args.jmax >= 6 + 1 else args.jmin
-    in_window = [(j, v) for j, v in v0_rows if v0_lo <= j <= args.jmax]
-    v0_slope = probe.fit_loglog([2.0 ** j for j, _ in in_window],
-                                [v for _, v in in_window])
-
+    sweep = probe.jk_sweep(data, BesovParams(args.s, args.p), js)
     store.write_table("jk", ("j", "J", "J1", "J2", "J3", "K"),
-                      [(r.j, r.J, r.J1, r.J2, r.J3, r.K) for r in rep.rows])
-    store.write_table("commutator", ("j", "q"),
-                      list(zip(cc.js, cc.values)))
-    store.write_table("v0_profile", ("j", "value"), v0_rows)
-
-    if data.grid.d == 1:
-        k_info = {"k_zero": all(r.K == 0.0 for r in rep.rows)}
-    else:
-        k_info = {"k_slope": probe.fit_loglog([2.0 ** r.j for r in window],
-                                              [r.K for r in window])}
-    rc = _judge(store, {
-        "slope_j1": slope_j1,
-        "v0_slope": v0_slope,
-        "commutator_slope": cc.slope,
-        "anchor_rel_error": rep.anchor.rel_error,
-        "c0": rep.c0,
-        "delta": rep.delta,
-        **k_info,
-    }, data.grid.d)
+                      [(r.j, r.J, r.J1, r.J2, r.J3, r.K) for r in sweep.rows])
+    store.write_table("commutator", ("j", "q"), sweep.commutator)
+    store.write_table("v0_profile", ("j", "value"),
+                      zip(sweep.v0_profile.js, sweep.v0_profile.profile))
+    rc = _judge(store, sweep.summary, args.d)
     store.write_manifest(argv, _geometry_config(
         args, p=_pval(args.p), jmin=args.jmin, jmax=args.jmax))
-    print(f"c0 = {rep.c0!r}  delta = {rep.delta!r}")
+    print(f"c0 = {sweep.anchor.c0!r}  delta = {sweep.anchor.delta!r}")
     print(f"store: {store.root}")
     return rc
 

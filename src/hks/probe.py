@@ -8,9 +8,9 @@ their pass/fail verdicts from it.
 
 * ``rate_sweep``     first-order deviation rate and second-order remainder
 * ``inflation_sweep`` the non-vanishing-deviation signature along t_j = eps0*2^-j
-* ``jk_decomposition`` per-block lower-bound anatomy (J, J1, J2, J3, K)
+* ``jk_sweep``       per-block lower-bound anatomy (J, J1, J2, J3, K), origin
+  anchor, commutator flatness and the forcing profile of v0
 * ``c0_anchor``      closed-form origin value and the half-height radius delta
-* ``commutator_check`` flatness of the localized commutator quantity
 * ``lemma_suite``    the harmonic-analysis toolbox on pseudo-random fields
 * ``calibrate_eps0`` halving search for a Taylor-safe sweep amplitude
 
@@ -24,16 +24,15 @@ Besov sup and named block norm of the sweeps comes from
 ``littlewood_paley.block_sups``, which at p != 2 transforms only the blocks
 that can hold a sup.
 
-The work of ``hks probe jk`` (the anatomy rows, the origin anchor, the
-commutator blocks and the Besov profile of the drift v0) runs as one
-schedule on one two-worker pool scoped to the call (``_anatomy``): v0 is
-built on its first read beside the first rows, and the commutator set-up
-beside the last row; ``jk_report`` and ``commutator_check`` run their part
-of it.  The rows and the set-up share the half spectra of grad u0.  Each
-number is computed with the arithmetic of a serial loop, and a failure
-raises the error of the first failing item in the order of a serial run.
-The validators ``validate_rate_sweep``, ``validate_inflation_sweep`` and
-``validate_calibration`` hold the argument checks of the three sweeps, so
+``jk_sweep`` runs the anatomy rows, the origin anchor, the commutator
+blocks and the Besov profile of the drift v0 as one schedule on one
+two-worker pool scoped to the call: v0 is built on its first read beside
+the first rows, and the commutator set-up beside the last row.  The rows
+and the set-up share the half spectra of grad u0.  Each number is computed
+with the arithmetic of a serial loop, and a failure raises the error of
+the first failing item in the order of a serial run.  The validators
+``validate_rate_sweep``, ``validate_inflation_sweep``, ``validate_jk`` and
+``validate_calibration`` hold the argument checks of the four sweeps, so
 the CLI rejects bad input before it creates a store or builds data.
 """
 
@@ -133,14 +132,6 @@ def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
     sp._check_same_grid(u_t.grid, u0.grid)
     sp._check_same_grid(v0.grid, u0.grid)
     return sp.Field(u0.grid, u_t.values - u0.values + t * v0.values)
-
-
-def _drain(fn, items) -> list:
-    """``[fn(item) for item in items]`` on two worker threads.  The first
-    failing item in item order raises, as in the serial loop, and the items
-    not yet started are cancelled."""
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(fn, items))
 
 
 def _lane_outcomes(lane, times, measure) -> list:
@@ -433,17 +424,17 @@ class AnchorReport:
 
 
 @dataclass(frozen=True)
-class JKReport:
-    rows: list
+class JKSweep:
+    rows: list  # JKRow per block 3..n_max
     anchor: AnchorReport
+    commutator: list  # (j, 2^{js} ||[Delta_j, V . grad] u0||_p) per window block
+    v0_profile: lpmod.BesovNormResult
+    summary: dict
+    d: int
 
     @property
-    def c0(self) -> float:
-        return self.anchor.c0
-
-    @property
-    def delta(self) -> float:
-        return self.anchor.delta
+    def passed(self) -> bool:
+        return all(c.passed for c in checks(self.summary, self.d))
 
 
 def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
@@ -511,14 +502,34 @@ def _finished(fn, *args) -> Future:
     return done
 
 
-def _anatomy(data: InitialData, params: BesovParams, js=(), block_js=(),
-             anchor: bool = False, v0: bool = False) -> tuple:
-    """The work of ``hks probe jk`` as one schedule on a two-worker pool
-    scoped to the call: ``(rows, anchor, values, profile)``, the anatomy
-    rows of the blocks js, the origin anchor (with ``anchor``, else None),
-    the commutator values 2^{js} ||[Delta_j, V . grad] u0||_p of the blocks
-    block_js, and the Besov profile of the drift v0 (with ``v0``, else None).
+def validate_jk(grid: sp.Grid, n_max: int, j_range) -> list:
+    """The blocks of the slope-fit window of a jk sweep on a datum with top
+    packet n_max, sorted; a ValueError for a window that holds fewer than
+    two of the anatomy rows 3..n_max, or that leaves the partition."""
+    js = sorted(int(j) for j in j_range)
+    if not js or min(js[-1], n_max) - max(js[0], 3) < 1:
+        raise ValueError("slope-fit window holds fewer than two blocks")
+    if js[0] < -1 or js[-1] > make_partition(grid).j_max:
+        raise ValueError("block range outside the partition")
+    return js
 
+
+def jk_sweep(data: InitialData, params: BesovParams, j_range) -> JKSweep:
+    """The block anatomy of the lower bound, judged on the window j_range.
+
+    One row per block j = 3..n_max: J pairs the transport coefficient with
+    the j-th block of d_x1 u0; its bulk J1 comes from the pure third
+    x1-derivative of the packet, J2 and J3 are the first-derivative and
+    transverse corrections, and K collects the transverse blocks.  The
+    exact pointwise identity behind the split gives
+    J >= 2^{-2j} (J1 - J2 - J3), which is asserted as computed.  Beside the
+    rows come the origin anchor (:func:`c0_anchor`), the commutator values
+    2^{js} ||[Delta_j, V . grad] u0||_p of the window's blocks for the
+    transport coefficient V = (1 - 2 u0) grad S0, and the Besov profile of
+    the drift v0.  The summary fits J1 (and K at d >= 2) over the rows in
+    the window, the commutator values, and v0's profile over the window.
+
+    The work runs as one schedule on a two-worker pool scoped to the call.
     The pool's queue holds v0's build (:attr:`InitialData.v0`) and profile
     first, then the rows with the commutator set-up entered _SETUP_LEAD rows
     before their end, then the commutator blocks, each of which waits for
@@ -526,18 +537,17 @@ def _anatomy(data: InitialData, params: BesovParams, js=(), block_js=(),
     beside the first rows and the set-up beside the last.  Meanwhile the
     calling thread takes the half spectra of grad u0, which the rows and the
     set-up share, and then, once v0 is done, the anchor.  Every number is
-    that of a serial loop.  Results come in block order; the first failing
-    item in the order of a serial run (rows, anchor, set-up and blocks, v0)
-    raises, and the items not yet started are cancelled.  The pool's threads
-    are joined before the call returns, and the gradient spectra are freed
-    once the last row and the set-up have read them.
+    that of a serial loop.  The first failing item in the order of a serial
+    run (rows, anchor, set-up and blocks, v0) raises, and the items not yet
+    started are cancelled.  The pool's threads are joined before the call
+    returns, and the gradient spectra are freed once the last row and the
+    set-up have read them.
     """
-    js, block_js = [int(j) for j in js], [int(j) for j in block_js]
-    if any(not 3 <= j <= data.n_max for j in js):
-        raise ValueError(f"block index must lie in [3, n_max] = [3, {data.n_max}]")
+    js = validate_jk(data.grid, data.n_max, j_range)
     g, s, p = data.grid, params.s, params.p
     part = make_partition(g)
-    profile = setup = origin = None
+    row_js = range(3, data.n_max + 1)
+    profile = setup = None
     rows, blocks = [], []
 
     def value(j: int) -> float:
@@ -545,41 +555,43 @@ def _anatomy(data: InitialData, params: BesovParams, js=(), block_js=(),
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         try:
-            if v0:
-                profile = pool.submit(lambda: lpmod.besov_norm(part, data.v0, params))
-            if js or block_js:
-                vel = [sp.Field(g, c) for c in data.coefficients]  # built before any worker
-                du_half = sp.half_spectrum(g).gradient(np.fft.rfftn(data.u0.values))
-                row = _jk_row(data, params, du_half)
-                lead = max(len(js) - _SETUP_LEAD, 0)
-                rows = [pool.submit(row, j) for j in js[:lead]]
-                if block_js:
-                    setup = pool.submit(lpmod._commutator_block, part, vel, du_half)
-                rows += [pool.submit(row, j) for j in js[lead:]]
-                del du_half, row  # the tasks hold them while they need them
-            blocks = [pool.submit(value, j) for j in block_js]
-            if anchor:
-                if profile is not None:
-                    wait([profile])  # so that the anchor's arrays join the rows' only
-                origin = _finished(c0_anchor, data)
-            return ([f.result() for f in rows], origin.result() if anchor else None,
-                    [f.result() for f in blocks], profile.result() if v0 else None)
+            profile = pool.submit(lambda: lpmod.besov_norm(part, data.v0, params))
+            vel = [sp.Field(g, c) for c in data.coefficients]  # built before any worker
+            du_half = sp.half_spectrum(g).gradient(np.fft.rfftn(data.u0.values))
+            row = _jk_row(data, params, du_half)
+            lead = max(len(row_js) - _SETUP_LEAD, 0)
+            rows = [pool.submit(row, j) for j in row_js[:lead]]
+            setup = pool.submit(lpmod._commutator_block, part, vel, du_half)
+            rows += [pool.submit(row, j) for j in row_js[lead:]]
+            del du_half, row  # the tasks hold them while they need them
+            blocks = [pool.submit(value, j) for j in js]
+            wait([profile])  # so that the anchor's arrays join the rows' only
+            origin = _finished(c0_anchor, data)
+            done = ([f.result() for f in rows], origin.result(),
+                    [f.result() for f in blocks], profile.result())
         finally:
             for f in (profile, setup, *rows, *blocks):
                 if f is not None:
                     f.cancel()
+    jk_rows, anchor, values, v0_norm = done
 
-
-def jk_decomposition(data: InitialData, params: BesovParams, j: int) -> JKRow:
-    """One row of the lower-bound anatomy at block j.
-
-    J pairs the transport coefficient with the j-th block of d_x1 u0; its
-    bulk J1 comes from the pure third x1-derivative of the packet, J2 and
-    J3 are the first-derivative and transverse corrections.  The exact
-    pointwise identity behind the split gives
-    J >= 2^{-2j} (J1 - J2 - J3), which is asserted as computed.
-    """
-    return _anatomy(data, params, [j])[0][0]
+    lo, hi = js[0], js[-1]
+    window = [r for r in jk_rows if lo <= r.j <= hi]
+    xs = [2.0 ** r.j for r in window]
+    summary = {"slope_j1": fit_loglog(xs, [r.J1 for r in window]),
+               "commutator_slope": fit_loglog([2.0 ** j for j in js], values)}
+    # Packet-pair interference dents the profile below j=6; the asymptotic
+    # doubling starts above, so the fit window is clipped when possible.
+    v0_lo = max(lo, 6) if hi >= 6 + 1 else lo
+    fit = (v0_lo <= v0_norm.js) & (v0_norm.js <= hi)
+    summary["v0_slope"] = fit_loglog(2.0 ** v0_norm.js[fit], v0_norm.profile[fit])
+    summary.update(anchor_rel_error=anchor.rel_error, c0=anchor.c0, delta=anchor.delta)
+    if g.d == 1:
+        summary["k_zero"] = all(r.K == 0.0 for r in jk_rows)
+    else:
+        summary["k_slope"] = fit_loglog(xs, [r.K for r in window])
+    return JKSweep(rows=jk_rows, anchor=anchor, commutator=list(zip(js, values)),
+                   v0_profile=v0_norm, summary=summary, d=g.d)
 
 
 def c0_anchor(data: InitialData) -> AnchorReport:
@@ -611,44 +623,6 @@ def c0_anchor(data: InitialData) -> AnchorReport:
         c0=0.5 * measured,
         delta=delta,
     )
-
-
-def jk_report(data: InitialData, params: BesovParams, js=None) -> JKReport:
-    """Anatomy rows for js (default 3..n_max), measured on two threads, and
-    the origin anchor (:func:`_anatomy`)."""
-    if js is None:
-        js = range(3, data.n_max + 1)
-    rows, anchor, _, _ = _anatomy(data, params, js, anchor=True)
-    return JKReport(rows=rows, anchor=anchor)
-
-
-@dataclass(frozen=True)
-class CommutatorReport:
-    js: list
-    values: list
-    slope: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in checks({"commutator_slope": self.slope}))
-
-
-def _commutator_report(js: list, values: list) -> CommutatorReport:
-    """The report of the commutator values of the blocks js, with their slope."""
-    return CommutatorReport(js=js, values=values,
-                            slope=fit_loglog([2.0 ** j for j in js], values))
-
-
-def commutator_check(data: InitialData, params: BesovParams,
-                     j_range) -> CommutatorReport:
-    """Flatness of 2^{js} ||[Delta_j, V . grad] u0||_p for the transport
-    coefficient V = (1 - 2 u0) grad S0; boundedness shows as slope <= 0.3.
-    The blocks are measured on two threads once the j-independent fields
-    are built (:func:`_anatomy`)."""
-    js = sorted(int(j) for j in j_range)
-    if not js or js[0] < -1 or js[-1] > make_partition(data.grid).j_max:
-        raise ValueError("block range outside the partition")
-    return _commutator_report(js, _anatomy(data, params, block_js=js)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +672,8 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     f = _matched_noise(grid, kmax, seed + 1)
     hs = sp.half_spectrum(grid)
     block = lpmod._commutator_block(part, [v], hs.gradient(np.fft.rfftn(f.values)))
-    num = max(_drain(lambda j: 2.0 ** (j * s) * sp._lp_norm(block(j), 2.0, consume=True),
-                     range(0, part.j_max + 1)))
+    num = max(2.0 ** (j * s) * sp._lp_norm(block(j), 2.0, consume=True)
+              for j in range(0, part.j_max + 1))
     dv = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(v.values), 0)))
     df = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), 0)))
     fb = lpmod.besov_norm(part, f, BesovParams(s, 2.0)).value

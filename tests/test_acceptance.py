@@ -204,23 +204,20 @@ def test_criterion_07_block_anatomy(base_data, family65k, data2d):
 
     # bulk term growth and commutator flatness on the workhorse grid
     for p in P_GRID:
-        params = BesovParams(2.0, p)
-        rows = [probe.jk_decomposition(base_data, params, j)
-                for j in range(5, 9)]
-        slope_j1 = probe.fit_loglog([2.0**r.j for r in rows],
-                                    [r.J1 for r in rows])
-        cc = probe.commutator_check(base_data, params, range(5, 9))
+        sweep = probe.jk_sweep(base_data, BesovParams(2.0, p), range(5, 9))
+        rows = [r for r in sweep.rows if 5 <= r.j <= 8]
+        slope_j1 = sweep.summary["slope_j1"]  # fitted over the rows 5..8
+        cc_slope = sweep.summary["commutator_slope"]
         print(f"criterion 7: p={p} J1 slope = {slope_j1:.4f} in [2.7, 3.3], "
-              f"commutator slope = {cc.slope:.4f} (<= 0.3)")
+              f"commutator slope = {cc_slope:.4f} (<= 0.3)")
         assert 2.7 <= slope_j1 <= 3.3
-        assert cc.slope <= 0.3
+        assert cc_slope <= 0.3
         assert all(r.K == 0.0 for r in rows)  # no transverse term in d=1
 
     # transverse term stays flat on the two-dimensional smoke geometry
-    rows2 = [probe.jk_decomposition(data2d, BesovParams(2.0, 2.0), j)
-             for j in (3, 4, 5)]
-    k_slope = probe.fit_loglog([2.0**r.j for r in rows2],
-                               [r.K for r in rows2])
+    sweep2 = probe.jk_sweep(data2d, BesovParams(2.0, 2.0), range(3, 6))
+    rows2 = sweep2.rows  # blocks 3..5
+    k_slope = sweep2.summary["k_slope"]
     print(f"criterion 7: d=2 K slope = {k_slope:.4f} (<= 0.3)")
     assert all(r.K > 0.0 for r in rows2)
     assert k_slope <= 0.3

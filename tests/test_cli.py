@@ -5,6 +5,7 @@ installed entry point via ``python -m hks.cli``.  Exit code contract:
 0 success, 1 a measured check failed or the integrator aborted, 2 usage.
 """
 
+import contextlib
 import json
 import struct
 import subprocess
@@ -398,6 +399,30 @@ class TestProbeJkCli:
         for name in ("jk", "commutator", "v0_profile"):
             assert (out / "tables" / f"{name}.csv").is_file()
         assert "slope_j1" in stdout
+
+    @pytest.mark.parametrize("d,n,nmax,jmin,jmax,under_resolved",
+                             [(1, 2048, 5, 4, 5, True), (2, 1024, 4, 3, 4, False)],
+                             ids=["d1", "d2"])
+    def test_api_and_cli_judge_the_same_numbers(self, d, n, nmax, jmin, jmax,
+                                                under_resolved, tmp_path, capsys):
+        # besov_norm reports v0 as under-resolved at the d = 1 geometry; the
+        # warning is asserted there
+        def v0_warning():
+            if under_resolved:
+                return pytest.warns(UserWarning, match="under-resolved")
+            return contextlib.nullcontext()
+
+        out = tmp_path / "jk"
+        with v0_warning():
+            rc, _, _ = run(["probe", "jk", "--d", d, "--n", n, "--nmax", nmax,
+                            "--jmin", jmin, "--jmax", jmax, "--outdir", out], capsys)
+        with v0_warning():
+            sweep = probe.jk_sweep(build_data(d, 1, n, nmax), BesovParams(2.0, 2.0),
+                                   range(jmin, jmax + 1))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.pop("pass") is sweep.passed
+        assert summary == sweep.summary
+        assert rc == (0 if sweep.passed else 1)
 
     def test_narrow_window_rejected(self, tmp_path, capsys):
         rc, _, err = run(["probe", "jk", "--n", 2048, "--nmax", 5,

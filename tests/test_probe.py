@@ -417,44 +417,22 @@ class TestSharedFluxHelper:
         assert len(sweep.records) == 4
 
 
-class TestDrain:
-    def test_results_in_item_order(self):
-        before = threading.active_count()
-        assert probe._drain(lambda x: x * x, range(50)) == [x * x for x in range(50)]
-        assert probe._drain(lambda x: x, []) == []
-        assert threading.active_count() == before
-
-    def test_first_failure_in_item_order_wins(self):
-        # item 9 fails while item 6, pulled earlier, is still running
-        started9 = threading.Event()
-
-        def fn(i):
-            if i == 6:
-                assert started9.wait(timeout=10)
-                time.sleep(0.05)
-                raise RuntimeError("item 6")
-            if i == 9:
-                started9.set()
-                raise RuntimeError("item 9")
-            return i
-
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="item 6"):
-            probe._drain(fn, range(20))
-        assert threading.active_count() == before
-
-
 class TestBlockAnatomy:
     def test_index_validation(self, data_8192_6):
-        P = BesovParams(2.0, 2.0)
-        with pytest.raises(ValueError, match=r"\[3, n_max\]"):
-            probe.jk_decomposition(data_8192_6, P, 2)
-        with pytest.raises(ValueError, match=r"\[3, n_max\]"):
-            probe.jk_decomposition(data_8192_6, P, 7)
+        # the window must hold two of the anatomy rows 3..n_max
+        g = data_8192_6.grid
+        for window in ([2, 3], [6, 7], []):
+            with pytest.raises(ValueError, match="fewer than two blocks"):
+                probe.validate_jk(g, 6, window)
+        with pytest.raises(ValueError, match="fewer than two blocks"):
+            probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0), [6, 7])
+        assert probe.validate_jk(g, 6, range(6, 3, -1)) == [4, 5, 6]
 
     def test_one_dimensional_rows(self, data_8192_6):
+        rows = {r.j: r for r in probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0),
+                                               range(4, 7)).rows}
         for j in (4, 5, 6):
-            row = probe.jk_decomposition(data_8192_6, BesovParams(2.0, 2.0), j)
+            row = rows[j]
             assert row.K == 0.0
             assert row.J3 == 0.0
             # the pure third derivative dominates by the carrier squared
@@ -466,18 +444,22 @@ class TestBlockAnatomy:
             assert row.J > 0.5 * lower
 
     def test_report_default_range(self, data_2048_5):
-        report = probe.jk_report(data_2048_5, BesovParams(2.0, 2.0))
-        assert [row.j for row in report.rows] == [3, 4, 5]
-        assert report.c0 == report.anchor.c0
-        assert report.delta == report.anchor.delta
+        # the rows are always 3..n_max, whatever the window
+        sweep = probe.jk_sweep(data_2048_5, BesovParams(2.0, 2.0), range(4, 6))
+        assert [row.j for row in sweep.rows] == [3, 4, 5]
+        assert [j for j, _ in sweep.commutator] == [4, 5]
+        assert sweep.anchor == probe.c0_anchor(data_2048_5)
+        assert sweep.summary["c0"] == sweep.anchor.c0
+        assert sweep.summary["delta"] == sweep.anchor.delta
 
     @pytest.mark.parametrize("d,N,n_max", [(1, 2048, 5), (2, 1024, 4)])
     def test_report_rows_are_single_rows(self, d, N, n_max):
         data = build_data(d, 1, N, n_max)
         params = BesovParams(2.0, 2.0)
-        js = range(3, n_max + 1)
-        rows = probe.jk_report(data, params, js).rows
-        assert rows == [probe.jk_decomposition(data, params, j) for j in js]
+        rows = probe.jk_sweep(data, params, range(n_max - 1, n_max + 1)).rows
+        hs = half_spectrum(data.grid)
+        row = probe._jk_row(data, params, hs.gradient(np.fft.rfftn(data.u0.values)))
+        assert rows == [row(j) for j in range(3, n_max + 1)]
         if d > 1:
             assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
 
@@ -487,7 +469,7 @@ class TestBlockAnatomy:
         # serial loop's numbers exactly
         data = build_data(d, 1, N, n_max)
         params = BesovParams(2.0, 2.0)
-        rows = probe.jk_report(data, params).rows
+        rows = probe.jk_sweep(data, params, range(3, n_max + 1)).rows
         assert rows == serial_jk_rows(data, params, range(3, n_max + 1))
         if d > 1:
             assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
@@ -506,19 +488,29 @@ class TestBlockAnatomy:
         monkeypatch.setattr(data, "amplitude", inflated)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="split violated at block 6$"):
-            probe.jk_report(data, BesovParams(2.0, 2.0))
+            probe.jk_sweep(data, BesovParams(2.0, 2.0), range(5, 9))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
     def test_fft_count(self, d, N, n_max, fft_counts):
-        # one rfftn of u0; per row one inverse transform of the blocks, one
-        # rfftn of the packet and d + 1 inverse transforms for J1, J2, J3
+        # the rows: one rfftn of u0, shared with the commutator set-up, and
+        # per row one inverse transform of the blocks, one rfftn of the
+        # packet and d + 1 inverse transforms for J1, J2, J3; the commutator:
+        # 4d + 1 rfftn and 3d + 1 irfftn of set-up, and per block 2d rfftn
+        # and 3d + 1 irfftn; v0's build and profile, counted alone
         data = build_data(d, 1, N, n_max)
         data.coefficients  # built once per datum, outside the count
         fft_counts.clear()
-        probe.jk_report(data, BesovParams(2.0, 2.0))
+        js = range(3, n_max + 1)
+        probe.jk_sweep(data, BesovParams(2.0, 2.0), js)
+        sweep = dict(fft_counts)
+        fft_counts.clear()
+        besov_norm(make_partition(data.grid), transport_divergence(data.u0, data.S0),
+                   BesovParams(2.0, 2.0))
         rows = n_max - 2
-        assert fft_counts == {"rfftn": 1 + rows, "irfftn": (d + 2) * rows}
+        assert sweep == {
+            "rfftn": 1 + rows + (4 * d + 1) + 2 * d * len(js) + fft_counts["rfftn"],
+            "irfftn": (d + 2) * rows + (3 * d + 1) + (3 * d + 1) * len(js) + fft_counts["irfftn"]}
 
     def test_anchor_closed_form(self, data_8192_6):
         anchor = probe.c0_anchor(data_8192_6)
@@ -534,20 +526,22 @@ class TestBlockAnatomy:
 
 class TestCommutatorCheck:
     def test_range_validation(self, data_2048_5):
-        P = BesovParams(2.0, 2.0)
-        with pytest.raises(ValueError, match="partition"):
-            probe.commutator_check(data_2048_5, P, [])
-        part = make_partition(data_2048_5.grid)
-        with pytest.raises(ValueError, match="partition"):
-            probe.commutator_check(data_2048_5, P, [part.j_max + 1])
+        g = data_2048_5.grid
+        j_max = make_partition(g).j_max
+        for window in ([4, j_max + 1], [-2, 4]):
+            with pytest.raises(ValueError, match="outside the partition"):
+                probe.validate_jk(g, 5, window)
+        with pytest.raises(ValueError, match="outside the partition"):
+            probe.jk_sweep(data_2048_5, BesovParams(2.0, 2.0), [4, j_max + 1])
 
     @pytest.mark.parametrize("d,N,n_max,js", [(1, 16384, 8, range(-1, 9)),
                                               (2, 1024, 4, range(-1, 5))])
     def test_values_equal_serial_reference(self, d, N, n_max, js):
         data = build_data(d, 1, N, n_max)
         params = BesovParams(2.0, 2.0)
-        report = probe.commutator_check(data, params, js)
-        assert report.values == serial_commutator_values(data, params, js)
+        sweep = probe.jk_sweep(data, params, js)
+        assert [j for j, _ in sweep.commutator] == list(js)
+        assert [q for _, q in sweep.commutator] == serial_commutator_values(data, params, js)
 
     def test_failing_block_is_raised(self, data_8192_6, monkeypatch):
         setup = lpmod._commutator_block
@@ -564,32 +558,43 @@ class TestCommutatorCheck:
         monkeypatch.setattr(lpmod, "_commutator_block", failing_block)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block 5 failed"):
-            probe.commutator_check(data_8192_6, BesovParams(2.0, 2.0), range(3, 7))
+            probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0), range(3, 7))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
     def test_fft_count(self, d, N, n_max, fft_counts):
-        # set-up: truncated velocity (2d), grad u0 (2), its half spectra (d),
-        # the dealiased advection (4d) and its half spectrum (1); per block
-        # 1 + d inverse transforms and 4d for the advection
+        # the sum of the parts' budgets alone, less the rfftn of u0 they
+        # share: the rows (1 + rows rfftn, (d + 2) rows irfftn), the
+        # commutator (set-up: truncated velocity (2d), grad u0 (2), its half
+        # spectra (d), the dealiased advection (4d) and its half spectrum
+        # (1); per block 1 + d inverse transforms and 4d for the advection)
+        # and v0's build and profile, counted alone
         data = build_data(d, 1, N, n_max)
         data.coefficients
         fft_counts.clear()
         js = range(3, n_max + 1)
-        probe.commutator_check(data, BesovParams(2.0, 2.0), js)
-        assert sum(fft_counts.values()) == 7 * d + 3 + len(js) * (1 + 5 * d)
+        probe.jk_sweep(data, BesovParams(2.0, 2.0), js)
+        sweep = sum(fft_counts.values())
+        fft_counts.clear()
+        besov_norm(make_partition(data.grid), transport_divergence(data.u0, data.S0),
+                   BesovParams(2.0, 2.0))
+        rows = n_max - 2
+        assert sweep == ((1 + rows + (d + 2) * rows)
+                         + (7 * d + 3 + len(js) * (1 + 5 * d))
+                         + sum(fft_counts.values()) - 1)
 
     def test_flat_across_blocks(self, data_8192_6):
-        report = probe.commutator_check(data_8192_6, BesovParams(2.0, 2.0),
-                                        [4, 5, 6])
-        assert report.js == [4, 5, 6]
-        assert all(v > 0 for v in report.values)
-        assert report.slope <= probe.FLATNESS_MAX
-        assert report.passed
+        sweep = probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0), [4, 5, 6])
+        assert [j for j, _ in sweep.commutator] == [4, 5, 6]
+        assert all(v > 0 for _, v in sweep.commutator)
+        assert sweep.summary["commutator_slope"] <= probe.FLATNESS_MAX
+        (flatness,) = [c for c in probe.checks(sweep.summary)
+                       if c.name == "commutator_slope"]
+        assert flatness.passed
 
 
 class TestAnatomySchedule:
-    # probe._anatomy runs the work of `hks probe jk` as one schedule on a
+    # probe.jk_sweep runs the work of `hks probe jk` as one schedule on a
     # two-worker pool: rows, anchor, commutator blocks and the v0 profile
 
     @pytest.mark.filterwarnings("ignore:besov_norm on under-resolved")
@@ -600,33 +605,41 @@ class TestAnatomySchedule:
         js = range(3, n_max + 1)
         solver._helper().submit(int).result()  # the solver's persistent thread, started
         before = threading.active_count()
-        rows, anchor, values, profile = probe._anatomy(data, params, js, js,
-                                                       anchor=True, v0=True)
+        sweep = probe.jk_sweep(data, params, js)
         assert threading.active_count() == before
-        assert rows == serial_jk_rows(data, params, js)
-        assert values == serial_commutator_values(data, params, js)
+        assert sweep.rows == serial_jk_rows(data, params, js)
+        assert [q for _, q in sweep.commutator] == serial_commutator_values(data, params, js)
         expected = besov_norm(make_partition(data.grid),
                               transport_divergence(data.u0, data.S0), params)
+        profile = sweep.v0_profile
         assert profile.value == expected.value and profile.resolved == expected.resolved
         assert profile.profile.tobytes() == expected.profile.tobytes()
-        assert anchor == probe.c0_anchor(data)
+        assert sweep.anchor == probe.c0_anchor(data)
 
     @pytest.mark.filterwarnings("ignore:besov_norm on under-resolved")
     @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
     def test_one_rfftn_fewer_than_the_serial_calls(self, d, N, n_max, fft_counts):
         # the rows and the commutator set-up share the half spectra of
-        # grad u0, which jk_report and commutator_check each take
+        # grad u0, which the serial parts each take
         params = BesovParams(2.0, 2.0)
         js = range(3, n_max + 1)
         serial_data, data = build_data(d, 1, N, n_max), build_data(d, 1, N, n_max)
-        part = make_partition(data.grid)
+        g, hs = serial_data.grid, half_spectrum(serial_data.grid)
+        part = make_partition(g)
         fft_counts.clear()
-        probe.jk_report(serial_data, params, js)
-        probe.commutator_check(serial_data, params, js)
+        # the rows, the commutator blocks and v0's build and profile one
+        # after another, each part from its own half spectra of grad u0
+        row = probe._jk_row(serial_data, params, hs.gradient(np.fft.rfftn(serial_data.u0.values)))
+        for j in range(3, n_max + 1):
+            row(j)
+        block = lpmod._commutator_block(part, [Field(g, c) for c in serial_data.coefficients],
+                                        hs.gradient(np.fft.rfftn(serial_data.u0.values)))
+        for j in js:
+            block(j)
         besov_norm(part, serial_data.v0, params)
         serial = dict(fft_counts)
         fft_counts.clear()
-        probe._anatomy(data, params, js, js, anchor=True, v0=True)
+        probe.jk_sweep(data, params, js)
         assert fft_counts == {"rfftn": serial["rfftn"] - 1, "irfftn": serial["irfftn"]}
 
     def test_first_failing_item_in_serial_order_raises(self, monkeypatch):
@@ -661,15 +674,13 @@ class TestAnatomySchedule:
         solver._helper().submit(int).result()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="split violated at block 6$"):
-            probe._anatomy(data, BesovParams(2.0, 2.0), range(3, 9), range(4, 8),
-                           anchor=True, v0=True)
+            probe.jk_sweep(data, BesovParams(2.0, 2.0), range(4, 8))
         assert threading.active_count() == before
         assert failed == ["v0", 5]
         # without the failing row, the block's error comes before v0's
         monkeypatch.setattr(data, "amplitude", amplitude)
         with pytest.raises(RuntimeError, match="block 5 failed"):
-            probe._anatomy(data, BesovParams(2.0, 2.0), range(3, 9), range(4, 8),
-                           anchor=True, v0=True)
+            probe.jk_sweep(data, BesovParams(2.0, 2.0), range(4, 8))
         assert threading.active_count() == before
 
     def test_v0_blow_up_fails_the_command(self, tmp_path, capsys, monkeypatch):
