@@ -6,7 +6,9 @@ flags, missing files, refusing to overwrite without --force).
 
 Every run that writes an output directory also writes manifest.json with
 the resolved configuration; re-running the same command reproduces every
-CSV byte for byte.
+CSV byte for byte.  One runner, ``_run_probe``, writes every probe store
+and decides its exit code; a probe handler runs its validator and names
+its call, manifest config, tables and own stdout lines.
 """
 
 from __future__ import annotations
@@ -62,13 +64,23 @@ def _add_geometry(p, nmax_default=8):
                    help="top packet index of the initial datum")
 
 
-def _add_lemmas(p):
+def _add_lemmas(sub, parent, help: str):
+    p = sub.add_parser("lemmas", parents=[parent], help=help)
     p.set_defaults(run=_cmd_lemmas)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=16384)
     p.add_argument("--outdir", default=None, help="optional result store")
     p.add_argument("--force", action="store_true")
+
+
+def _add_probe(psub, parent, name: str, run, help: str, nmax_default=8):
+    """A probe subcommand on the packet datum, with its geometry and --p."""
+    p = psub.add_parser(name, parents=[parent], help=help)
+    p.set_defaults(run=run)
+    _add_geometry(p, nmax_default)
+    p.add_argument("--p", type=_parse_extended, default=2.0)
+    return p
 
 
 def _add_outdir(p):
@@ -115,48 +127,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", parents=[g], help="measurement sweeps")
     psub = p.add_subparsers(dest="probe_command", required=True)
 
-    pr = psub.add_parser("rates", parents=[g],
-                         help="first- and second-order deviation rates")
-    pr.set_defaults(run=_cmd_probe_rates)
-    _add_geometry(pr)
-    pr.add_argument("--p", type=_parse_extended, default=2.0)
+    pr = _add_probe(psub, g, "rates", _cmd_probe_rates,
+                    "first- and second-order deviation rates")
     pr.add_argument("--times", type=_parse_times, default=None,
                     help="comma-separated output times (default: log ladder "
                          "in [1e-4, 1e-2])")
     pr.add_argument("--cfl", type=float, default=0.4)
     _add_outdir(pr)
 
-    pi = psub.add_parser("inflation", parents=[g],
-                         help="deviation along t_j = eps0 * 2^-j")
-    pi.set_defaults(run=_cmd_probe_inflation)
-    _add_geometry(pi, nmax_default=9)
-    pi.add_argument("--p", type=_parse_extended, default=2.0)
+    pi = _add_probe(psub, g, "inflation", _cmd_probe_inflation,
+                    "deviation along t_j = eps0 * 2^-j", nmax_default=9)
     pi.add_argument("--eps0", type=float, default=probe.DEFAULT_EPS0)
     pi.add_argument("--jmin", type=int, default=5)
     pi.add_argument("--jmax", type=int, default=8)
     pi.add_argument("--cfl", type=float, default=0.4)
     _add_outdir(pi)
 
-    pj = psub.add_parser("jk", parents=[g],
-                         help="per-block lower-bound anatomy and anchors")
-    pj.set_defaults(run=_cmd_probe_jk)
-    _add_geometry(pj)
-    pj.add_argument("--p", type=_parse_extended, default=2.0)
+    pj = _add_probe(psub, g, "jk", _cmd_probe_jk,
+                    "per-block lower-bound anatomy and anchors")
     pj.add_argument("--jmin", type=int, default=5,
                     help="lower end of the slope-fit window")
     pj.add_argument("--jmax", type=int, default=8,
                     help="upper end of the slope-fit window")
     _add_outdir(pj)
 
-    pl = psub.add_parser("lemmas", parents=[g],
-                         help="harmonic-analysis toolbox checks")
-    _add_lemmas(pl)
+    _add_lemmas(psub, g, "harmonic-analysis toolbox checks")
 
-    pc = psub.add_parser("calibrate", parents=[g],
-                         help="halve eps0 until guard and Taylor check pass")
-    pc.set_defaults(run=_cmd_probe_calibrate)
-    _add_geometry(pc, nmax_default=9)
-    pc.add_argument("--p", type=_parse_extended, default=2.0)
+    pc = _add_probe(psub, g, "calibrate", _cmd_probe_calibrate,
+                    "halve eps0 until guard and Taylor check pass", nmax_default=9)
     pc.add_argument("--eps0", type=float, default=probe.DEFAULT_EPS0,
                     help="starting value of the halving search")
     pc.add_argument("--jmin", type=int, default=5)
@@ -164,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--cfl", type=float, default=0.4)
     _add_outdir(pc)
 
-    p = sub.add_parser("lemmas", parents=[g],
-                       help="alias for probe lemmas on the default grid")
-    _add_lemmas(p)
+    _add_lemmas(sub, g, "alias for probe lemmas on the default grid")
 
     p = sub.add_parser("report", parents=[g],
                        help="render report.md from a result store")
@@ -198,10 +194,7 @@ def _check_flags(args) -> None:
 
 
 def _geometry_config(args, **extra):
-    cfg = {"d": args.d, "m": args.m, "n": args.n, "s": args.s,
-           "nmax": args.nmax}
-    cfg.update(extra)
-    return cfg
+    return {"d": args.d, "m": args.m, "n": args.n, "s": args.s, "nmax": args.nmax, **extra}
 
 
 def _pval(p: float):
@@ -270,119 +263,102 @@ def _cmd_evolve(args, argv) -> int:
     return 0
 
 
-def _judge(store, summary: dict, d: int) -> int:
-    """Write summary with its pass flag, print one line per band check and
-    return the exit code, all from the one list of probe.checks."""
-    judged = probe.checks(summary, d)
-    passed = all(c.passed for c in judged)
-    store.write_summary({**summary, "pass": passed})
-    for c in judged:
-        print(c)
+def _run_probe(args, argv, run, config: dict, tables=lambda result: {},
+               lines=lambda result: ()) -> int:
+    """Create the store (optional for the lemmas), ``run()`` the probe,
+    write ``tables(result)`` ({name: (header, rows)}) and the summary with
+    its pass flag, print the band checks and ``lines(result)``, write the
+    manifest and print the store.  An InflationError is a failed run that
+    writes the tables of its completed blocks and names the error."""
+    store = ResultStore.create(args.outdir, force=args.force) if args.outdir else None
+    try:
+        result = run()
+        summary, passed = result.summary, result.passed
+    except InflationError as exc:
+        result, summary, passed = exc, {"error": str(exc)}, False
+    if store:
+        for name, (header, rows) in tables(result).items():
+            store.write_table(name, header, rows)
+        store.write_summary({**summary, "pass": passed})
+    if isinstance(result, InflationError):
+        store.write_manifest(argv, config)
+        print(f"error: {result}", file=sys.stderr)
+        return 1
+    for line in (*probe.checks(summary, args.d), *lines(result)):
+        print(line)
+    if store:
+        store.write_manifest(argv, config)
+        print(f"store: {store.root}")
     return 0 if passed else 1
 
 
-def _table_rows(records):
-    """Rows of a rates or inflation table; a column a record lacks is empty."""
-    return [tuple(getattr(r, name, None) for name in probe.TABLE_HEADER) for r in records]
+def _records_table(name: str):
+    # also the completed records an InflationError carries
+    return lambda result: {name: (probe.TABLE_HEADER, [
+        tuple(getattr(r, col, None) for col in probe.TABLE_HEADER) for r in result.records])}
 
 
 def _cmd_probe_rates(args, argv) -> int:
-    times = args.times if args.times else [
-        float(t) for t in np.geomspace(1e-4, 1e-2, 5)]
+    times = args.times or [float(t) for t in np.geomspace(1e-4, 1e-2, 5)]
     params = BesovParams(args.s, args.p)
-    probe.validate_rate_sweep(params, args.d, times)  # before store and data
-    store = ResultStore.create(args.outdir, force=args.force)
-    data = _build_data(args)
-    sweep = probe.rate_sweep(data, params, times, cfl=args.cfl)
-    store.write_table("rates", probe.TABLE_HEADER, _table_rows(sweep.records))
-    rc = _judge(store, sweep.summary, args.d)
-    store.write_manifest(argv, _geometry_config(
-        args, p=_pval(args.p), times=times, cfl=args.cfl))
-    print(f"store: {store.root}")
-    return rc
+    probe.validate_rate_sweep(params, args.d, times)
+    return _run_probe(
+        args, argv, lambda: probe.rate_sweep(_build_data(args), params, times, cfl=args.cfl),
+        _geometry_config(args, p=_pval(args.p), times=times, cfl=args.cfl),
+        _records_table("rates"))
 
 
 def _cmd_probe_inflation(args, argv) -> int:
     params, js = BesovParams(args.s, args.p), range(args.jmin, args.jmax + 1)
-    probe.validate_inflation_sweep(params, args.d, args.nmax, args.eps0,
-                                   js)  # before store and data
-    store = ResultStore.create(args.outdir, force=args.force)
-    data = _build_data(args)
-    config = _geometry_config(args, p=_pval(args.p), eps0=args.eps0,
-                              jmin=args.jmin, jmax=args.jmax, cfl=args.cfl)
-    try:
-        sweep = probe.inflation_sweep(data, params, args.eps0, js, cfl=args.cfl)
-    except InflationError as exc:
-        store.write_table("inflation", probe.TABLE_HEADER, _table_rows(exc.records))
-        store.write_summary({"pass": False, "error": str(exc)})
-        store.write_manifest(argv, config)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    store.write_table("inflation", probe.TABLE_HEADER, _table_rows(sweep.records))
-    rc = _judge(store, sweep.summary, args.d)
-    store.write_manifest(argv, config)
-    print(f"max_dev = {sweep.max_dev!r}  kappa = {sweep.kappa!r}")
-    print(f"store: {store.root}")
-    return rc
+    probe.validate_inflation_sweep(params, args.d, args.nmax, args.eps0, js)
+    return _run_probe(
+        args, argv,
+        lambda: probe.inflation_sweep(_build_data(args), params, args.eps0, js, cfl=args.cfl),
+        _geometry_config(args, p=_pval(args.p), eps0=args.eps0, jmin=args.jmin,
+                         jmax=args.jmax, cfl=args.cfl),
+        _records_table("inflation"),
+        lambda sweep: [f"max_dev = {sweep.max_dev!r}  kappa = {sweep.kappa!r}"])
 
 
 def _cmd_probe_jk(args, argv) -> int:
     js = range(args.jmin, args.jmax + 1)
-    probe.validate_jk(make_grid(args.d, args.m, args.n), args.nmax, js)  # before store and data
-    store = ResultStore.create(args.outdir, force=args.force)
-    data = _build_data(args)
-    sweep = probe.jk_sweep(data, BesovParams(args.s, args.p), js)
-    store.write_table("jk", ("j", "J", "J1", "J2", "J3", "K"),
-                      [(r.j, r.J, r.J1, r.J2, r.J3, r.K) for r in sweep.rows])
-    store.write_table("commutator", ("j", "q"), sweep.commutator)
-    store.write_table("v0_profile", ("j", "value"),
-                      zip(sweep.v0_profile.js, sweep.v0_profile.profile))
-    rc = _judge(store, sweep.summary, args.d)
-    store.write_manifest(argv, _geometry_config(
-        args, p=_pval(args.p), jmin=args.jmin, jmax=args.jmax))
-    print(f"c0 = {sweep.anchor.c0!r}  delta = {sweep.anchor.delta!r}")
-    print(f"store: {store.root}")
-    return rc
+    probe.validate_jk(make_grid(args.d, args.m, args.n), args.nmax, js)
+    return _run_probe(
+        args, argv, lambda: probe.jk_sweep(_build_data(args), BesovParams(args.s, args.p), js),
+        _geometry_config(args, p=_pval(args.p), jmin=args.jmin, jmax=args.jmax),
+        lambda sweep: {
+            "jk": (("j", "J", "J1", "J2", "J3", "K"),
+                   [(r.j, r.J, r.J1, r.J2, r.J3, r.K) for r in sweep.rows]),
+            "commutator": (("j", "q"), sweep.commutator),
+            "v0_profile": (("j", "value"), zip(sweep.v0_profile.js, sweep.v0_profile.profile))},
+        lambda sweep: [f"c0 = {sweep.anchor.c0!r}  delta = {sweep.anchor.delta!r}"])
 
 
 def _cmd_lemmas(args, argv) -> int:
     grid = make_grid(args.d, args.m, args.n)
-    rep = probe.lemma_suite(grid, seed=args.seed)
-    print("check,passed,detail")
-    for c in rep.checks:
-        print(f"{c.name},{'pass' if c.passed else 'FAIL'},{c.detail}")
-    if args.outdir:
-        store = ResultStore.create(args.outdir, force=args.force)
-        store.write_table("lemmas", ("name", "passed", "detail"),
-                          [(c.name, c.passed, c.detail) for c in rep.checks])
-        store.write_summary({"pass": rep.passed})
-        store.write_manifest(argv, {
-            "d": args.d, "m": args.m, "n": args.n, "seed": args.seed})
-        print(f"store: {store.root}")
-    return 0 if rep.passed else 1
+    probe.validate_lemmas(grid, args.seed)
+    return _run_probe(
+        args, argv, lambda: probe.lemma_suite(grid, seed=args.seed),
+        {"d": args.d, "m": args.m, "n": args.n, "seed": args.seed},
+        lambda rep: {"lemmas": (("name", "passed", "detail"),
+                                [(c.name, c.passed, c.detail) for c in rep.checks])},
+        lambda rep: ["check,passed,detail", *(
+            f"{c.name},{'pass' if c.passed else 'FAIL'},{c.detail}" for c in rep.checks)])
 
 
 def _cmd_probe_calibrate(args, argv) -> int:
     js = range(args.jmin, args.jmax + 1)
-    probe.validate_calibration(args.nmax, args.eps0, js)  # before store and data
-    store = ResultStore.create(args.outdir, force=args.force)
-    data = _build_data(args)
-    result = probe.calibrate_eps0(data, BesovParams(args.s, args.p), js,
-                                  start=args.eps0, cfl=args.cfl)
-    store.write_summary({
-        "eps0": result.eps0,
-        "attempts": result.attempts,
-        "pass": result.passed,
-    })
-    store.write_manifest(argv, _geometry_config(
-        args, p=_pval(args.p), eps0_start=args.eps0, jmin=args.jmin,
-        jmax=args.jmax, cfl=args.cfl))
-    for att in result.attempts:
-        print(f"eps0 = {att['eps0']!r}: "
-              f"{'pass' if att['passed'] else 'fail'}")
-    print(f"calibrated eps0 = {result.eps0!r}")
-    print(f"store: {store.root}")
-    return 0 if result.passed else 1
+    probe.validate_calibration(args.nmax, args.eps0, js)
+    return _run_probe(
+        args, argv,
+        lambda: probe.calibrate_eps0(_build_data(args), BesovParams(args.s, args.p), js,
+                                     start=args.eps0, cfl=args.cfl),
+        _geometry_config(args, p=_pval(args.p), eps0_start=args.eps0, jmin=args.jmin,
+                         jmax=args.jmax, cfl=args.cfl),
+        lines=lambda result: [
+            *(f"eps0 = {a['eps0']!r}: {'pass' if a['passed'] else 'fail'}"
+              for a in result.attempts),
+            f"calibrated eps0 = {result.eps0!r}"])
 
 
 def _cmd_report(args, argv) -> int:

@@ -1,10 +1,11 @@
 """Measurement layer: rates, inflation signature, block anatomy, lemma checks.
 
 Everything here turns an analytic claim into a number with a frozen
-tolerance band, and ``checks`` is the one place that judges those numbers:
-it maps the ``summary.json`` scalars of ``rates``, ``inflation`` and ``jk``
-to their bands, and the result objects, the CLI and the report all take
-their pass/fail verdicts from it.
+tolerance band: every verdict is a :class:`Check` against a band named by
+a module constant.  ``checks`` maps the ``summary.json`` scalars of
+``rates``, ``inflation`` and ``jk`` to their bands; each lemma of
+``lemma_suite`` and each attempt of ``calibrate_eps0`` passes when all of
+its own Checks pass.  Every result carries its ``summary`` and ``passed``.
 
 * ``rate_sweep``     first-order deviation rate and second-order remainder
 * ``inflation_sweep`` the non-vanishing-deviation signature along t_j = eps0*2^-j
@@ -22,18 +23,12 @@ every t_j off one lane to the largest t_j, which gives each u(t_j) bit for
 bit as an independent evolve to t_j would (``_block_outcomes``).  Every
 Besov sup and named block norm of the sweeps comes from
 ``littlewood_paley.block_sups``, which at p != 2 transforms only the blocks
-that can hold a sup.
-
-``jk_sweep`` runs the anatomy rows, the origin anchor, the commutator
-blocks and the Besov profile of the drift v0 as one schedule on one
-two-worker pool scoped to the call: v0 is built on its first read beside
-the first rows, and the commutator set-up beside the last row.  The rows
-and the set-up share the half spectra of grad u0.  Each number is computed
-with the arithmetic of a serial loop, and a failure raises the error of
-the first failing item in the order of a serial run.  The validators
-``validate_rate_sweep``, ``validate_inflation_sweep``, ``validate_jk`` and
-``validate_calibration`` hold the argument checks of the four sweeps, so
-the CLI rejects bad input before it creates a store or builds data.
+that can hold a sup.  ``jk_sweep`` runs its parts as one schedule on a
+two-worker pool, with the numbers of a serial loop.  The validators
+``validate_rate_sweep``, ``validate_inflation_sweep``, ``validate_jk``,
+``validate_lemmas`` and ``validate_calibration`` hold the argument checks
+of the five probes, so the CLI rejects bad input before it creates a store
+or builds data.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ FLATNESS_MAX = 0.3
 INFLATION_MIN_RATIO = 0.25
 INFLATION_FLOOR_FRACTION = 0.01
 ANCHOR_REL_MAX = 0.01
-TAYLOR_H_RATIO_MAX = 0.2
+TAYLOR_H_RATIO_MAX = 0.2  # strict: a ratio equal to it fails
 DEFAULT_EPS0 = 0.05
 CALIBRATION_MAX_HALVINGS = 20
 
@@ -628,17 +623,30 @@ def c0_anchor(data: InitialData) -> AnchorReport:
 # ---------------------------------------------------------------------------
 # Lemma suite
 
+# Bands of the lemma suite, and the exact annulus profile values it checks.
+LEMMA_ROUNDOFF = 1e-12
+LEMMA_SPREAD_MAX = 4.0
+ANNULUS_SUPPORT_VALUES = ((1.4, 1.0), (0.5, 0.0), (1.5, 1.0), (2.7, 0.0))
+
 
 @dataclass(frozen=True)
 class LemmaCheck:
     name: str
-    passed: bool
+    checks: list  # the lemma's band Checks
     detail: str
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True)
 class LemmaSuiteReport:
-    checks: list
+    checks: list  # LemmaCheck per lemma
+
+    @property
+    def summary(self) -> dict:
+        return {}
 
     @property
     def passed(self) -> bool:
@@ -682,6 +690,16 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     return num / den
 
 
+def validate_lemmas(grid: sp.Grid, seed: int) -> None:
+    """A ValueError for a negative seed, which numpy rejects, or for a grid
+    whose partition stops below block 2, the first Bernstein block."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if (j_max := make_partition(grid).j_max) < 2:
+        raise ValueError(f"lemma suite needs blocks up to j=2; the partition stops "
+                         f"at j_max={j_max}")
+
+
 def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     """Run the harmonic-analysis toolbox checks on one grid.
 
@@ -690,14 +708,16 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     bound for (1-Laplacian)^{-1}, the embedding factor, and stability of
     the measured commutator constant across a halved resolution.
     """
+    validate_lemmas(grid, seed)
     part = make_partition(grid)
     hs = sp.half_spectrum(grid)
     rng = np.random.default_rng(seed)
-    checks = []
+    lemmas = []
 
     # Partition of unity at random lattice frequencies within coverage.
     # Per-axis indices are drawn from a box inscribed in the covered ball,
     # hence the sqrt(d): the identity only holds for |xi| <= 1.5 * 2^j_max.
+    # The noise below is masked on the same per-axis index.
     kcap = int(np.floor(1.5 * 2.0 ** part.j_max
                         / (grid.freq_step * np.sqrt(grid.d))))
     ks = rng.integers(-kcap, kcap + 1, size=(200, grid.d))
@@ -706,24 +726,17 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     for j in range(part.j_max + 1):
         total = total + lpmod.annulus_profile(xi / 2.0 ** j)
     resid = float(np.max(np.abs(total - 1.0)))
-    checks.append(LemmaCheck("partition_sum", resid <= 1e-12,
+    lemmas.append(LemmaCheck("partition_sum",
+                             [Check("residual", resid, -math.inf, LEMMA_ROUNDOFF)],
                              f"max residual {resid:.3e}"))
 
     # Support conditions of the annulus profile.
-    vals = (lpmod.annulus_profile(np.array([1.4]))[0],
-            lpmod.annulus_profile(np.array([0.5]))[0],
-            lpmod.annulus_profile(np.array([1.5]))[0],
-            lpmod.annulus_profile(np.array([2.7]))[0])
-    ok = vals[0] == 1.0 and vals[1] == 0.0 and vals[2] == 1.0 and vals[3] == 0.0
-    checks.append(LemmaCheck("annulus_support", ok,
-                             f"phi(1.4)={vals[0]} phi(0.5)={vals[1]}"))
+    bands = [Check(f"phi({r})", lpmod.annulus_profile(np.array([r]))[0], v, v)
+             for r, v in ANNULUS_SUPPORT_VALUES]
+    lemmas.append(LemmaCheck("annulus_support", bands,
+                             f"phi(1.4)={bands[0].value} phi(0.5)={bands[1].value}"))
 
-    # Same inscribed-box constraint: band_limited_noise masks on the
-    # per-axis index, so the Euclidean reach is kmax * sqrt(d) * freq_step.
-    kmax_noise = min(int(np.floor(1.5 * 2.0 ** part.j_max
-                                  / (grid.freq_step * np.sqrt(grid.d)))),
-                     grid.N // 2 - 1)
-    f = sp.band_limited_noise(grid, kmax_noise, seed=seed + 1)
+    f = sp.band_limited_noise(grid, min(kcap, grid.N // 2 - 1), seed=seed + 1)
 
     # Almost orthogonality on a generic field.
     worst = 0.0
@@ -733,19 +746,21 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
         for i in range(-1, part.j_max + 1):
             if abs(i - j) >= 2:
                 worst = max(worst, sp.lp_norm(lpmod.lp_block(part, bj, i), 2.0))
-    checks.append(LemmaCheck("almost_orthogonality", worst <= 1e-12 * scale,
+    lemmas.append(LemmaCheck("almost_orthogonality",
+                             [Check("cross_mass", worst, -math.inf, LEMMA_ROUNDOFF * scale)],
                              f"max cross-block mass {worst:.3e}"))
 
     # Reconstruction of a resolved field.
     dec = lpmod.decompose(part, f)
     err = np.max(np.abs(dec.reconstruct().values - f.values))
     fmax = np.max(np.abs(f.values))
-    checks.append(LemmaCheck("reconstruction",
-                             bool(dec.resolved and err <= 1e-12 * fmax),
+    lemmas.append(LemmaCheck("reconstruction",
+                             [Check("resolved", dec.resolved, True, True),
+                              Check("error", err, -math.inf, LEMMA_ROUNDOFF * fmax)],
                              f"max error {err:.3e}, resolved {dec.resolved}"))
 
     # Two-sided Bernstein constants on annulus-supported noise.
-    bern_ok, spreads = True, []
+    bands = []
     for p in (2.0, np.inf):
         ratios = []
         for j in range(2, part.j_max + 1):
@@ -756,32 +771,32 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
                                             kmin=lo), j)
             grad = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(fj.values), 0)))
             ratios.append(sp.lp_norm(grad, p) / (2.0 ** j * sp.lp_norm(fj, p)))
-        spread = max(ratios) / min(ratios)
-        spreads.append(spread)
-        bern_ok = bern_ok and spread <= 4.0
-    checks.append(LemmaCheck(
-        "bernstein_two_sided", bern_ok,
-        "spread p=2: {:.2f}, p=inf: {:.2f}".format(*spreads)))
+        bands.append(Check(f"spread p={p}", max(ratios) / min(ratios), -math.inf,
+                           LEMMA_SPREAD_MAX))
+    lemmas.append(LemmaCheck(
+        "bernstein_two_sided", bands,
+        f"spread p=2: {bands[0].value:.2f}, p=inf: {bands[1].value:.2f}"))
 
     # p=2 multiplier bound for the Helmholtz inverse, per block.
-    mult_ok, worst_excess = True, 0.0
+    bands, worst_excess = [], 0.0
     for j in range(0, part.j_max + 1):
         bj = lpmod.lp_block(part, f, j)
         sm = sp.Field(grid, hs.apply(bj.values, hs.helm_inv))
         bound = sp.lp_norm(bj, 2.0) / (1.0 + (0.75 * 2.0 ** j) ** 2)
         lhs = sp.lp_norm(sm, 2.0)
         worst_excess = max(worst_excess, lhs / bound if bound else 0.0)
-        mult_ok = mult_ok and lhs <= bound * (1.0 + 1e-12)
-    checks.append(LemmaCheck("multiplier_order_p2", mult_ok,
+        bands.append(Check(f"block_{j}", lhs, -math.inf, bound * (1.0 + LEMMA_ROUNDOFF)))
+    lemmas.append(LemmaCheck("multiplier_order_p2", bands,
                              f"worst lhs/bound {worst_excess:.6f}"))
 
     # Embedding factor between smoothness indices.
-    emb_ok = True
+    bands = []
     for s_hi, s_lo in ((2.0, 1.0), (1.5, 0.25)):
         hi_n = lpmod.besov_norm(part, f, BesovParams(s_hi, 2.0)).value
         lo_n = lpmod.besov_norm(part, f, BesovParams(s_lo, 2.0)).value
-        emb_ok = emb_ok and lo_n <= 2.0 ** (s_hi - s_lo) * hi_n * (1 + 1e-12)
-    checks.append(LemmaCheck("embedding_factor", emb_ok, "factor 2^(s-t)"))
+        bands.append(Check(f"B^{s_lo}", lo_n, -math.inf,
+                           2.0 ** (s_hi - s_lo) * hi_n * (1 + LEMMA_ROUNDOFF)))
+    lemmas.append(LemmaCheck("embedding_factor", bands, "factor 2^(s-t)"))
 
     # Commutator constant stability across N versus N/2.
     if grid.d == 1 and grid.N >= 512:
@@ -790,9 +805,10 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
         r_full = _commutator_ratio(grid, seed + 30, kfam, s=2.0)
         r_half = _commutator_ratio(half, seed + 30, kfam, s=2.0)
         spread = max(r_full, r_half) / min(r_full, r_half)
-        checks.append(LemmaCheck("commutator_stability", spread <= 4.0,
+        lemmas.append(LemmaCheck("commutator_stability",
+                                 [Check("spread", spread, -math.inf, LEMMA_SPREAD_MAX)],
                                  f"constants {r_full:.4f} vs {r_half:.4f}"))
-    return LemmaSuiteReport(checks=checks)
+    return LemmaSuiteReport(checks=lemmas)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +820,10 @@ class CalibrationResult:
     eps0: float
     attempts: list
     passed: bool
+
+    @property
+    def summary(self) -> dict:
+        return {"eps0": self.eps0, "attempts": self.attempts}
 
 
 def validate_calibration(n_max: int, start: float, j_range) -> list:
@@ -839,18 +859,20 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
         (dev_s2,), h_s2, _, _ = _deviation_sups(part, data, u_t, t_j, params, (params.s - 2,))
         return h_s2 / max(dev_s2, 1e-300)
 
+    ratio_max = math.nextafter(TAYLOR_H_RATIO_MAX, 0.0)  # the strict bound as a band
     eps0 = float(start)
     attempts = []
     for _ in range(CALIBRATION_MAX_HALVINGS + 1):
-        ok, detail = True, {}
+        bands, detail = [], {}
         for j, ratio in _block_outcomes(data, eps0, probe_js, cfl, h_ratio).items():
             if isinstance(ratio, RuntimeError):
-                ok, detail[f"j{j}"] = False, f"blow-up: {ratio}"
+                bands.append(Check(f"j{j} evolved", False, True, True))
+                detail[f"j{j}"] = f"blow-up: {ratio}"
                 break
+            bands.append(Check(f"j{j} h-ratio", ratio, -math.inf, ratio_max))
             detail[f"j{j}"] = f"h-ratio {ratio:.4f}"
-            ok = ok and ratio < TAYLOR_H_RATIO_MAX
-        attempts.append({"eps0": eps0, "passed": ok, **detail})
-        if ok:
-            return CalibrationResult(eps0=eps0, attempts=attempts, passed=True)
+        attempts.append({"eps0": eps0, "passed": all(c.passed for c in bands), **detail})
+        if attempts[-1]["passed"]:
+            break
         eps0 *= 0.5
-    return CalibrationResult(eps0=eps0, attempts=attempts, passed=False)
+    return CalibrationResult(eps0=eps0, attempts=attempts, passed=attempts[-1]["passed"])

@@ -457,6 +457,9 @@ class TestProbeJkCli:
         assert not out.exists()
 
 
+NO_BLOCK_2 = "lemma suite needs blocks up to j=2; the partition stops at j_max="
+
+
 class TestLemmasCli:
     def test_alias_prints_checks(self, capsys):
         rc, stdout, _ = run(["lemmas", "--n", 256], capsys)
@@ -476,6 +479,35 @@ class TestLemmasCli:
         table = (out / "tables" / "lemmas.csv").read_text().splitlines()
         assert len(table) == 1 + 7
         assert json.loads((out / "summary.json").read_text())["pass"] is True
+
+    def test_nonempty_store_refused_before_the_suite(self, tmp_path, capsys):
+        out = tmp_path / "lem"
+        out.mkdir()
+        (out / "keep").write_text("keep")
+        rc, stdout, err = run(["probe", "lemmas", "--n", 256, "--outdir", out], capsys)
+        assert rc == 2
+        assert stdout == ""
+        assert "is not empty" in err
+        assert sorted(p.name for p in out.iterdir()) == ["keep"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", 128], f"{NO_BLOCK_2}1"),
+        (["--d", 2, "--n", 64], f"{NO_BLOCK_2}0"),
+        (["--d", 2, "--n", 128], f"{NO_BLOCK_2}1"),
+        (["--m", 4, "--n", 256], f"{NO_BLOCK_2}0"),
+        (["--n", 256, "--seed", -1], "seed must be non-negative, got -1"),
+    ], ids=["n128", "d2-n64", "d2-n128", "m4-n256", "negative-seed"])
+    def test_rejected_before_the_store(self, argv, message, tmp_path, capsys, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("lemma suite run before the arguments were checked")
+
+        monkeypatch.setattr(probe, "lemma_suite", no_suite)
+        out = tmp_path / "lem"
+        rc, stdout, err = run(["probe", "lemmas", *argv, "--outdir", out], capsys)
+        assert rc == 2
+        assert f"error: {message}" in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestManifests:

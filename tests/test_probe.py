@@ -717,6 +717,39 @@ class TestLemmaSuite:
             assert check.passed, f"{check.name}: {check.detail}"
         assert report.passed
 
+    def test_verdicts_are_checks_against_named_bands(self):
+        report = probe.lemma_suite(make_grid(1, 1, 2048))
+        lemmas = {lemma.name: lemma for lemma in report.checks}
+        for lemma in report.checks:
+            assert lemma.checks and all(isinstance(c, probe.Check) for c in lemma.checks)
+            assert lemma.passed is all(c.passed for c in lemma.checks)
+        assert [(c.value, c.lo, c.hi) for c in lemmas["annulus_support"].checks] == [
+            (v, v, v) for _, v in probe.ANNULUS_SUPPORT_VALUES]
+        assert lemmas["partition_sum"].checks[0].hi == probe.LEMMA_ROUNDOFF
+        resolved = lemmas["reconstruction"].checks[0]
+        assert (resolved.value, resolved.lo, resolved.hi) == (True, True, True)
+        for name in ("bernstein_two_sided", "commutator_stability"):
+            assert [c.hi for c in lemmas[name].checks] == [probe.LEMMA_SPREAD_MAX] * len(
+                lemmas[name].checks)
+        assert len(lemmas["multiplier_order_p2"].checks) == make_partition(
+            make_grid(1, 1, 2048)).j_max + 1
+        assert len(lemmas["embedding_factor"].checks) == 2
+
+    @pytest.mark.parametrize("constant,value,failing", [
+        ("LEMMA_ROUNDOFF", -1.0, ["partition_sum", "almost_orthogonality", "reconstruction",
+                                  "multiplier_order_p2", "embedding_factor"]),
+        ("LEMMA_SPREAD_MAX", 0.5, ["bernstein_two_sided", "commutator_stability"]),
+        ("ANNULUS_SUPPORT_VALUES", ((1.4, 0.0), (0.5, 0.0), (1.5, 1.0), (2.7, 0.0)),
+         ["annulus_support"]),
+    ])
+    def test_bands_read_the_named_constants(self, monkeypatch, constant, value, failing):
+        # every lemma band reads its constant when the suite runs: moving
+        # one fails exactly the lemmas that use it
+        monkeypatch.setattr(probe, constant, value)
+        report = probe.lemma_suite(make_grid(1, 1, 512))
+        assert [c.name for c in report.checks if not c.passed] == failing
+        assert not report.passed
+
 
 class TestCalibration:
     def test_empty_range(self, data_8192_6):
@@ -822,6 +855,21 @@ class TestCalibration:
         result = probe.calibrate_eps0(data, P, [5, 7], start=100.0)
         assert [a["passed"] for a in result.attempts] == [False] * 4 + [True]
         assert transformed == {"calibration": 22, "records": 48}
+
+    def test_taylor_bound_is_strict(self, data_2048_5, monkeypatch):
+        # the Taylor check passes a ratio below TAYLOR_H_RATIO_MAX and fails
+        # one equal to it: the band is [-inf, nextafter(max, 0)]
+        def outcomes(ratio):
+            return lambda data, eps0, js, cfl, measure: {j: ratio for j in js}
+
+        monkeypatch.setattr(probe, "CALIBRATION_MAX_HALVINGS", 0)
+        below = math.nextafter(probe.TAYLOR_H_RATIO_MAX, 0.0)
+        for ratio, passed in ((probe.TAYLOR_H_RATIO_MAX, False), (below, True)):
+            monkeypatch.setattr(probe, "_block_outcomes", outcomes(ratio))
+            result = probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), [4, 5])
+            assert result.passed is passed
+            assert result.attempts == [{"eps0": probe.DEFAULT_EPS0, "passed": passed,
+                                        "j4": "h-ratio 0.2000", "j5": "h-ratio 0.2000"}]
 
     def test_default_start_passes_immediately(self, data_8192_6):
         result = probe.calibrate_eps0(data_8192_6, BesovParams(2.0, 2.0), [5])
