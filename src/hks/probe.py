@@ -436,16 +436,16 @@ def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
     """The function that gives the anatomy row at one block j from du_half,
     the half spectra of grad u0 (``HalfSpectrum.gradient`` of u0's rfftn),
     which it only reads.  A row costs one rfftn of its packet plus inverse
-    transforms, and each norm squares its own array in place."""
+    transforms."""
     g, hs = data.grid, sp.half_spectrum(data.grid)
     s, p = params.s, params.p
     part = make_partition(g)
     w = data.coefficients
 
     def weighted_norm(values: np.ndarray) -> float:
-        """L^p norm of w_1 * values, taken in place of values."""
+        """L^p norm of w_1 * values, formed in place of values."""
         values *= w[0]
-        return sp._lp_norm(sp.Field(g, values), p, consume=True)
+        return sp.lp_norm(sp.Field(g, values), p)
 
     def second(F: np.ndarray, a: int) -> np.ndarray:
         """F times (i xi_a)^2, in a new array."""
@@ -458,7 +458,7 @@ def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
         K = 0.0
         for a in range(1, g.d):
             blocks[a] *= w[a]
-            K += scale * sp._lp_norm(sp.Field(g, blocks[a]), p, consume=True)
+            K += scale * sp.lp_norm(sp.Field(g, blocks[a]), p)
         del blocks
 
         F1 = hs.differentiate(np.fft.rfftn(data.packet(j).values), 0)
@@ -546,7 +546,7 @@ def jk_sweep(data: InitialData, params: BesovParams, j_range) -> JKSweep:
     rows, blocks = [], []
 
     def value(j: int) -> float:
-        return 2.0 ** (j * s) * sp._lp_norm(setup.result()(j), p, consume=True)
+        return 2.0 ** (j * s) * sp.lp_norm(setup.result()(j), p)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         try:
@@ -680,7 +680,7 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     f = _matched_noise(grid, kmax, seed + 1)
     hs = sp.half_spectrum(grid)
     block = lpmod._commutator_block(part, [v], hs.gradient(np.fft.rfftn(f.values)))
-    num = max(2.0 ** (j * s) * sp._lp_norm(block(j), 2.0, consume=True)
+    num = max(2.0 ** (j * s) * sp.lp_norm(block(j), 2.0)
               for j in range(0, part.j_max + 1))
     dv = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(v.values), 0)))
     df = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), 0)))
@@ -847,7 +847,8 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     largest t being the binding one; both are forked off one solver lane
     per attempt and measured on the worker thread, each bit for bit as its
     own evolve.  Blocks outside [N_MIN_PACKET, n_max] carry no packet and
-    are rejected.
+    are rejected.  The result's eps0 is the last one tried: the first that
+    passed, or, when every attempt failed, the smallest.
     """
     js = validate_calibration(data.n_max, start, j_range)
     part = make_partition(data.grid)
@@ -875,4 +876,5 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
         if attempts[-1]["passed"]:
             break
         eps0 *= 0.5
-    return CalibrationResult(eps0=eps0, attempts=attempts, passed=attempts[-1]["passed"])
+    return CalibrationResult(eps0=attempts[-1]["eps0"], attempts=attempts,
+                             passed=attempts[-1]["passed"])

@@ -209,46 +209,21 @@ def lp_norm(f: Field, p: float) -> float:
 
     p may be any real >= 1 or math.inf.  When the plain sum of |f|^p
     overflows or underflows (a large p), |f| is rescaled by max|f| first.
+    f is left as it is; the one temporary holds |f| and then |f|^p.
     """
-    return _lp_norm(f, p, consume=False)
-
-
-def _lp_norm(f: Field, p: float, consume: bool) -> float:
-    """The body of :func:`lp_norm`.  With ``consume`` the caller gives up
-    f's array, which then holds |f| and |f|^p in turn, so no temporary is
-    made; it is copied after all when max|f| leaves open whether the plain
-    sum stays in the float range (:func:`_sum_in_range`), since the
-    rescaled sum needs |f| again.  Either way the value is lp_norm's."""
     if p == math.inf:
         return float(max(np.max(f.values), -np.min(f.values)))  # no |f| temporary
     if not p >= 1:  # also rejects nan
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w, scale = f.grid.spacing ** f.grid.d, 1.0
     with np.errstate(over="ignore", under="ignore"):
-        if consume:
-            a = np.abs(f.values, out=f.values)
-            if not _sum_in_range(a, p, w):
-                a = a.copy()
-        else:
-            a = np.abs(f.values)  # the one temporary
+        a = np.abs(f.values)  # the one temporary
         a **= p
         total = np.sum(a) * w
         if not (np.isfinite(total) and total >= np.finfo(np.float64).tiny):
             scale = lp_norm(f, math.inf) or 1.0  # 1 on f = 0, whose sum is 0 anyway
             total = np.sum((np.abs(f.values) / scale) ** p) * w
     return float(scale * total ** (1.0 / p))
-
-
-def _sum_in_range(a: np.ndarray, p: float, w: float) -> bool:
-    """Whether w * sum(a^p) over the nonnegative array a surely lies in
-    [tiny, max] of float64, its partial sums included, judged from
-    m = max(a) alone: the sum is at least m^p and at most a.size * m^p.
-    A margin of 4 binary orders covers the rounding of log2 and pow."""
-    m = float(np.max(a))
-    if not 0.0 < m < math.inf:
-        return False
-    e, lw = p * math.log2(m), math.log2(w)
-    return e + lw > -1018.0 and e + math.log2(a.size) + max(lw, 0.0) < 1020.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_data
+from conftest import UNDER_RESOLVED_V0, build_data
 from hks import probe
 from hks.cli import dispatch
 from hks.littlewood_paley import (
@@ -188,7 +188,7 @@ def test_criterion_06_inflation_signature(inflation_full):
     assert sweep.passed
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@UNDER_RESOLVED_V0
 def test_criterion_07_block_anatomy(base_data, family65k, data2d):
     # forcing profile: one dyadic doubling per block on the deep family
     deep = family65k[10]

@@ -6,6 +6,8 @@ installed entry point via ``python -m hks.cli``.  Exit code contract:
 """
 
 import contextlib
+import functools
+import io
 import json
 import struct
 import subprocess
@@ -14,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import build_data
+from conftest import UNDER_RESOLVED_V0, build_data, v0_warning
 from hks import ksf, probe
 from hks.cli import build_parser, dispatch
 from hks.littlewood_paley import BesovParams, besov_norm, make_partition
@@ -26,6 +28,20 @@ def run(argv, capsys):
     rc = dispatch([str(a) for a in argv])
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+@pytest.fixture(scope="module")
+def probe_store(tmp_path_factory):
+    """The exit code and store of `hks probe <argv>`, run once per module and
+    argv, with its output discarded, so that tests reading the same store
+    share one run."""
+    @functools.cache
+    def run_once(argv):
+        out = tmp_path_factory.mktemp("probe") / "store"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = dispatch(["probe", *argv, "--outdir", str(out)])
+        return rc, out
+    return lambda argv: run_once(tuple(map(str, argv)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +416,16 @@ class TestProbeJkCli:
             assert (out / "tables" / f"{name}.csv").is_file()
         assert "slope_j1" in stdout
 
-    @pytest.mark.parametrize("d,n,nmax,jmin,jmax,under_resolved",
-                             [(1, 2048, 5, 4, 5, True), (2, 1024, 4, 3, 4, False)],
-                             ids=["d1", "d2"])
-    def test_api_and_cli_judge_the_same_numbers(self, d, n, nmax, jmin, jmax,
-                                                under_resolved, tmp_path, capsys):
+    @pytest.mark.parametrize("d,n,nmax,jmin,jmax",
+                             [(1, 2048, 5, 4, 5), (2, 1024, 4, 3, 4)], ids=["d1", "d2"])
+    def test_api_and_cli_judge_the_same_numbers(self, d, n, nmax, jmin, jmax, probe_store):
         # besov_norm reports v0 as under-resolved at the d = 1 geometry; the
-        # warning is asserted there
-        def v0_warning():
-            if under_resolved:
-                return pytest.warns(UserWarning, match="under-resolved")
-            return contextlib.nullcontext()
-
-        out = tmp_path / "jk"
-        with v0_warning():
-            rc, _, _ = run(["probe", "jk", "--d", d, "--n", n, "--nmax", nmax,
-                            "--jmin", jmin, "--jmax", jmax, "--outdir", out], capsys)
-        with v0_warning():
+        # warning is asserted there.  The d = 2 store is the one that
+        # TestReportCli's jk-d2 case reads
+        with v0_warning(d):
+            rc, out = probe_store(["jk", "--d", d, "--n", n, "--nmax", nmax,
+                                   "--jmin", jmin, "--jmax", jmax])
+        with v0_warning(d):
             sweep = probe.jk_sweep(build_data(d, 1, n, nmax), BesovParams(2.0, 2.0),
                                    range(jmin, jmax + 1))
         summary = json.loads((out / "summary.json").read_text())
@@ -431,7 +440,7 @@ class TestProbeJkCli:
         assert rc == 2
         assert "fewer than two" in err
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @UNDER_RESOLVED_V0
     def test_usage_error_leaves_no_store(self, tmp_path, capsys):
         # a window above n_max is rejected before any data is built, and
         # the corrected run can reuse the directory without --force
@@ -692,7 +701,7 @@ class TestReportCli:
         assert "- k_slope = 0.5, band [-inf, 0.3]: FAIL" in stdout
         assert "**Overall: FAIL**" in stdout
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @UNDER_RESOLVED_V0
     @pytest.mark.parametrize("argv", [
         ["rates", "--n", 4096, "--nmax", 5, "--times", "1e-4,2e-4,5e-4,1e-3"],
         ["inflation", "--n", 8192, "--nmax", 6, "--jmin", 5, "--jmax", 5,
@@ -701,9 +710,9 @@ class TestReportCli:
         ["jk", "--n", 8192, "--nmax", 6, "--jmin", 4, "--jmax", 6],
         ["jk", "--d", 2, "--n", 1024, "--nmax", 4, "--jmin", 3, "--jmax", 4],
     ], ids=["rates", "inflation", "jk", "jk-fail", "jk-d2"])
-    def test_exit_code_agrees_with_report(self, argv, tmp_path, capsys):
-        out = tmp_path / "store"
-        rc, _, _ = run(["probe", *argv, "--outdir", out], capsys)
+    def test_exit_code_agrees_with_report(self, argv, probe_store, capsys):
+        # the jk-d2 store is the one TestProbeJkCli's d2 case judges
+        rc, out = probe_store(argv)
         assert rc in (0, 1)
         _, stdout, _ = run(["report", "--store", out], capsys)
         overall = "PASS" if rc == 0 else "FAIL"

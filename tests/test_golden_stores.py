@@ -65,7 +65,8 @@ def test_stores_match_committed_digests(tmp_path):
     if expected is None:
         pytest.skip(f"no store digests recorded for {environment()!r} "
                     f"(recorded: {', '.join(sorted(golden['digests']))})")
-    computed = digests(golden["commands"], tmp_path)
+    with pytest.warns(UserWarning, match="under-resolved"):  # v0 of probe-jk-d1
+        computed = digests(golden["commands"], tmp_path)
     mismatches = []
     for name in golden["commands"]:
         want, got = expected[name], computed[name]

@@ -5,14 +5,18 @@ stated configurations and then pinned; they guard against behavioral drift,
 while the band assertions encode the a-priori expectations.
 """
 
+import functools
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from conftest import build_data, dense_block_norms, dense_gradient_symbol, dense_half_window
+from conftest import (UNDER_RESOLVED_V0, _count_ffts, build_data, dense_block_norms,
+                      dense_gradient_symbol, dense_half_window, v0_warning)
 from hks import construction, probe, solver
 from hks import littlewood_paley as lpmod
 from hks.cli import dispatch
@@ -78,6 +82,76 @@ def serial_commutator_values(data, params, js):
         block = hs.irfftn(adv_half * w) - advect([hs.irfftn(c * w) for c in grad_half])
         values.append(2.0 ** (j * params.s) * serial_norm(block, g, params.p))
     return values
+
+
+# The geometries of the anatomy tests, and the window of their sweeps: every
+# block from -1 to n_max, so that the commutator values cover the partition's
+# low blocks as well as the packets'.
+ANATOMY = [(1, 16384, 8), (2, 1024, 4)]
+P2 = BesovParams(2.0, 2.0)
+
+
+def anatomy_window(n_max):
+    return range(-1, n_max + 1)
+
+
+class Anatomy(NamedTuple):
+    data: construction.InitialData
+    sweep: probe.JKSweep
+    ffts: dict  # rfftn and irfftn calls of the sweep, by function
+    threads: tuple  # threading.active_count() before and after the sweep
+
+
+class SerialAnatomy(NamedTuple):
+    rows: list  # serial_jk_rows of the blocks 3..n_max
+    commutator: list  # serial_commutator_values over the window
+    v0_profile: lpmod.BesovNormResult  # of transport_divergence, not data.v0
+    v0_ffts: dict  # rfftn and irfftn calls of that profile alone, by function
+    anchor: probe.AnchorReport
+
+
+@pytest.fixture(scope="module")
+def anatomy():
+    """The jk sweep of a geometry (d, N, n_max) over its window, run once per
+    module and geometry, with its FFT calls and the thread count around it.
+    The datum's coefficients are built before the count, and the solver's
+    persistent thread is started before the threads are counted."""
+    @functools.cache
+    def run(d, N, n_max):
+        data = build_data(d, 1, N, n_max)
+        data.coefficients  # built once per datum, outside the count
+        solver._helper().submit(int).result()
+        with pytest.MonkeyPatch.context() as mp, v0_warning(d):
+            ffts = _count_ffts(mp, lambda name: name)
+            before = threading.active_count()
+            sweep = probe.jk_sweep(data, P2, anatomy_window(n_max))
+            threads = before, threading.active_count()
+        return Anatomy(data, sweep, dict(ffts), threads)
+    return run
+
+
+@pytest.fixture(scope="module")
+def serial(anatomy):
+    """The serial references of a geometry's anatomy on the same datum, run
+    once per module and geometry: the rows, the commutator values, v0's
+    profile from its own transport_divergence, whose FFTs are counted alone,
+    and the anchor.  The rows and the commutator values of blocks -1 and 0
+    run on a thread beside the values of blocks 1..n_max; a block's value
+    does not depend on the other blocks asked for."""
+    @functools.cache
+    def run(d, N, n_max):
+        data = anatomy(d, N, n_max).data
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            rows = pool.submit(serial_jk_rows, data, P2, range(3, n_max + 1))
+            low = pool.submit(serial_commutator_values, data, P2, range(-1, 1))
+            high = serial_commutator_values(data, P2, range(1, n_max + 1))
+            rows, commutator = rows.result(), low.result() + high
+        with pytest.MonkeyPatch.context() as mp, v0_warning(d):
+            ffts = _count_ffts(mp, lambda name: name)
+            profile = besov_norm(make_partition(data.grid),
+                                 transport_divergence(data.u0, data.S0), P2)
+        return SerialAnatomy(rows, commutator, profile, dict(ffts), probe.c0_anchor(data))
+    return run
 
 
 class TestFitLoglog:
@@ -429,8 +503,8 @@ class TestBlockAnatomy:
         assert probe.validate_jk(g, 6, range(6, 3, -1)) == [4, 5, 6]
 
     def test_one_dimensional_rows(self, data_8192_6):
-        rows = {r.j: r for r in probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0),
-                                               range(4, 7)).rows}
+        with v0_warning():
+            rows = {r.j: r for r in probe.jk_sweep(data_8192_6, P2, range(4, 7)).rows}
         for j in (4, 5, 6):
             row = rows[j]
             assert row.K == 0.0
@@ -445,7 +519,8 @@ class TestBlockAnatomy:
 
     def test_report_default_range(self, data_2048_5):
         # the rows are always 3..n_max, whatever the window
-        sweep = probe.jk_sweep(data_2048_5, BesovParams(2.0, 2.0), range(4, 6))
+        with v0_warning():
+            sweep = probe.jk_sweep(data_2048_5, P2, range(4, 6))
         assert [row.j for row in sweep.rows] == [3, 4, 5]
         assert [j for j, _ in sweep.commutator] == [4, 5]
         assert sweep.anchor == probe.c0_anchor(data_2048_5)
@@ -453,27 +528,15 @@ class TestBlockAnatomy:
         assert sweep.summary["delta"] == sweep.anchor.delta
 
     @pytest.mark.parametrize("d,N,n_max", [(1, 2048, 5), (2, 1024, 4)])
-    def test_report_rows_are_single_rows(self, d, N, n_max):
-        data = build_data(d, 1, N, n_max)
-        params = BesovParams(2.0, 2.0)
-        rows = probe.jk_sweep(data, params, range(n_max - 1, n_max + 1)).rows
+    def test_report_rows_are_single_rows(self, d, N, n_max, anatomy):
+        data, sweep = anatomy(d, N, n_max)[:2]
         hs = half_spectrum(data.grid)
-        row = probe._jk_row(data, params, hs.gradient(np.fft.rfftn(data.u0.values)))
-        assert rows == [row(j) for j in range(3, n_max + 1)]
+        row = probe._jk_row(data, P2, hs.gradient(np.fft.rfftn(data.u0.values)))
+        assert sweep.rows == [row(j) for j in range(3, n_max + 1)]
         if d > 1:
-            assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
+            assert all(r.K > 0.0 and r.J3 > 0.0 for r in sweep.rows)
 
-    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
-    def test_rows_equal_serial_reference(self, d, N, n_max):
-        # two threads, support-filled windows and in-place products give the
-        # serial loop's numbers exactly
-        data = build_data(d, 1, N, n_max)
-        params = BesovParams(2.0, 2.0)
-        rows = probe.jk_sweep(data, params, range(3, n_max + 1)).rows
-        assert rows == serial_jk_rows(data, params, range(3, n_max + 1))
-        if d > 1:
-            assert all(r.K > 0.0 and r.J3 > 0.0 for r in rows)
-
+    @UNDER_RESOLVED_V0
     def test_first_failing_block_is_reported(self, monkeypatch):
         # blocks 6 and 9 violate the split; block 6 is slowed down so that
         # block 9 fails first in time, and block 6 is still the one raised
@@ -491,26 +554,21 @@ class TestBlockAnatomy:
             probe.jk_sweep(data, BesovParams(2.0, 2.0), range(5, 9))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
-    def test_fft_count(self, d, N, n_max, fft_counts):
+    @pytest.mark.parametrize("d,N,n_max", ANATOMY)
+    def test_fft_count(self, d, N, n_max, anatomy, serial):
         # the rows: one rfftn of u0, shared with the commutator set-up, and
         # per row one inverse transform of the blocks, one rfftn of the
         # packet and d + 1 inverse transforms for J1, J2, J3; the commutator:
-        # 4d + 1 rfftn and 3d + 1 irfftn of set-up, and per block 2d rfftn
-        # and 3d + 1 irfftn; v0's build and profile, counted alone
-        data = build_data(d, 1, N, n_max)
-        data.coefficients  # built once per datum, outside the count
-        fft_counts.clear()
-        js = range(3, n_max + 1)
-        probe.jk_sweep(data, BesovParams(2.0, 2.0), js)
-        sweep = dict(fft_counts)
-        fft_counts.clear()
-        besov_norm(make_partition(data.grid), transport_divergence(data.u0, data.S0),
-                   BesovParams(2.0, 2.0))
-        rows = n_max - 2
-        assert sweep == {
-            "rfftn": 1 + rows + (4 * d + 1) + 2 * d * len(js) + fft_counts["rfftn"],
-            "irfftn": (d + 2) * rows + (3 * d + 1) + (3 * d + 1) * len(js) + fft_counts["irfftn"]}
+        # 4d + 1 rfftn and 3d + 1 irfftn of set-up (truncated velocity 2d,
+        # grad u0 1, its half spectra d, the dealiased advection 4d and its
+        # half spectrum 1), and per block 2d rfftn and 3d + 1 irfftn (the
+        # windowed gradient d, the windowed advection 1 and the advection
+        # 4d); v0's build and profile, counted alone
+        v0 = serial(d, N, n_max).v0_ffts
+        rows, js = n_max - 2, anatomy_window(n_max)
+        assert anatomy(d, N, n_max).ffts == {
+            "rfftn": 1 + rows + (4 * d + 1) + 2 * d * len(js) + v0["rfftn"],
+            "irfftn": (d + 2) * rows + (3 * d + 1) + (3 * d + 1) * len(js) + v0["irfftn"]}
 
     def test_anchor_closed_form(self, data_8192_6):
         anchor = probe.c0_anchor(data_8192_6)
@@ -534,15 +592,7 @@ class TestCommutatorCheck:
         with pytest.raises(ValueError, match="outside the partition"):
             probe.jk_sweep(data_2048_5, BesovParams(2.0, 2.0), [4, j_max + 1])
 
-    @pytest.mark.parametrize("d,N,n_max,js", [(1, 16384, 8, range(-1, 9)),
-                                              (2, 1024, 4, range(-1, 5))])
-    def test_values_equal_serial_reference(self, d, N, n_max, js):
-        data = build_data(d, 1, N, n_max)
-        params = BesovParams(2.0, 2.0)
-        sweep = probe.jk_sweep(data, params, js)
-        assert [j for j, _ in sweep.commutator] == list(js)
-        assert [q for _, q in sweep.commutator] == serial_commutator_values(data, params, js)
-
+    @UNDER_RESOLVED_V0
     def test_failing_block_is_raised(self, data_8192_6, monkeypatch):
         setup = lpmod._commutator_block
 
@@ -561,30 +611,9 @@ class TestCommutatorCheck:
             probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0), range(3, 7))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
-    def test_fft_count(self, d, N, n_max, fft_counts):
-        # the sum of the parts' budgets alone, less the rfftn of u0 they
-        # share: the rows (1 + rows rfftn, (d + 2) rows irfftn), the
-        # commutator (set-up: truncated velocity (2d), grad u0 (2), its half
-        # spectra (d), the dealiased advection (4d) and its half spectrum
-        # (1); per block 1 + d inverse transforms and 4d for the advection)
-        # and v0's build and profile, counted alone
-        data = build_data(d, 1, N, n_max)
-        data.coefficients
-        fft_counts.clear()
-        js = range(3, n_max + 1)
-        probe.jk_sweep(data, BesovParams(2.0, 2.0), js)
-        sweep = sum(fft_counts.values())
-        fft_counts.clear()
-        besov_norm(make_partition(data.grid), transport_divergence(data.u0, data.S0),
-                   BesovParams(2.0, 2.0))
-        rows = n_max - 2
-        assert sweep == ((1 + rows + (d + 2) * rows)
-                         + (7 * d + 3 + len(js) * (1 + 5 * d))
-                         + sum(fft_counts.values()) - 1)
-
     def test_flat_across_blocks(self, data_8192_6):
-        sweep = probe.jk_sweep(data_8192_6, BesovParams(2.0, 2.0), [4, 5, 6])
+        with v0_warning():
+            sweep = probe.jk_sweep(data_8192_6, P2, [4, 5, 6])
         assert [j for j, _ in sweep.commutator] == [4, 5, 6]
         assert all(v > 0 for _, v in sweep.commutator)
         assert sweep.summary["commutator_slope"] <= probe.FLATNESS_MAX
@@ -597,51 +626,53 @@ class TestAnatomySchedule:
     # probe.jk_sweep runs the work of `hks probe jk` as one schedule on a
     # two-worker pool: rows, anchor, commutator blocks and the v0 profile
 
-    @pytest.mark.filterwarnings("ignore:besov_norm on under-resolved")
-    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
-    def test_equals_serial_loop(self, d, N, n_max):
-        data = build_data(d, 1, N, n_max)
-        params = BesovParams(2.0, 2.0)
-        js = range(3, n_max + 1)
-        solver._helper().submit(int).result()  # the solver's persistent thread, started
-        before = threading.active_count()
-        sweep = probe.jk_sweep(data, params, js)
-        assert threading.active_count() == before
-        assert sweep.rows == serial_jk_rows(data, params, js)
-        assert [q for _, q in sweep.commutator] == serial_commutator_values(data, params, js)
-        expected = besov_norm(make_partition(data.grid),
-                              transport_divergence(data.u0, data.S0), params)
-        profile = sweep.v0_profile
+    @pytest.mark.parametrize("d,N,n_max", ANATOMY)
+    def test_equals_serial_loop(self, d, N, n_max, anatomy, serial):
+        # two threads, support-filled windows and in-place products give the
+        # serial loop's numbers exactly, and the pool's threads are joined
+        run, ref = anatomy(d, N, n_max), serial(d, N, n_max)
+        sweep, (before, after) = run.sweep, run.threads
+        assert after == before
+        assert sweep.rows == ref.rows
+        if d > 1:
+            assert all(r.K > 0.0 and r.J3 > 0.0 for r in sweep.rows)
+        assert [j for j, _ in sweep.commutator] == list(anatomy_window(n_max))
+        assert [q for _, q in sweep.commutator] == ref.commutator
+        profile, expected = sweep.v0_profile, ref.v0_profile
         assert profile.value == expected.value and profile.resolved == expected.resolved
         assert profile.profile.tobytes() == expected.profile.tobytes()
-        assert sweep.anchor == probe.c0_anchor(data)
+        assert sweep.anchor == ref.anchor
 
-    @pytest.mark.filterwarnings("ignore:besov_norm on under-resolved")
-    @pytest.mark.parametrize("d,N,n_max", [(1, 16384, 8), (2, 1024, 4)])
-    def test_one_rfftn_fewer_than_the_serial_calls(self, d, N, n_max, fft_counts):
+    @UNDER_RESOLVED_V0
+    @pytest.mark.parametrize("d,N,n_max", ANATOMY)
+    def test_one_rfftn_fewer_than_the_serial_calls(self, d, N, n_max, anatomy, fft_counts):
         # the rows and the commutator set-up share the half spectra of
         # grad u0, which the serial parts each take
-        params = BesovParams(2.0, 2.0)
-        js = range(3, n_max + 1)
-        serial_data, data = build_data(d, 1, N, n_max), build_data(d, 1, N, n_max)
-        g, hs = serial_data.grid, half_spectrum(serial_data.grid)
+        run = anatomy(d, N, n_max)
+        data = run.data  # its coefficients, built before either count
+        g, hs = data.grid, half_spectrum(data.grid)
         part = make_partition(g)
-        fft_counts.clear()
-        # the rows, the commutator blocks and v0's build and profile one
-        # after another, each part from its own half spectra of grad u0
-        row = probe._jk_row(serial_data, params, hs.gradient(np.fft.rfftn(serial_data.u0.values)))
-        for j in range(3, n_max + 1):
-            row(j)
-        block = lpmod._commutator_block(part, [Field(g, c) for c in serial_data.coefficients],
-                                        hs.gradient(np.fft.rfftn(serial_data.u0.values)))
-        for j in js:
-            block(j)
-        besov_norm(part, serial_data.v0, params)
-        serial = dict(fft_counts)
-        fft_counts.clear()
-        probe.jk_sweep(data, params, js)
-        assert fft_counts == {"rfftn": serial["rfftn"] - 1, "irfftn": serial["irfftn"]}
 
+        def rows_and_v0():
+            row = probe._jk_row(data, P2, hs.gradient(np.fft.rfftn(data.u0.values)))
+            for j in range(3, n_max + 1):
+                row(j)
+            besov_norm(part, transport_divergence(data.u0, data.S0), P2)
+
+        fft_counts.clear()
+        # the rows, the commutator blocks and v0's build and profile, each
+        # part from its own half spectra of grad u0; the rows and v0 run on a
+        # thread beside the blocks, which moves no count
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            side = pool.submit(rows_and_v0)
+            block = lpmod._commutator_block(part, [Field(g, c) for c in data.coefficients],
+                                            hs.gradient(np.fft.rfftn(data.u0.values)))
+            for j in anatomy_window(n_max):
+                block(j)
+            side.result()
+        assert run.ffts == {"rfftn": fft_counts["rfftn"] - 1, "irfftn": fft_counts["irfftn"]}
+
+    @UNDER_RESOLVED_V0
     def test_first_failing_item_in_serial_order_raises(self, monkeypatch):
         # row 6 violates the split after a delay, block 5 fails at once and
         # the v0 build first of all; row 6 comes first in a serial run
@@ -889,3 +920,14 @@ class TestCalibration:
         assert [a["passed"] for a in result.attempts] == [False, False, False,
                                                           True]
         assert [a["eps0"] for a in result.attempts] == [50.0, 25.0, 12.5, 6.25]
+
+    def test_exhausted_search_reports_the_last_eps0_tried(self, data_2048_5, monkeypatch):
+        # every attempt fails: the result holds the smallest eps0 tried, not
+        # one more halving of it
+        monkeypatch.setattr(probe, "CALIBRATION_MAX_HALVINGS", 1)
+        monkeypatch.setattr(probe, "_block_outcomes",
+                            lambda data, eps0, js, cfl, measure: {j: 1.0 for j in js})
+        result = probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), [4, 5], start=40.0)
+        assert [a["eps0"] for a in result.attempts] == [40.0, 20.0]
+        assert result.eps0 == 40.0 / 2
+        assert result.passed is False
