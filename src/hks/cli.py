@@ -356,7 +356,9 @@ def _cmd_probe_calibrate(args, argv) -> int:
         _geometry_config(args, p=_pval(args.p), eps0_start=args.eps0, jmin=args.jmin,
                          jmax=args.jmax, cfl=args.cfl),
         lines=lambda result: [
-            *(f"eps0 = {a['eps0']!r}: {'pass' if a['passed'] else 'fail'}"
+            *(f"eps0 = {a['eps0']!r}: pass" if a["passed"] else
+              f"eps0 = {a['eps0']!r}: fail ("
+              + "; ".join(f"{k} {v}" for k, v in a.items() if k[0] == "j") + ")"
               for a in result.attempts),
             f"calibrated eps0 = {result.eps0!r}"])
 

@@ -18,7 +18,9 @@ sum's exact half spectrum.  The first-order drift
 v0 = div(u0 (1-u0) grad S0) is derived from them on its first read
 (:attr:`InitialData.v0`), once, from whichever thread reads it first.  It
 is evaluated with the same dealiased flux routine the time stepper uses,
-so the solver's right-hand side at u0 is exactly -v0.
+so the solver's right-hand side at u0 equals -v0 to roundoff, not bit for
+bit: v0 takes grad S from S0's sampled values, the right-hand side from
+u0's half spectrum through (1 - Laplacian)^{-1}.
 
 Construction costs what the periods and supports cost, and every array
 is the one the N-point formulas give, bit for bit.  The carrier's

@@ -23,8 +23,8 @@ Each RK4 stage is a chain of 3 + d transforms (the dealiased state, the
 transform of u * u, its truncation and the d forward transforms of the
 flux) that the calling thread runs, with the stage combinations.  One
 persistent helper thread, created on first use, runs the work off that
-chain: the d inverse transforms of grad S (one irfftn of
-uh * helm_inv * i xi_a * keep per axis), the CFL speed, and each new
+chain: the d inverse transforms of grad S (one irfftn per axis, of
+S's half spectrum times i xi_a * keep), the CFL speed, and each new
 state's inverse transform, blow-up guard and diagnostics, while the
 calling thread starts the next step.  The two truncations on the chain
 cut the half spectrum at the cutoff (:meth:`HalfSpectrum.kept`) instead
@@ -65,9 +65,14 @@ __all__ = [
 
 _SPEED_FLOOR = 1e-8
 
+# The most steps a lane may need to reach its last output time: 130x the
+# longest documented lane (the flagship sweep's 75 steps).  At N = 2^20 that
+# many steps take over an hour, for times far beyond the short-time regime.
+MAX_LANE_STEPS = 10_000
+
 
 class BlowUpError(RuntimeError):
-    """Raised when the blow-up guard or a finiteness check trips."""
+    """Raised when the blow-up guard, a finiteness check or the step budget trips."""
 
 
 @dataclass(frozen=True)
@@ -181,14 +186,6 @@ def _grad_S(uh: np.ndarray, S_half: np.ndarray | None, hs: HalfSpectrum, a: int,
     return ds, (ds * ds if square else None)
 
 
-def _grads_of_S(S: np.ndarray, hs: HalfSpectrum) -> list:
-    """The d results of :func:`_grad_S` (without squares) from S's values:
-    one rfftn of S and d inverse real FFTs.  S's half spectrum lives only
-    inside this task, and the last axis takes it in place."""
-    S_half = np.fft.rfftn(S)
-    return [_grad_S(None, S_half, hs, a, False) for a in range(len(hs.shape))]
-
-
 def _speed(ud: np.ndarray, squares: list) -> float:
     """max|1 - 2u| |grad S| from the dealiased state and the squares of the
     d components of grad S, summed in axis order; the squares are summed in
@@ -204,11 +201,10 @@ def _speed(ud: np.ndarray, squares: list) -> float:
 
 
 def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
-                   S: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
+                   S_half: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
     """Half spectrum of div(u(1-u) grad S) with dealiased products, from the
-    half spectrum of u and, unless ``S`` gives S's own values, that of
-    S = (1 - Laplacian)^{-1} u: 3 + 2d real FFTs, and one more for the
-    transform of ``S``, which the helper takes (:func:`_grads_of_S`).
+    half spectrum of u and that of S (``S_half``, which it consumes, or when
+    that is None, u's through S = (1 - Laplacian)^{-1} u): 3 + 2d real FFTs.
 
     With ``with_speed`` it also returns the advective speed
     max|1 - 2u| |grad S| of the dealiased state, from the same arrays.
@@ -220,8 +216,8 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
     (:func:`_speed`) while this thread transforms the last flux component.
     Results are taken in axis order, so ``out`` is summed and the stage
     checks raise in the order of a serial loop, and no helper task outlives
-    the call.  Given ``S``, one helper task transforms it and takes all d
-    components, so S's half spectrum never outlives that task.  Both
+    the call.  The helper is one FIFO thread, so the last axis's task, which
+    takes ``S_half`` in place, runs after the other axes have read it.  Both
     truncations cut the half spectrum at the cutoff, which gives the values
     of the product with the keep mask.  The symbols i xi_a
     are applied as the real tables xi_a * keep followed by an in-place
@@ -230,18 +226,16 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
     dealiased state included, is released once the chain has used it, which
     keeps the number of live arrays per RHS evaluation, and so the step's
     peak memory, down; a caller that passes its only reference to ``uh``
-    frees it here.
+    or ``S_half`` frees it here.
     """
     d = len(hs.shape)
     ud = hs.irfftn(hs.kept(uh))
     _check_stage(ud, "dealias(u)")
     # submitted before u * u is transformed, so that the helper's transforms
-    # overlap two of this thread's and it does not wait for them
-    if S is None:
-        tasks = [_helper().submit(_grad_S, uh, None, hs, a, with_speed) for a in range(d)]
-    else:
-        tasks = [_helper().submit(_grads_of_S, S, hs)]
-    del uh
+    # overlap two of this thread's; given S_half they do not hold uh
+    src = uh if S_half is None else None
+    tasks = [_helper().submit(_grad_S, src, S_half, hs, a, with_speed) for a in range(d)]
+    del uh, S_half, src
     try:
         F = np.fft.rfftn(ud * ud)
         g = hs.irfftn(hs.kept(F))
@@ -249,11 +243,9 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
         np.subtract(ud, g, out=g)  # dealiased u(1-u)
         if not with_speed:
             del ud
-        out, squares, grads = None, [], []
+        out, squares = None, []
         for a, xka in enumerate(hs.masked_xi):
-            if not grads:  # the next task's: one axis, or all d from S
-                grads = [tasks.pop(0).result()] if S is None else tasks.pop(0).result()
-            ds, sq = grads.pop(0)
+            ds, sq = tasks.pop(0).result()
             if with_speed:
                 squares.append(sq)
                 if a == d - 1:
@@ -284,17 +276,16 @@ def solve_S(u: Field) -> Field:
 def transport_divergence(u: Field, S: Field) -> Field:
     """div(u(1-u) grad S) with the solver's dealiasing rule.
 
-    The drift field of the first-order expansion is exactly this operator
-    applied to the initial data, so building it here keeps the solver and
-    the construction bit-consistent.  It takes 6 + 2d real FFTs: the flux
-    kernel's 3 + 2d, the transforms of u and (on the helper) of S, and the
-    inverse transform of the result.  The kernel gets the only reference to
-    u's half spectrum and frees it after its first transform, and S's half
-    spectrum lives only inside the helper's task, so the chain holds few
-    arrays at once.
+    The drift of the first-order expansion is this operator at the initial
+    data, so the solver's right-hand side at u0 equals -v0 to roundoff; not
+    bit for bit, as grad S comes here from S0's values and there from u0's
+    half spectrum.  It takes 6 + 2d real FFTs: the flux kernel's 3 + 2d, the
+    transforms of u and S, and the inverse transform of the result.  The
+    kernel gets the only references to both half spectra and frees them.
     """
     hs = half_spectrum(u.grid)
-    div_half, _ = _div_flux_half(np.fft.rfftn(u.values), hs, S=S.values)
+    div_half, _ = _div_flux_half(np.fft.rfftn(u.values), hs,
+                                 S_half=np.fft.rfftn(S.values))
     out = hs.irfftn(div_half)
     _check_stage(out, "divergence")
     return Field(u.grid, out)
@@ -327,8 +318,8 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     that starts with a copy of u0.  The state is carried as its half
     spectrum; each step takes 4 RHS evaluations and one inverse transform
     for its diagnostics and snapshots.  Aborts with :class:`BlowUpError`
-    when max|u| exceeds ten times its initial value or any stage produces
-    non-finite values.
+    when max|u| exceeds ten times its initial value, a stage is not finite
+    or the run needs more than MAX_LANE_STEPS steps.
     """
     traj = Trajectory(u0.grid, [0.0], [Field(u0.grid, u0.values.copy())], [])
     for t, state in _lane(u0, cfg, traj):
@@ -350,8 +341,8 @@ def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
     that ends at t_k from the lane's state and first stage: bit for bit the
     final state of :func:`evolve` with ``t_final=t_k`` and no snapshots.
     ``state()`` may run on another thread while the lane steps on; a
-    BlowUpError from a fork concerns its time only, one from the lane every
-    time not yet yielded.
+    BlowUpError from a fork concerns its time only, one from the lane (its
+    step budget's too) every time not yet yielded.
 
     Once a step's half spectrum is final, the helper transforms it and runs
     the blow-up guard (:func:`_logged_state`) while this thread evaluates
@@ -385,6 +376,9 @@ def _lane(u0: Field, cfg: SolverConfig, traj: Trajectory,
             if last is not None:
                 settle()
         dt = cfg.dt if cfg.dt is not None else cfg.cfl * g.spacing / max(speed, _SPEED_FLOOR)
+        if (pending[-1] - t) / dt > MAX_LANE_STEPS:
+            raise BlowUpError(f"reaching t={pending[-1]:.6g} from t={t:.6g} at dt={dt:.3g} "
+                              f"needs more than the lane's budget of {MAX_LANE_STEPS} steps")
         clip = None  # the time this step lands on, in the default mode
         while pending and t + dt >= pending[0] - 1e-15 * pending[0]:
             target = pending.pop(0)

@@ -1,5 +1,9 @@
 import contextlib
+import dataclasses
+import json
+import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
@@ -9,14 +13,71 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # for dft_oracle
 
+from hks import probe
 from hks.construction import make_bump, make_initial_data
-from hks.littlewood_paley import annulus_profile, low_cutoff_profile
+from hks.littlewood_paley import BesovParams, annulus_profile, low_cutoff_profile
 from hks.spectral import Field, half_spectrum, lp_norm, make_grid
 
 
 def build_data(d, M, N, n_max, s=2.0):
     grid = make_grid(d, M, N)
     return make_initial_data(s, n_max, make_bump(d, grid), grid)
+
+
+# Criterion 6's sweep takes about half of the suite's time on about 1.4
+# cores, so once collection has selected its test it runs in a subprocess
+# beside the rest of the suite, and the test runs last.
+FLAGSHIP_TEST = "test_criterion_06_inflation_signature"
+_flagship = None  # the subprocess and its stdout and stderr files
+
+
+def _print_flagship():
+    """The subprocess's body: criterion 6's inflation sweep (N = 2^20,
+    n_max = 13, j = 5..8), its records and summary printed as JSON, whose
+    float reprs round-trip exactly."""
+    sweep = probe.inflation_sweep(build_data(1, 1, 2**20, 13), BesovParams(2.0, 2.0), 2.0,
+                                  range(5, 9), cfl=0.4)
+    json.dump({"records": [dataclasses.asdict(r) for r in sweep.records],
+               "summary": sweep.summary}, sys.stdout)
+
+
+@pytest.hookimpl(trylast=True)  # after -k and --deselect
+def pytest_collection_modifyitems(items):
+    global _flagship
+    flagship = [item for item in items if item.name == FLAGSHIP_TEST]
+    if not flagship:
+        return
+    items[:] = [item for item in items if item.name != FLAGSHIP_TEST] + flagship
+    out, err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+    code = "import json, sys; sys.path[:] = json.loads(sys.argv[1]); " \
+           "import conftest; conftest._print_flagship()"
+    _flagship = (subprocess.Popen([sys.executable, "-c", code, json.dumps(sys.path)],
+                                  stdout=out, stderr=err), out, err)
+
+
+def flagship_result():
+    """Wait for the subprocess and rebuild its InflationSweep; fail with
+    its stderr if it failed."""
+    proc, out, err = _flagship
+    if proc.wait() != 0:
+        err.seek(0)
+        pytest.fail(f"criterion 6's sweep exited with {proc.returncode}:\n"
+                    f"{err.read().decode(errors='replace')}", pytrace=False)
+    out.seek(0)
+    result = json.load(out)
+    return probe.InflationSweep(
+        records=[probe.InflationRecord(**rec) for rec in result["records"]],
+        **result["summary"])
+
+
+def pytest_sessionfinish():
+    if _flagship is not None:
+        proc, out, err = _flagship
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        out.close()
+        err.close()
 
 
 # besov_norm reports the drift v0 of the one-dimensional jk geometries of the

@@ -188,3 +188,32 @@ def slow_commutator(velocity, f, M, j, fraction=2.0 / 3.0):
     second = sum(slow_product(v, slow_block(g, M, j), M, fraction)
                  for v, g in zip(velocity, grad))
     return first - second
+
+
+# -- the transport model's right-hand side and one RK4 step ------------------
+
+
+def slow_rhs(u, M, eps=0.0, fraction=2.0 / 3.0):
+    """-sum_a d_a trunc(trunc(d_a S) trunc(g)) + eps Laplacian(u), with
+    S = (1 - Laplacian)^{-1} u and g = trunc(u) - trunc(trunc(u)^2)."""
+    u = np.asarray(u, dtype=np.float64)
+    d, N = u.ndim, u.shape[0]
+    xi2 = radius(d, M, N) ** 2
+    U = slow_transform(u, M)
+    S = slow_inverse(U / (1.0 + xi2), M)
+    g = slow_dealias(u, M, fraction) - slow_product(u, u, M, fraction)
+    out = -sum(slow_gradient(slow_product(dS, g, M, fraction), M)[a]
+               for a, dS in enumerate(slow_gradient(S, M)))
+    if eps > 0.0:
+        out = out + eps * slow_inverse(-xi2 * U, M)
+    return out
+
+
+def slow_rk4_step(u, dt, M):
+    """One classical RK4 step of size dt of :func:`slow_rhs` with eps = 0."""
+    u = np.asarray(u, dtype=np.float64)
+    k1 = slow_rhs(u, M)
+    k2 = slow_rhs(u + 0.5 * dt * k1, M)
+    k3 = slow_rhs(u + 0.5 * dt * k2, M)
+    k4 = slow_rhs(u + dt * k3, M)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -855,6 +855,19 @@ class TestCalibration:
             assert list(att) == ["eps0", "passed", "j5", "j7"]
             assert att["j5"] == clean["j5"] and att["j5"].startswith("h-ratio")
 
+    def test_step_budget_fails_each_attempt(self, data_2048_5, monkeypatch):
+        # at eps0 = 1e9 and 5e8 the lane would need far more CFL steps than
+        # its budget to reach t_4; each attempt fails before its first step
+        monkeypatch.setattr(probe, "CALIBRATION_MAX_HALVINGS", 1)
+        start = time.perf_counter()
+        result = probe.calibrate_eps0(data_2048_5, BesovParams(2.0, 2.0), [4, 5], start=1e9)
+        assert time.perf_counter() - start < 2.0
+        assert not result.passed and result.eps0 == 5e8
+        assert [att["eps0"] for att in result.attempts] == [1e9, 5e8]
+        for att in result.attempts:
+            assert list(att) == ["eps0", "passed", "j4"]
+            assert f"budget of {solver.MAX_LANE_STEPS} steps" in att["j4"]
+
     def test_h_ratio_transforms_only_the_s2_blocks(self, monkeypatch):
         # the h-ratio reads only the B^{s-2} sups, so calibration asks
         # block_sups for sigma = s - 2 alone: 22 blocks transformed over the

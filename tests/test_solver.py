@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dft_oracle as oracle
 from conftest import build_data
 from hks import solver
 from hks.solver import (BlowUpError, SolverConfig, Trajectory, evolve, rhs, solve_S,
@@ -378,7 +379,7 @@ class TestHelperFlux:
             assert out.tobytes() == ref.tobytes()
             assert np.float64(speed).tobytes() == np.float64(ref_speed).tobytes()
         S = solve_S(u).values
-        out, _ = solver._div_flux_half(uh, hs, S=S)
+        out, _ = solver._div_flux_half(uh, hs, S_half=np.fft.rfftn(S))
         assert out.tobytes() == serial_div_flux_half(uh, np.fft.rfftn(S), hs)[0].tobytes()
 
     @pytest.mark.parametrize("d, N", _GEOMETRIES)
@@ -388,8 +389,8 @@ class TestHelperFlux:
         cfg = SolverConfig(t_final=0.02, dt=dt, snapshot_times=(0.01,))
         traj = evolve(u0, cfg)
         monkeypatch.setattr(solver, "_div_flux_half",
-                            lambda uh, hs, with_speed=False, S=None: serial_div_flux_half(
-                                uh, uh * hs.helm_inv if S is None else np.fft.rfftn(S), hs,
+                            lambda uh, hs, with_speed=False, S_half=None: serial_div_flux_half(
+                                uh, uh * hs.helm_inv if S_half is None else S_half, hs,
                                 with_speed))
         calls = []
 
@@ -423,7 +424,7 @@ class TestHelperFlux:
         S = u.values.copy()
         S[1, 2] = np.nan
         with pytest.raises(BlowUpError, match=r"stage 'grad_S\[0\]'"):
-            solver._div_flux_half(np.fft.rfftn(u.values), hs, S=S)
+            solver._div_flux_half(np.fft.rfftn(u.values), hs, S_half=np.fft.rfftn(S))
 
     def test_helper_error_reraises_in_caller_in_axis_order(self, monkeypatch):
         u = noisy_state(2, 32)
@@ -477,6 +478,55 @@ class TestHelperFlux:
         assert not errors
         for i, (out, speed) in enumerate(expected):
             assert results[i] == [(out.tobytes(), speed)] * 20
+
+
+def max_rel_gap(fast, slow):
+    return float(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
+
+
+class TestDirectSummationOracle:
+    # the solver against dft_oracle's direct-summation model, which shares
+    # no code with it; each bound is about 10x the gap measured when it was
+    # set (in the comment), and the gap grows with N through the slow sums'
+    # roundoff, so N is pinned per case
+    @pytest.mark.parametrize("d, N, eps, bound", [
+        (1, 64, 0.0, 2e-12),    # 1.9e-13
+        (1, 256, 0.0, 3e-11),   # 2.9e-12
+        (2, 32, 0.0, 5e-13),    # 4.2e-14
+        (1, 64, 0.5, 5e-13),    # 4.0e-14; the viscous term dominates
+    ])
+    def test_rhs(self, d, N, eps, bound):
+        u = noisy_state(d, N)
+        fast = rhs(u, SolverConfig(t_final=1.0, eps=eps)).values
+        assert max_rel_gap(fast, oracle.slow_rhs(u.values, 1, eps)) <= bound
+
+    @pytest.mark.parametrize("d, N, bound", [
+        (1, 64, 6e-12),   # 6.2e-13
+        (2, 32, 1.5e-11),  # 1.3e-12
+    ])
+    def test_fixed_dt_rk4_step(self, d, N, bound):
+        # the step's increment, below 1e-3 of the state, whose roundoff
+        # over it sets the gap
+        u, dt = noisy_state(d, N), 0.05
+        fast = evolve(u, SolverConfig(t_final=dt, dt=dt)).states[-1].values
+        slow = oracle.slow_rk4_step(u.values, dt, 1)
+        assert max_rel_gap(fast - u.values, slow - u.values) <= bound
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_lane_over_budget_fails_before_stepping(self, monkeypatch, fork):
+        # 4 steps of 0.1 to t = 0.4 fit a budget of 4; t = 0.5 needs 5
+        monkeypatch.setattr(solver, "MAX_LANE_STEPS", 4)
+        u0 = noisy_state(1, 64)
+        traj = Trajectory(u0.grid, [], [], [])
+        assert [t for t, _ in solver._lane(u0, SolverConfig(t_final=0.4, dt=0.1), traj,
+                                           fork)] == [0.4]
+        assert len(traj.steps) == (3 if fork else 4)
+        traj = Trajectory(u0.grid, [], [], [])
+        with pytest.raises(BlowUpError, match="budget of 4 steps"):
+            next(solver._lane(u0, SolverConfig(t_final=0.5, dt=0.1), traj, fork))
+        assert traj.steps == []
 
 
 class TestDeferredStateCheck:
