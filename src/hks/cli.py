@@ -358,7 +358,7 @@ def _cmd_probe_calibrate(args, argv) -> int:
         lines=lambda result: [
             *(f"eps0 = {a['eps0']!r}: pass" if a["passed"] else
               f"eps0 = {a['eps0']!r}: fail ("
-              + "; ".join(f"{k} {v}" for k, v in a.items() if k[0] == "j") + ")"
+              + "; ".join(f"{k} {v}" for k, v in a.items() if k not in ("eps0", "passed")) + ")"
               for a in result.attempts),
             f"calibrated eps0 = {result.eps0!r}"])
 

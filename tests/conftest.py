@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))  # for dft_oracle
 
 from hks import probe
 from hks.construction import make_bump, make_initial_data
-from hks.littlewood_paley import BesovParams, annulus_profile, low_cutoff_profile
+from hks.littlewood_paley import annulus_profile, low_cutoff_profile
 from hks.spectral import Field, half_spectrum, lp_norm, make_grid
 
 
@@ -24,40 +25,52 @@ def build_data(d, M, N, n_max, s=2.0):
     return make_initial_data(s, n_max, make_bump(d, grid), grid)
 
 
-# Criterion 6's sweep takes about half of the suite's time on about 1.4
-# cores, so once collection has selected its test it runs in a subprocess
-# beside the rest of the suite, and the test runs last.
-FLAGSHIP_TEST = "test_criterion_06_inflation_signature"
+# Criterion 6's sweep (test_acceptance.flagship_sweep) takes about half of
+# the suite's time on about 1.4 cores, so once collection has selected the
+# test that asks for it (through the fixture inflation_full) it runs in a
+# subprocess beside the rest of the suite, under the suite's warning
+# filters, and that test runs last.
 _flagship = None  # the subprocess and its stdout and stderr files
 
 
-def _print_flagship():
-    """The subprocess's body: criterion 6's inflation sweep (N = 2^20,
-    n_max = 13, j = 5..8), its records and summary printed as JSON, whose
-    float reprs round-trip exactly."""
-    sweep = probe.inflation_sweep(build_data(1, 1, 2**20, 13), BesovParams(2.0, 2.0), 2.0,
-                                  range(5, 9), cfl=0.4)
+def _flagship_child():
+    """The subprocess's body: flagship_sweep's records and summary printed
+    as JSON, whose float reprs round-trip exactly.  It exits as soon as its
+    stdin closes, which the suite's process does when it ends or dies."""
+    def exit_at_eof():
+        while os.read(0, 4096):  # the raw fd: no lock for shutdown to wait on
+            pass
+        os._exit(1)
+    threading.Thread(target=exit_at_eof, daemon=True).start()
+    from test_acceptance import flagship_sweep
+    sweep = flagship_sweep()
     json.dump({"records": [dataclasses.asdict(r) for r in sweep.records],
                "summary": sweep.summary}, sys.stdout)
 
 
 @pytest.hookimpl(trylast=True)  # after -k and --deselect
-def pytest_collection_modifyitems(items):
+def pytest_collection_modifyitems(config, items):
     global _flagship
-    flagship = [item for item in items if item.name == FLAGSHIP_TEST]
+    flagship = [item for item in items if "inflation_full" in getattr(item, "fixturenames", ())]
     if not flagship:
         return
-    items[:] = [item for item in items if item.name != FLAGSHIP_TEST] + flagship
-    out, err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+    items[:] = [item for item in items if item not in flagship] + flagship
+    if config.option.collectonly:
+        return
+    # the filters pytest applies to a test (ini, then -W), as python -W options
+    filters = config.getini("filterwarnings") + (config.known_args_namespace.pythonwarnings or [])
     code = "import json, sys; sys.path[:] = json.loads(sys.argv[1]); " \
-           "import conftest; conftest._print_flagship()"
-    _flagship = (subprocess.Popen([sys.executable, "-c", code, json.dumps(sys.path)],
-                                  stdout=out, stderr=err), out, err)
+           "import conftest; conftest._flagship_child()"
+    out, err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+    _flagship = (subprocess.Popen([sys.executable, *(f"-W{f}" for f in filters), "-c", code,
+                                   json.dumps(sys.path)],
+                                  stdin=subprocess.PIPE, stdout=out, stderr=err), out, err)
 
 
-def flagship_result():
-    """Wait for the subprocess and rebuild its InflationSweep; fail with
-    its stderr if it failed."""
+@pytest.fixture
+def inflation_full():
+    """Criterion 6's InflationSweep, rebuilt from the subprocess's JSON;
+    fails with the subprocess's stderr if it failed."""
     proc, out, err = _flagship
     if proc.wait() != 0:
         err.seek(0)
@@ -73,9 +86,8 @@ def flagship_result():
 def pytest_sessionfinish():
     if _flagship is not None:
         proc, out, err = _flagship
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        proc.stdin.close()  # the subprocess exits at once if it still runs
+        proc.wait()
         out.close()
         err.close()
 

@@ -7,8 +7,8 @@ claims about specific configurations, and every tolerance appears
 literally in the assertions.
 
 The heavy check is criterion 6 (N = 2**20, one lane and four forks);
-its sweep runs in a subprocess beside the rest of the suite (see
-``conftest.py``), and its test runs last.
+``conftest.py`` runs its sweep, :func:`flagship_sweep`, in a subprocess
+beside the rest of the suite, and its test runs last.
 """
 
 import json
@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import UNDER_RESOLVED_V0, build_data, flagship_result
+from conftest import UNDER_RESOLVED_V0, build_data
 from hks import probe
 from hks.cli import dispatch
 from hks.littlewood_paley import (
@@ -65,6 +65,13 @@ def sweeps32k():
 @pytest.fixture(scope="module")
 def data2d():
     return build_data(2, 1, 2048, 5)
+
+
+def flagship_sweep():
+    # criterion 6's sweep, which conftest.py runs in a subprocess
+    data = build_data(1, 1, 2**20, 13)
+    return probe.inflation_sweep(data, BesovParams(2.0, 2.0), 2.0,
+                                 range(5, 9), cfl=0.4)
 
 
 def test_criterion_01_partition_identities(base_data):
@@ -168,8 +175,8 @@ def test_criterion_05_remainder_rate(sweeps32k):
         assert 1.7 <= sweep.slope_h_s2 <= 2.3
 
 
-def test_criterion_06_inflation_signature():
-    sweep = flagship_result()  # conftest's subprocess; fails with its stderr
+def test_criterion_06_inflation_signature(inflation_full):
+    sweep = inflation_full  # flagship_sweep, run in conftest's subprocess
     floor = 0.01 * sweep.u0_norm
     print(f"criterion 6: eps0=2.0, j in 5..8, N=2^20, n_max=13")
     for rec in sweep.records:

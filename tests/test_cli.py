@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import UNDER_RESOLVED_V0, build_data, v0_warning
-from hks import ksf, probe
+from hks import ksf, probe, solver
 from hks.cli import build_parser, dispatch
 from hks.littlewood_paley import BesovParams, besov_norm, make_partition
 from hks.spectral import Field, band_limited_noise, make_grid
@@ -640,6 +640,19 @@ class TestCalibrateCli:
         assert summary["eps0"] == probe.DEFAULT_EPS0
         assert len(summary["attempts"]) == 1
         assert f"calibrated eps0 = {probe.DEFAULT_EPS0!r}" in stdout
+
+    def test_failed_attempt_prints_its_reason(self, tmp_path, capsys, monkeypatch):
+        # at eps0 = 1e9 and 5e8 the CFL lane is over its step budget
+        monkeypatch.setattr(probe, "CALIBRATION_MAX_HALVINGS", 1)
+        rc, stdout, _ = run(["probe", "calibrate", "--n", 2048, "--nmax", 5,
+                             "--jmin", 4, "--jmax", 5, "--eps0", 1e9,
+                             "--outdir", tmp_path / "cal"], capsys)
+        assert rc == 1
+        lines = stdout.splitlines()
+        for eps0, line in zip((1e9, 5e8), lines):
+            assert line.startswith(f"eps0 = {eps0!r}: fail (j4 blow-up: reaching t=")
+            assert line.endswith(f"budget of {solver.MAX_LANE_STEPS} steps)")
+        assert lines[2] == "calibrated eps0 = 500000000.0"
 
     def test_rejects_nonpositive_eps0(self, tmp_path, capsys):
         rc, _, err = run(["probe", "calibrate", "--n", 2048, "--nmax", 5,

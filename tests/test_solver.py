@@ -514,19 +514,30 @@ class TestDirectSummationOracle:
 
 
 class TestStepBudget:
+    # the budget bounds a CFL lane, whose state sets dt; a fixed dt sets the
+    # step count up front
     @pytest.mark.parametrize("fork", [False, True])
-    def test_lane_over_budget_fails_before_stepping(self, monkeypatch, fork):
-        # 4 steps of 0.1 to t = 0.4 fit a budget of 4; t = 0.5 needs 5
+    def test_cfl_lane_over_budget_fails_before_stepping(self, monkeypatch, fork):
+        g = make_grid(1, 1, 256)
+        u0 = Field(g, 0.05 * band_limited_noise(g, 40, seed=45).values)
+        # the first CFL step, from the speed at u0 of a one-step probe run
+        speed = evolve(u0, SolverConfig(t_final=1e-9, cfl=0.3)).steps[0]["max_speed"]
+        dt0 = 0.3 * g.spacing / speed
+        # 3.5 first steps to the last time fit a budget of 4; 4.5 do not
         monkeypatch.setattr(solver, "MAX_LANE_STEPS", 4)
-        u0 = noisy_state(1, 64)
-        traj = Trajectory(u0.grid, [], [], [])
-        assert [t for t, _ in solver._lane(u0, SolverConfig(t_final=0.4, dt=0.1), traj,
-                                           fork)] == [0.4]
-        assert len(traj.steps) == (3 if fork else 4)
-        traj = Trajectory(u0.grid, [], [], [])
+        traj = Trajectory(g, [], [], [])
+        cfg = SolverConfig(t_final=3.5 * dt0, cfl=0.3)
+        assert [t for t, _ in solver._lane(u0, cfg, traj, fork)] == [3.5 * dt0]
+        assert traj.steps
+        traj = Trajectory(g, [], [], [])
         with pytest.raises(BlowUpError, match="budget of 4 steps"):
-            next(solver._lane(u0, SolverConfig(t_final=0.5, dt=0.1), traj, fork))
+            next(solver._lane(u0, SolverConfig(t_final=4.5 * dt0, cfl=0.3), traj, fork))
         assert traj.steps == []
+
+    def test_fixed_dt_lane_is_not_bounded(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_LANE_STEPS", 4)
+        traj = evolve(noisy_state(1, 64), SolverConfig(t_final=0.5, dt=0.1))
+        assert traj.times == [0.0, 0.5] and len(traj.steps) == 5
 
 
 class TestDeferredStateCheck:
