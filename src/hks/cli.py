@@ -8,7 +8,10 @@ Every run that writes an output directory also writes manifest.json with
 the resolved configuration; re-running the same command reproduces every
 CSV byte for byte.  One runner, ``_run_probe``, writes every probe store
 and decides its exit code; a probe handler runs its validator and names
-its call, manifest config, tables and own stdout lines.
+its call, manifest config, tables and own stdout lines.  Every probe
+store, a failed run's included, gets summary.json and manifest.json: a
+run that fails with an error records it in the summary with
+``"pass": false``.
 """
 
 from __future__ import annotations
@@ -268,23 +271,25 @@ def _run_probe(args, argv, run, config: dict, tables=lambda result: {},
     """Create the store (optional for the lemmas), ``run()`` the probe,
     write ``tables(result)`` ({name: (header, rows)}) and the summary with
     its pass flag, print the band checks and ``lines(result)``, write the
-    manifest and print the store.  An InflationError is a failed run that
-    writes the tables of its completed blocks and names the error."""
+    manifest and print the store.  A BlowUpError is a failed run that
+    writes the summary of its error and the manifest, and no tables; an
+    InflationError also writes the tables of its completed blocks."""
     store = ResultStore.create(args.outdir, force=args.force) if args.outdir else None
     try:
         result = run()
         summary, passed = result.summary, result.passed
-    except InflationError as exc:
+    except (InflationError, BlowUpError) as exc:
         result, summary, passed = exc, {"error": str(exc)}, False
     if store:
-        for name, (header, rows) in tables(result).items():
-            store.write_table(name, header, rows)
+        if not isinstance(result, BlowUpError):
+            for name, (header, rows) in tables(result).items():
+                store.write_table(name, header, rows)
         store.write_summary({**summary, "pass": passed})
-    if isinstance(result, InflationError):
+    if isinstance(result, RuntimeError):
         store.write_manifest(argv, config)
         print(f"error: {result}", file=sys.stderr)
         return 1
-    for line in (*probe.checks(summary, args.d), *lines(result)):
+    for line in (*probe.checks(summary), *lines(result)):
         print(line)
     if store:
         store.write_manifest(argv, config)

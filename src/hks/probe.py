@@ -3,9 +3,10 @@
 Everything here turns an analytic claim into a number with a frozen
 tolerance band: every verdict is a :class:`Check` against a band named by
 a module constant.  ``checks`` maps the ``summary.json`` scalars of
-``rates``, ``inflation`` and ``jk`` to their bands; each lemma of
-``lemma_suite`` and each attempt of ``calibrate_eps0`` passes when all of
-its own Checks pass.  Every result carries its ``summary`` and ``passed``.
+``rates``, ``inflation`` and ``jk`` to their bands, from the summary
+alone; each lemma of ``lemma_suite`` and each attempt of ``calibrate_eps0``
+passes when all of its own Checks pass.  Every result carries its
+``summary`` and ``passed``.
 
 * ``rate_sweep``     first-order deviation rate and second-order remainder
 * ``inflation_sweep`` the non-vanishing-deviation signature along t_j = eps0*2^-j
@@ -23,8 +24,8 @@ every t_j off one lane to the largest t_j, which gives each u(t_j) bit for
 bit as an independent evolve to t_j would (``_block_outcomes``).  Every
 Besov sup and named block norm of the sweeps comes from
 ``littlewood_paley.block_sups``, which at p != 2 transforms only the blocks
-that can hold a sup.  ``jk_sweep`` runs its parts as one schedule on a
-two-worker pool, with the numbers of a serial loop.  The validators
+that can hold a sup.  ``jk_sweep`` runs all of its parts as one schedule on
+a two-worker pool, with the numbers of a serial loop.  The validators
 ``validate_rate_sweep``, ``validate_inflation_sweep``, ``validate_jk``,
 ``validate_lemmas`` and ``validate_calibration`` hold the argument checks
 of the five probes, so the CLI rejects bad input before it creates a store
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,23 +88,23 @@ class Check:
                 f"{'PASS' if self.passed else 'FAIL'}")
 
 
-def checks(summary: dict, d: int = 1) -> list[Check]:
+def checks(summary: dict) -> list[Check]:
     """The band checks of a ``rates``, ``inflation`` or ``jk`` summary.
 
-    Keys the summary lacks give no check.  The dimension d selects the
-    jk checks (the rates and inflation checks do not depend on it): the
-    dyadic growth band of the forcing profile and the vanishing transverse
-    term K are d = 1 statements, and higher-d runs are judged on the
-    flatness of K instead.
+    Keys the summary lacks give no check, so a summary is judged from its
+    own keys alone.  A jk summary carries ``k_zero`` only at d = 1, where
+    the dyadic growth band of the forcing profile (``v0_slope``) and the
+    vanishing transverse term K are the statements; at d >= 2 it carries
+    ``k_slope``, the flatness of K, instead.
     """
     bands = [("slope_dev_s1", *RATE1_BAND),
              ("slope_h_s2", *RATE2_BAND),
              ("slope_j1", *J1_SLOPE_BAND)]
-    if d == 1:
-        bands += [("v0_slope", *V0_SLOPE_BAND), ("k_zero", True, True)]
-    else:
-        bands.append(("k_slope", -math.inf, FLATNESS_MAX))
-    bands += [("commutator_slope", -math.inf, FLATNESS_MAX),
+    if "k_zero" in summary:
+        bands.append(("v0_slope", *V0_SLOPE_BAND))
+    bands += [("k_zero", True, True),
+              ("k_slope", -math.inf, FLATNESS_MAX),
+              ("commutator_slope", -math.inf, FLATNESS_MAX),
               ("ratio", INFLATION_MIN_RATIO, math.inf)]
     if "u0_norm" in summary:
         bands.append(("min_dev", INFLATION_FLOOR_FRACTION * summary["u0_norm"], math.inf))
@@ -425,11 +426,10 @@ class JKSweep:
     commutator: list  # (j, 2^{js} ||[Delta_j, V . grad] u0||_p) per window block
     v0_profile: lpmod.BesovNormResult
     summary: dict
-    d: int
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in checks(self.summary, self.d))
+        return all(c.passed for c in checks(self.summary))
 
 
 def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
@@ -487,16 +487,6 @@ def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
 _SETUP_LEAD = 1
 
 
-def _finished(fn, *args) -> Future:
-    """fn(*args), run on the calling thread, as a finished Future."""
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
-
-
 def validate_jk(grid: sp.Grid, n_max: int, j_range) -> list:
     """The blocks of the slope-fit window of a jk sweep on a datum with top
     packet n_max, sorted; a ValueError for a window that holds fewer than
@@ -525,24 +515,22 @@ def jk_sweep(data: InitialData, params: BesovParams, j_range) -> JKSweep:
     the window, the commutator values, and v0's profile over the window.
 
     The work runs as one schedule on a two-worker pool scoped to the call.
-    The pool's queue holds v0's build (:attr:`InitialData.v0`) and profile
-    first, then the rows with the commutator set-up entered _SETUP_LEAD rows
-    before their end, then the commutator blocks, each of which waits for
-    the set-up (queued before it, so already started).  So v0 is built
-    beside the first rows and the set-up beside the last.  Meanwhile the
-    calling thread takes the half spectra of grad u0, which the rows and the
-    set-up share, and then, once v0 is done, the anchor.  Every number is
-    that of a serial loop.  The first failing item in the order of a serial
-    run (rows, anchor, set-up and blocks, v0) raises, and the items not yet
-    started are cancelled.  The pool's threads are joined before the call
-    returns, and the gradient spectra are freed once the last row and the
-    set-up have read them.
+    The pool's queue holds v0's build (:attr:`InitialData.v0`) and profile,
+    the rows with the commutator set-up entered _SETUP_LEAD rows before
+    their end, the commutator blocks (each waits for the set-up, already
+    started), and the anchor last.  The calling thread only takes the half
+    spectra of grad u0, which the rows and the set-up share, and collects.
+    Every number is that of a serial loop.  The first failing item in the
+    order of a serial run (rows, anchor, set-up and blocks, v0) raises, and
+    the items not yet started are cancelled.  The pool's threads are joined
+    before the call returns, and the gradient spectra are freed once the
+    last row and the set-up have read them.
     """
     js = validate_jk(data.grid, data.n_max, j_range)
     g, s, p = data.grid, params.s, params.p
     part = make_partition(g)
     row_js = range(3, data.n_max + 1)
-    profile = setup = None
+    profile = setup = origin = None
     rows, blocks = [], []
 
     def value(j: int) -> float:
@@ -560,12 +548,11 @@ def jk_sweep(data: InitialData, params: BesovParams, j_range) -> JKSweep:
             rows += [pool.submit(row, j) for j in row_js[lead:]]
             del du_half, row  # the tasks hold them while they need them
             blocks = [pool.submit(value, j) for j in js]
-            wait([profile])  # so that the anchor's arrays join the rows' only
-            origin = _finished(c0_anchor, data)
+            origin = pool.submit(c0_anchor, data)
             done = ([f.result() for f in rows], origin.result(),
                     [f.result() for f in blocks], profile.result())
         finally:
-            for f in (profile, setup, *rows, *blocks):
+            for f in (profile, setup, *rows, *blocks, origin):
                 if f is not None:
                     f.cancel()
     jk_rows, anchor, values, v0_norm = done
@@ -586,7 +573,7 @@ def jk_sweep(data: InitialData, params: BesovParams, j_range) -> JKSweep:
     else:
         summary["k_slope"] = fit_loglog(xs, [r.K for r in window])
     return JKSweep(rows=jk_rows, anchor=anchor, commutator=list(zip(js, values)),
-                   v0_profile=v0_norm, summary=summary, d=g.d)
+                   v0_profile=v0_norm, summary=summary)
 
 
 def c0_anchor(data: InitialData) -> AnchorReport:

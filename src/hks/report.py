@@ -2,10 +2,11 @@
 
 The report inlines every table (for external plotting, no plotting
 dependency here), echoes the resolved configuration, lists the band
-checks that :func:`hks.probe.checks` makes of the stored summary (the
-same checks the CLI judged the run by), and reduces them and the stored
-pass flag to a single conjunction.  Missing pieces are listed rather
-than fatal: a partial store still renders.
+checks that :func:`hks.probe.checks` makes of the stored summary alone
+(the same checks the CLI judged the run by; the manifest is only echoed),
+and reduces them and the stored pass flag to a single conjunction.
+Missing pieces are listed rather than fatal: a partial store still
+renders.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ def _table_section(store: ResultStore, name: str) -> list[str]:
     return lines
 
 
-def _summary_section(summary, d: int) -> tuple[list[str], list[bool]]:
+def _summary_section(summary) -> tuple[list[str], list[bool]]:
     lines = ["## Checks", ""]
     if not summary:
         lines += ["_no results: summary.json missing_", ""]
         return lines, []
-    judged = probe.checks(summary, d)
+    judged = probe.checks(summary)
     lines += [f"- {c}" for c in judged]
     flags = [c.passed for c in judged]
     if "c0" in summary:
@@ -83,8 +84,7 @@ def render_report(store: ResultStore) -> str:
             lines += _table_section(store, name)
     else:
         lines += ["## Tables", "", "_no results: no tables present_", ""]
-    d = manifest.get("config", {}).get("d", 1) if manifest else 1
-    check_lines, flags = _summary_section(summary, d)
+    check_lines, flags = _summary_section(summary)
     lines += check_lines
 
     missing = [n for n in ("manifest.json", "summary.json")

@@ -353,6 +353,22 @@ class TestProbeRatesCli:
         assert ma["config"] == mb["config"]
         assert ma["outputs"] == mb["outputs"]
 
+    def test_failed_sweep_writes_summary_and_manifest(self, tmp_path, capsys):
+        # the step budget fails the lane: the store holds the error and the
+        # configuration, and no tables
+        out = tmp_path / "rates"
+        rc, _, err = run(["probe", "rates", "--n", 2048, "--nmax", 5,
+                          "--times", "1e3,1e4,1e5,1e6", "--outdir", out], capsys)
+        assert rc == 1
+        assert err.startswith("error: reaching t=1e+06 from t=0")
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"error": err[len("error: "):].rstrip("\n"), "pass": False}
+        assert json.loads((out / "manifest.json").read_text())["config"]["times"] == [
+            1e3, 1e4, 1e5, 1e6]
+        _, stdout, _ = run(["report", "--store", out], capsys)
+        assert stdout.rstrip().endswith("**Overall: FAIL**")
+
 
 class TestProbeInflationCli:
     def test_single_block_sweep(self, tmp_path, capsys):
@@ -432,6 +448,15 @@ class TestProbeJkCli:
         assert summary.pop("pass") is sweep.passed
         assert summary == sweep.summary
         assert rc == (0 if sweep.passed else 1)
+
+    def test_d2_summary_judged_without_the_dimension(self, probe_store):
+        # the summary says which case it is: k_slope only at d >= 2
+        _, out = probe_store(["jk", "--d", 2, "--n", 1024, "--nmax", 4,
+                              "--jmin", 3, "--jmax", 4])
+        summary = json.loads((out / "summary.json").read_text())
+        names = [c.name for c in probe.checks(summary)]
+        assert "k_slope" in names
+        assert "v0_slope" in summary and "v0_slope" not in names
 
     def test_narrow_window_rejected(self, tmp_path, capsys):
         rc, _, err = run(["probe", "jk", "--n", 2048, "--nmax", 5,
@@ -700,6 +725,16 @@ class TestReportCli:
     def test_report_judges_d2_jk_store_on_k_slope(self, tmp_path, capsys):
         out = tmp_path / "jk2"
         self._jk_store_2d(out)
+        rc, stdout, _ = run(["report", "--store", out], capsys)
+        assert rc == 0
+        assert "- k_slope = -0.15, band [-inf, 0.3]: PASS" in stdout
+        assert "v0_slope = 2.98" not in stdout
+        assert stdout.rstrip().endswith("**Overall: PASS**")
+
+    def test_report_judges_d2_jk_store_without_its_manifest(self, tmp_path, capsys):
+        out = tmp_path / "jk2"
+        self._jk_store_2d(out)
+        (out / "manifest.json").unlink()
         rc, stdout, _ = run(["report", "--store", out], capsys)
         assert rc == 0
         assert "- k_slope = -0.15, band [-inf, 0.3]: PASS" in stdout

@@ -6,6 +6,7 @@ while the band assertions encode the a-priori expectations.
 """
 
 import functools
+import json
 import math
 import threading
 import time
@@ -674,10 +675,12 @@ class TestAnatomySchedule:
 
     @UNDER_RESOLVED_V0
     def test_first_failing_item_in_serial_order_raises(self, monkeypatch):
-        # row 6 violates the split after a delay, block 5 fails at once and
-        # the v0 build first of all; row 6 comes first in a serial run
+        # row 6 violates the split after a delay, block 5 and the anchor
+        # fail at once and the v0 build first of all; row 6 comes first in a
+        # serial run, then the anchor, then the blocks, then v0
         data = build_data(1, 1, 16384, 8)
-        amplitude, setup, failed = data.amplitude, lpmod._commutator_block, []
+        amplitude, setup, c0_anchor = data.amplitude, lpmod._commutator_block, probe.c0_anchor
+        failed = []
 
         def inflated(n):
             if n == 6:
@@ -699,17 +702,28 @@ class TestAnatomySchedule:
             failed.append("v0")
             raise BlowUpError("v0 failed")
 
+        def failing_anchor(data):
+            failed.append("anchor")
+            raise RuntimeError("anchor failed")
+
         monkeypatch.setattr(data, "amplitude", inflated)
         monkeypatch.setattr(lpmod, "_commutator_block", failing_setup)
         monkeypatch.setattr(construction, "transport_divergence", failing_v0)
+        monkeypatch.setattr(probe, "c0_anchor", failing_anchor)
         solver._helper().submit(int).result()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="split violated at block 6$"):
             probe.jk_sweep(data, BesovParams(2.0, 2.0), range(4, 8))
         assert threading.active_count() == before
-        assert failed == ["v0", 5]
-        # without the failing row, the block's error comes before v0's
+        assert failed == ["v0", 5, "anchor"]
+        # without the failing row, the anchor's error comes before the
+        # block's and v0's
         monkeypatch.setattr(data, "amplitude", amplitude)
+        with pytest.raises(RuntimeError, match="anchor failed"):
+            probe.jk_sweep(data, BesovParams(2.0, 2.0), range(4, 8))
+        assert threading.active_count() == before
+        # without the failing anchor, the block's error comes before v0's
+        monkeypatch.setattr(probe, "c0_anchor", c0_anchor)
         with pytest.raises(RuntimeError, match="block 5 failed"):
             probe.jk_sweep(data, BesovParams(2.0, 2.0), range(4, 8))
         assert threading.active_count() == before
@@ -726,6 +740,12 @@ class TestAnatomySchedule:
         assert rc == 1
         assert "error: non-finite values produced at stage 'divergence'" in capsys.readouterr().err
         assert threading.active_count() == before
+        # the store holds the error and the configuration, and no tables
+        out = tmp_path / "jk"
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "summary.json"]
+        assert json.loads((out / "summary.json").read_text()) == {
+            "error": "non-finite values produced at stage 'divergence'", "pass": False}
+        assert json.loads((out / "manifest.json").read_text())["config"]["jmin"] == 4
 
 
 class TestLemmaSuite:
