@@ -172,6 +172,11 @@ class DyadicPartition:
         out.reshape(lead + (-1,))[..., row * m + col] = F.reshape(lead + (-1,))[..., idx] * vals
         return out
 
+    def block(self, F: np.ndarray, j: int) -> np.ndarray:
+        """Block j of the field whose half spectrum is F (a stack of fields
+        for a stack of half spectra): the one block transform."""
+        return half_spectrum(self.grid).irfftn(self._windowed(F, j))
+
     def block_window(self, j: int) -> np.ndarray:
         """Window values on the full fft-ordered lattice for block j (j = -1
         is the low ball).  The window is radial, so the half spectrum is
@@ -209,8 +214,7 @@ def _block_norms(part: DyadicPartition, Fh: np.ndarray, p: float,
         c2 = _half_power(Fh).reshape(-1)
         sums = np.array([np.sum(c2[idx] * (w * w)) for idx, w in (windows[j + 1] for j in js)])
         return np.sqrt(sums * (g.spacing ** g.d / g.N ** g.d))
-    hs = half_spectrum(g)
-    return np.array([lp_norm(Field(g, hs.irfftn(part._windowed(Fh, j))), p) for j in js])
+    return np.array([lp_norm(Field(g, part.block(Fh, j)), p) for j in js])
 
 
 def _norm_bounds(part: DyadicPartition, Fh: np.ndarray, p: float) -> np.ndarray:
@@ -286,8 +290,7 @@ def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float
 
 def lp_block(part: DyadicPartition, f: Field, j: int) -> Field:
     """The j-th dyadic block of f as a physical field."""
-    windowed = part._windowed(np.fft.rfftn(f.values), j)
-    return Field(part.grid, half_spectrum(part.grid).irfftn(windowed))
+    return Field(part.grid, part.block(np.fft.rfftn(f.values), j))
 
 
 @dataclass
@@ -313,9 +316,8 @@ def decompose(part: DyadicPartition, f: Field) -> BlockDecomposition:
     When the unresolved coefficient mass fraction exceeds 1e-12 the block
     sum no longer reconstructs f and a warning is emitted.
     """
-    g, hs = part.grid, half_spectrum(part.grid)
     Fh = np.fft.rfftn(f.values)
-    blocks = [Field(g, hs.irfftn(part._windowed(Fh, j))) for j in range(-1, part.j_max + 1)]
+    blocks = [Field(part.grid, part.block(Fh, j)) for j in range(-1, part.j_max + 1)]
     resolved, frac = _check_resolved(
         part, Fh, "field has {:.3e} of its spectral mass beyond the resolved band")
     return BlockDecomposition(part, blocks, resolved, frac)
@@ -405,30 +407,23 @@ def _commutator_block(
     v = [hs.truncate(c.values) for c in velocity]
 
     def advect(b: list) -> np.ndarray:
-        """v . b with the truncate-multiply-truncate rule of dealiased_product.
-        It empties the list b and frees each field once it is transformed,
-        so one field and one half spectrum are alive besides the sum."""
-        total = None
-        for a in range(g.d):
-            term = hs.irfftn(hs.kept(np.fft.rfftn(b.pop(0))))
-            term *= v[a]
-            spectrum = np.fft.rfftn(term)
-            del term
-            term = hs.irfftn(hs.kept(spectrum))
-            del spectrum
-            if total is None:
-                total = term
-            else:
-                total += term
+        """v . b for truncated fields b, by the multiply-truncate half of the
+        rule of dealiased_product.  It empties the list b, so each field is
+        freed once multiplied and each product once transformed."""
+        total = hs.truncate(b.pop(0) * v[0])
+        for a in range(1, g.d):
+            total += hs.truncate(b.pop(0) * v[a])
         return total
 
-    grad = list(hs.irfftn(grad_f_half))
-    grad_half = [np.fft.rfftn(c) for c in grad]
-    adv_half = np.fft.rfftn(advect(grad))  # the blocks need only half spectra
+    grad_half = [np.fft.rfftn(c) for c in hs.irfftn(grad_f_half)]
+    # the blocks need only the half spectrum of the advection
+    adv_half = np.fft.rfftn(advect([hs.irfftn(hs.kept(c)) for c in grad_half]))
 
     def block(j: int) -> Field:
-        adv = advect([hs.irfftn(part._windowed(c, j)) for c in grad_half])
-        out = hs.irfftn(part._windowed(adv_half, j))
+        # each Delta_j d_a f is truncated from its values, not from its
+        # windowed spectrum: 2d FFTs per block that keep the values' bits
+        adv = advect([hs.truncate(part.block(c, j)) for c in grad_half])
+        out = part.block(adv_half, j)
         out -= adv
         return Field(g, out)
 

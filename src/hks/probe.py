@@ -453,7 +453,7 @@ def _jk_row(data: InitialData, params: BesovParams, du_half: np.ndarray):
 
     def row(j: int) -> JKRow:
         scale = 2.0 ** (j * s)
-        blocks = hs.irfftn(part._windowed(du_half, j))  # Delta_j d_a u0
+        blocks = part.block(du_half, j)  # Delta_j d_a u0
         J = scale * weighted_norm(blocks[0])
         K = 0.0
         for a in range(1, g.d):

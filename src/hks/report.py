@@ -64,6 +64,8 @@ def _summary_section(summary) -> tuple[list[str], list[bool]]:
                      f"{summary['kappa']:.6g}")
     if "eps0" in summary:
         lines.append(f"- eps0 = {summary['eps0']!r}")
+    if "error" in summary:
+        lines.append(f"- error: {summary['error']}")
     if "pass" in summary:
         flags.append(bool(summary["pass"]))
     lines.append("")

@@ -227,7 +227,7 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
     dealiased state included, is released once the chain has used it, which
     keeps the number of live arrays per RHS evaluation, and so the step's
     peak memory, down; a caller that passes its only reference to ``uh``
-    or ``S_half`` frees it here.
+    or ``S_half`` frees it here (a temporary one only on CPython >= 3.11).
     """
     d = len(hs.shape)
     ud = hs.irfftn(hs.kept(uh))
@@ -238,9 +238,7 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
     tasks = [_helper().submit(_grad_S, src, S_half, hs, a, with_speed) for a in range(d)]
     del uh, S_half, src
     try:
-        F = np.fft.rfftn(ud * ud)
-        g = hs.irfftn(hs.kept(F))
-        del F
+        g = hs.truncate(ud * ud)
         np.subtract(ud, g, out=g)  # dealiased u(1-u)
         if not with_speed:
             del ud

@@ -28,7 +28,8 @@ Dealiasing has one rule, Orszag's 2/3 truncation: a mode is kept when
 every |k_a| is at most floor(2/3 * N/2) (:func:`dealias_cutoff_index`),
 and each grid's half spectrum holds the one keep mask.  A truncation cuts
 the last axis at the cutoff (:meth:`HalfSpectrum.kept`) and lets the
-inverse transform zero-fill the rest.
+inverse transform zero-fill the rest; :meth:`HalfSpectrum.truncate` is
+the one truncation of a field.
 """
 
 from __future__ import annotations
@@ -309,8 +310,12 @@ class HalfSpectrum:
         return self.irfftn(np.fft.rfftn(values) * symbol)
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
-        """Zero every mode of ``values`` with an axis index above the cutoff."""
-        return self.irfftn(self.kept(np.fft.rfftn(values)))
+        """Zero every mode of ``values`` with an axis index above the cutoff.
+        A temporary ``values`` (``truncate(a * b)``) is freed before the
+        inverse transform on CPython >= 3.11 only."""
+        F = np.fft.rfftn(values)
+        del values
+        return self.irfftn(self.kept(F))
 
 
 def _half_power(Fh: np.ndarray) -> np.ndarray:

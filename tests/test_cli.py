@@ -368,6 +368,7 @@ class TestProbeRatesCli:
             1e3, 1e4, 1e5, 1e6]
         _, stdout, _ = run(["report", "--store", out], capsys)
         assert stdout.rstrip().endswith("**Overall: FAIL**")
+        assert f"- error: {summary['error']}\n" in (out / "report.md").read_text()
 
 
 class TestProbeInflationCli:

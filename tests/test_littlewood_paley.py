@@ -378,7 +378,8 @@ class TestHalfSpectrumBlocks:
     @pytest.mark.parametrize("d,N", [(1, 1024), (2, 256), (3, 64)])
     def test_windowed_spectra_transform_as_dense_windows(self, d, N):
         # cut after the window's last mode and filled on its support, a
-        # block's spectrum (also a stack of two) gives the dense window's field
+        # block's spectrum (also a stack of two) gives the dense window's
+        # field, and so does the block transform
         g = make_grid(d, 1, N)
         part, hs = make_partition(g), half_spectrum(g)
         F = np.fft.rfftn(np.stack([white_noise(g, 7).values, white_noise(g, 8).values]),
@@ -389,6 +390,8 @@ class TestHalfSpectrumBlocks:
             w = dense_half_window(part, j)
             assert np.array_equal(hs.irfftn(cut), hs.irfftn(F * w))
             assert np.array_equal(hs.irfftn(part._windowed(F[0], j)), hs.irfftn(F[0] * w))
+            assert np.array_equal(part.block(F, j), hs.irfftn(F * w))
+            assert np.array_equal(part.block(F[0], j), hs.irfftn(F[0] * w))
         with pytest.raises(ValueError, match="outside"):
             part._windowed(F, part.j_max + 1)
 

@@ -560,15 +560,15 @@ class TestBlockAnatomy:
         # the rows: one rfftn of u0, shared with the commutator set-up, and
         # per row one inverse transform of the blocks, one rfftn of the
         # packet and d + 1 inverse transforms for J1, J2, J3; the commutator:
-        # 4d + 1 rfftn and 3d + 1 irfftn of set-up (truncated velocity 2d,
-        # grad u0 1, its half spectra d, the dealiased advection 4d and its
-        # half spectrum 1), and per block 2d rfftn and 3d + 1 irfftn (the
-        # windowed gradient d, the windowed advection 1 and the advection
-        # 4d); v0's build and profile, counted alone
+        # 3d + 1 rfftn and 3d + 1 irfftn of set-up (truncated velocity 2d,
+        # grad u0 1, its half spectra d, their truncation d, the advection 2d
+        # and its half spectrum 1), and per block 2d rfftn and 3d + 1 irfftn
+        # (the windowed gradient d, its truncation 2d, the windowed advection
+        # 1 and the advection 2d); v0's build and profile, counted alone
         v0 = serial(d, N, n_max).v0_ffts
         rows, js = n_max - 2, anatomy_window(n_max)
         assert anatomy(d, N, n_max).ffts == {
-            "rfftn": 1 + rows + (4 * d + 1) + 2 * d * len(js) + v0["rfftn"],
+            "rfftn": 1 + rows + (3 * d + 1) + 2 * d * len(js) + v0["rfftn"],
             "irfftn": (d + 2) * rows + (3 * d + 1) + (3 * d + 1) * len(js) + v0["irfftn"]}
 
     def test_anchor_closed_form(self, data_8192_6):

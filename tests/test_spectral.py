@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -296,6 +298,23 @@ class TestDealiasing:
         v = np.random.default_rng(8).standard_normal(g.shape)
         ref = np.fft.irfftn(np.fft.rfftn(v) * hs.keep, s=g.shape, axes=range(d))
         assert hs.truncate(v).tobytes() == ref.tobytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="below 3.11 the caller's stack keeps the argument alive")
+    def test_truncation_frees_a_temporary_argument(self):
+        # the argument is freed once transformed, so the peak is the half
+        # spectrum and the result, 2 arrays of N floats; the argument alive
+        # beside them would make 3
+        g = make_grid(1, 1, 1 << 16)
+        hs = half_spectrum(g)
+        hs.truncate(np.ones(g.N))  # warm the tables and the FFT plan
+        tracemalloc.start()
+        try:
+            hs.truncate(np.ones(g.N))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * g.N
 
     def test_product_without_truncation_is_pointwise(self):
         g = make_grid(1, 1, 128)
