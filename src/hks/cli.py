@@ -6,12 +6,11 @@ flags, missing files, refusing to overwrite without --force).
 
 Every run that writes an output directory also writes manifest.json with
 the resolved configuration; re-running the same command reproduces every
-CSV byte for byte.  One runner, ``_run_probe``, writes every probe store
-and decides its exit code; a probe handler runs its validator and names
-its call, manifest config, tables and own stdout lines.  Every probe
-store, a failed run's included, gets summary.json and manifest.json: a
-run that fails with an error records it in the summary with
-``"pass": false``.
+CSV byte for byte.  One runner, ``_run``, writes every store and decides
+its exit code; a handler runs its validator and names its call, manifest
+config, fields, tables and own stdout lines.  Every store, a failed run's
+included, gets summary.json and manifest.json: a run that fails with an
+error records it in the summary with ``"pass": false``.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -204,18 +204,51 @@ def _pval(p: float):
     return "inf" if p == float("inf") else p
 
 
+def _run(args, argv, run, config: dict, tables=lambda result: {},
+         lines=lambda result: (), fields=lambda result: {}) -> int:
+    """Create the store (optional for the lemmas), ``run()`` the command,
+    write ``fields(result)`` ({name: Field}), ``tables(result)`` ({name:
+    (header, rows)}) and the summary with its pass flag, print the band
+    checks and ``lines(result)``, write the manifest and print the store.
+    A BlowUpError is a failed run that writes the summary of its error and
+    the manifest, and no fields or tables; an InflationError also writes
+    the tables of its completed blocks."""
+    store = ResultStore.create(args.outdir, force=args.force) if args.outdir else None
+    try:
+        result = run()
+        summary, passed = result.summary, result.passed
+    except (InflationError, BlowUpError) as exc:
+        result, summary, passed = exc, {"error": str(exc)}, False
+    if store:
+        if not isinstance(result, BlowUpError):
+            for name, field in fields(result).items():
+                store.write_field(name, field)
+            for name, (header, rows) in tables(result).items():
+                store.write_table(name, header, rows)
+        store.write_summary({**summary, "pass": passed})
+    if isinstance(result, RuntimeError):
+        store.write_manifest(argv, config)
+        print(f"error: {result}", file=sys.stderr)
+        return 1
+    for line in (*probe.checks(summary), *lines(result)):
+        print(line)
+    if store:
+        store.write_manifest(argv, config)
+        print(f"store: {store.root}")
+    return 0 if passed else 1
+
+
 def _cmd_construct(args, argv) -> int:
-    store = ResultStore.create(args.outdir, force=args.force)
-    data = _build_data(args)
-    store.write_field("u0", data.u0)
-    store.write_field("S0", data.S0)
-    store.write_field("v0", data.v0)
-    store.write_manifest(argv, _geometry_config(args))
-    print(f"constructed initial datum: d={args.d} M={args.m} N={args.n} "
-          f"s={args.s} n_max={args.nmax}")
-    print(f"max|u0| = {float(np.max(np.abs(data.u0.values)))!r}")
-    print(f"store: {store.root}")
-    return 0
+    def run():
+        data = _build_data(args)
+        return SimpleNamespace(data=data, passed=True,
+                               summary={"max_abs_u0": float(np.max(np.abs(data.u0.values)))})
+    return _run(
+        args, argv, run, _geometry_config(args),
+        lines=lambda result: [f"constructed initial datum: d={args.d} M={args.m} N={args.n} "
+                              f"s={args.s} n_max={args.nmax}",
+                              f"max|u0| = {result.summary['max_abs_u0']!r}"],
+        fields=lambda result: {name: getattr(result.data, name) for name in ("u0", "S0", "v0")})
 
 
 def _cmd_norms(args, argv) -> int:
@@ -236,65 +269,30 @@ def _cmd_evolve(args, argv) -> int:
     snapshots = tuple(args.snapshots) if args.snapshots else ()
     cfg = SolverConfig(t_final=args.t, dt=args.dt, cfl=args.cfl,
                        eps=args.eps, snapshot_times=snapshots)
-    store = ResultStore.create(args.outdir, force=args.force)
     config = {"infile": args.infile, "t": args.t, "dt": args.dt,
-              "cfl": args.cfl, "eps": args.eps,
-              "snapshots": list(snapshots)}
-    traj = Trajectory(u0.grid, [], [], [])  # gets the share before any step
-    try:
-        snapshots = [(0.0, u0), *((t, state()) for t, state in _lane(u0, cfg, traj))]
-    except BlowUpError as exc:
-        config["unevolved_share"] = traj.unevolved_share
-        store.write_manifest(argv, config)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for idx, (_, state) in enumerate(snapshots):
-        store.write_field(f"u_{idx:03d}", state)
-    store.write_table(
-        "diagnostics",
-        ("step", "t", "dt", "mean", "max_abs", "max_speed"),
-        [(i, st["t"], st["dt"], st["mean"], st["max_abs"], st["max_speed"])
-         for i, st in enumerate(traj.steps)])
-    config["times"] = [float(t) for t, _ in snapshots]
-    config["unevolved_share"] = traj.unevolved_share
-    store.write_manifest(argv, config)
-    print(f"evolved to t={args.t}: {len(traj.steps)} steps, "
-          f"{len(snapshots)} states")
-    print(f"unevolved share of u0's L2 mass above the dealias cutoff: "
-          f"{traj.unevolved_share!r}")
-    print(f"store: {store.root}")
-    return 0
+              "cfl": args.cfl, "eps": args.eps, "snapshots": list(snapshots)}
+    traj = Trajectory(u0.grid, [0.0], [u0], [])  # gets the share before any step
 
+    def run():
+        try:
+            for t, state in _lane(u0, cfg, traj):
+                traj.times.append(t)
+                traj.states.append(state())
+        finally:  # so that an aborted run's manifest records the share too
+            config["unevolved_share"] = traj.unevolved_share
+        config["times"] = [float(t) for t in traj.times]
+        return SimpleNamespace(passed=True, summary={
+            "steps": len(traj.steps), "t_final": args.t, "unevolved_share": traj.unevolved_share})
 
-def _run_probe(args, argv, run, config: dict, tables=lambda result: {},
-               lines=lambda result: ()) -> int:
-    """Create the store (optional for the lemmas), ``run()`` the probe,
-    write ``tables(result)`` ({name: (header, rows)}) and the summary with
-    its pass flag, print the band checks and ``lines(result)``, write the
-    manifest and print the store.  A BlowUpError is a failed run that
-    writes the summary of its error and the manifest, and no tables; an
-    InflationError also writes the tables of its completed blocks."""
-    store = ResultStore.create(args.outdir, force=args.force) if args.outdir else None
-    try:
-        result = run()
-        summary, passed = result.summary, result.passed
-    except (InflationError, BlowUpError) as exc:
-        result, summary, passed = exc, {"error": str(exc)}, False
-    if store:
-        if not isinstance(result, BlowUpError):
-            for name, (header, rows) in tables(result).items():
-                store.write_table(name, header, rows)
-        store.write_summary({**summary, "pass": passed})
-    if isinstance(result, RuntimeError):
-        store.write_manifest(argv, config)
-        print(f"error: {result}", file=sys.stderr)
-        return 1
-    for line in (*probe.checks(summary), *lines(result)):
-        print(line)
-    if store:
-        store.write_manifest(argv, config)
-        print(f"store: {store.root}")
-    return 0 if passed else 1
+    header = ("step", "t", "dt", "mean", "max_abs", "max_speed")
+    return _run(
+        args, argv, run, config,
+        lambda _: {"diagnostics": (header, [(i, *map(st.get, header[1:]))
+                                            for i, st in enumerate(traj.steps)])},
+        lambda _: [f"evolved to t={args.t}: {len(traj.steps)} steps, {len(traj.states)} states",
+                   f"unevolved share of u0's L2 mass above the dealias cutoff: "
+                   f"{traj.unevolved_share!r}"],
+        lambda _: {f"u_{i:03d}": state for i, state in enumerate(traj.states)})
 
 
 def _records_table(name: str):
@@ -307,7 +305,7 @@ def _cmd_probe_rates(args, argv) -> int:
     times = args.times or [float(t) for t in np.geomspace(1e-4, 1e-2, 5)]
     params = BesovParams(args.s, args.p)
     probe.validate_rate_sweep(params, args.d, times)
-    return _run_probe(
+    return _run(
         args, argv, lambda: probe.rate_sweep(_build_data(args), params, times, cfl=args.cfl),
         _geometry_config(args, p=_pval(args.p), times=times, cfl=args.cfl),
         _records_table("rates"))
@@ -316,7 +314,7 @@ def _cmd_probe_rates(args, argv) -> int:
 def _cmd_probe_inflation(args, argv) -> int:
     params, js = BesovParams(args.s, args.p), range(args.jmin, args.jmax + 1)
     probe.validate_inflation_sweep(params, args.d, args.nmax, args.eps0, js)
-    return _run_probe(
+    return _run(
         args, argv,
         lambda: probe.inflation_sweep(_build_data(args), params, args.eps0, js, cfl=args.cfl),
         _geometry_config(args, p=_pval(args.p), eps0=args.eps0, jmin=args.jmin,
@@ -328,7 +326,7 @@ def _cmd_probe_inflation(args, argv) -> int:
 def _cmd_probe_jk(args, argv) -> int:
     js = range(args.jmin, args.jmax + 1)
     probe.validate_jk(make_grid(args.d, args.m, args.n), args.nmax, js)
-    return _run_probe(
+    return _run(
         args, argv, lambda: probe.jk_sweep(_build_data(args), BesovParams(args.s, args.p), js),
         _geometry_config(args, p=_pval(args.p), jmin=args.jmin, jmax=args.jmax),
         lambda sweep: {
@@ -342,7 +340,7 @@ def _cmd_probe_jk(args, argv) -> int:
 def _cmd_lemmas(args, argv) -> int:
     grid = make_grid(args.d, args.m, args.n)
     probe.validate_lemmas(grid, args.seed)
-    return _run_probe(
+    return _run(
         args, argv, lambda: probe.lemma_suite(grid, seed=args.seed),
         {"d": args.d, "m": args.m, "n": args.n, "seed": args.seed},
         lambda rep: {"lemmas": (("name", "passed", "detail"),
@@ -354,7 +352,7 @@ def _cmd_lemmas(args, argv) -> int:
 def _cmd_probe_calibrate(args, argv) -> int:
     js = range(args.jmin, args.jmax + 1)
     probe.validate_calibration(args.nmax, args.eps0, js)
-    return _run_probe(
+    return _run(
         args, argv,
         lambda: probe.calibrate_eps0(_build_data(args), BesovParams(args.s, args.p), js,
                                      start=args.eps0, cfl=args.cfl),
@@ -395,9 +393,6 @@ def dispatch(argv) -> int:
     except (StoreExistsError, ValueError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -1,10 +1,11 @@
 """Markdown report rendering from a result store.
 
 The report inlines every table (for external plotting, no plotting
-dependency here), echoes the resolved configuration, lists the band
-checks that :func:`hks.probe.checks` makes of the stored summary alone
-(the same checks the CLI judged the run by; the manifest is only echoed),
-and reduces them and the stored pass flag to a single conjunction.
+dependency here), lists the stored fields, echoes the resolved
+configuration, lists the band checks that :func:`hks.probe.checks` makes
+of the stored summary alone (the same checks the CLI judged the run by;
+the manifest is only echoed), and reduces them and the stored pass flag
+to a single conjunction.
 Missing pieces are listed rather than fatal: a partial store still
 renders.
 """
@@ -79,19 +80,22 @@ def render_report(store: ResultStore) -> str:
     ordered = [n for n in _TABLE_ORDER if n in names]
     ordered += [n for n in names if n not in _TABLE_ORDER]
 
+    fields = sorted(p.name for p in (store.root / "fields").glob("*.ksf"))
+
     lines = ["# Run report", ""]
     lines += _config_section(manifest)
-    if ordered:
-        for name in ordered:
-            lines += _table_section(store, name)
-    else:
+    for name in ordered:
+        lines += _table_section(store, name)
+    if fields:
+        lines += ["## Fields", "", *(f"- fields/{name}" for name in fields), ""]
+    elif not ordered:
         lines += ["## Tables", "", "_no results: no tables present_", ""]
     check_lines, flags = _summary_section(summary)
     lines += check_lines
 
     missing = [n for n in ("manifest.json", "summary.json")
                if (store.root / n).is_file() is False]
-    if not ordered:
+    if not ordered and not fields:
         missing.append("tables/*.csv")
     if missing:
         lines += ["## Missing", ""]

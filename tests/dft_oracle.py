@@ -53,14 +53,16 @@ def slow_transform(values, M):
     return out
 
 
-def slow_inverse(coeffs, M):
-    """f(x) = sum_k F(xi_k) exp(i x . xi_k), real part."""
+def slow_inverse(coeffs, M, d=None):
+    """f(x) = sum_k F(xi_k) exp(i x . xi_k), real part, over the first d
+    axes (all by default); further axes stack spectra, each matrix row block
+    built once for all of them."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     N = coeffs.shape[0]
     x = axis_coordinates(M, N)
     xi = axis_frequencies(M, N)
     out = coeffs
-    for axis in range(coeffs.ndim):
+    for axis in range(d or coeffs.ndim):
         out = np.moveaxis(out, axis, 0)
         out = _apply_axis_matrix(
             out, lambda lo, hi: np.exp(1j * np.outer(x[lo:hi], xi)), N)

@@ -191,7 +191,7 @@ class TestConstructNorms:
         assert manifest["config"]["n"] == 2048
         assert manifest["config"]["nmax"] == 5
         assert sorted(manifest["outputs"]) == [
-            "fields/S0.ksf", "fields/u0.ksf", "fields/v0.ksf"]
+            "fields/S0.ksf", "fields/u0.ksf", "fields/v0.ksf", "summary.json"]
         assert "max|u0|" in stdout
         # the stored field is exactly the in-process construction
         data = build_data(1, 1, 2048, 5)
@@ -320,6 +320,11 @@ class TestEvolveCli:
         above = np.abs(np.fft.fftfreq(256, 1 / 256)) > 85
         assert manifest["config"]["unevolved_share"] == pytest.approx(
             power[above].sum() / power.sum(), rel=1e-9, abs=1e-25)
+        summary = json.loads((edir / "summary.json").read_text())
+        assert summary == {"error": err.strip().removeprefix("error: "), "pass": False}
+        _, stdout, _ = run(["report", "--store", edir], capsys)
+        assert f"- error: {summary['error']}" in stdout
+        assert stdout.rstrip().endswith("**Overall: FAIL**")
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +771,20 @@ class TestReportCli:
         _, stdout, _ = run(["report", "--store", out], capsys)
         overall = "PASS" if rc == 0 else "FAIL"
         assert stdout.rstrip().endswith(f"**Overall: {overall}**")
+
+    def test_report_judges_construct_and_evolve_stores(self, tmp_path, capsys):
+        cdir, edir = tmp_path / "c", tmp_path / "e"
+        run(["construct", "--n", 2048, "--nmax", 5, "--outdir", cdir], capsys)
+        run(["evolve", "--in", cdir / "fields" / "u0.ksf", "--t", "1e-3",
+             "--dt", "5e-4", "--outdir", edir], capsys)
+        for store, fields in ((cdir, ("S0", "u0", "v0")), (edir, ("u_000", "u_001"))):
+            rc, stdout, _ = run(["report", "--store", store], capsys)
+            assert rc == 0
+            assert "_no results" not in stdout
+            assert "## Missing" not in stdout
+            assert "\n".join(f"- fields/{name}.ksf" for name in fields) in stdout
+            assert stdout.rstrip().endswith("**Overall: PASS**")
+        assert "## Table: diagnostics" in (edir / "report.md").read_text()
 
     def test_report_empty_store(self, tmp_path, capsys):
         out = tmp_path / "empty"

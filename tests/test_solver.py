@@ -513,6 +513,41 @@ class TestDirectSummationOracle:
         assert max_rel_gap(fast - u.values, slow - u.values) <= bound
 
 
+class TestSingleModeOracle:
+    # u0 = c + delta prod_a cos(x_a / M) over a constant c: the mode grows
+    # as delta exp(lambda t), lambda = c(1-c)|xi|^2/(1+|xi|^2) - eps|xi|^2,
+    # up to a relative O(delta^2) from the nonlinearity (about 3e-12 here),
+    # so over many steps the gap is RK4's; each bound is about 10x the gap
+    # measured when it was set (in the comment)
+    C, DELTA, T = 0.3, 1e-6, 8.0
+
+    def mode_gap(self, d, M, N, dt, eps=0.0):
+        g = make_grid(d, M, N)
+        mode = math.prod(np.ix_(*[np.cos(g.axis_coordinates() / M)] * d))
+        u0 = Field(g, self.C + self.DELTA * mode)
+        u_T = evolve(u0, SolverConfig(t_final=self.T, dt=dt, eps=eps)).states[-1].values
+        amplitude = np.sum((u_T - np.mean(u_T)) * mode) / np.sum(mode * mode)
+        xi2 = d / M ** 2
+        lam = self.C * (1 - self.C) * xi2 / (1 + xi2) - eps * xi2
+        exact = self.DELTA * math.exp(lam * self.T)
+        return abs(amplitude - exact) / exact
+
+    def test_fourth_order_over_many_steps(self):
+        gaps = [self.mode_gap(1, 1, 256, dt) for dt in (0.5, 0.25, 0.125)]
+        assert gaps[0] <= 5e-7  # 5.09e-8
+        assert gaps[1] <= 3.3e-8  # 3.25e-9
+        assert gaps[2] <= 2e-9  # 2.07e-10
+        assert math.log2(gaps[0] / gaps[1]) >= 3.5  # 3.97
+        assert math.log2(gaps[1] / gaps[2]) >= 3.5  # 3.97
+
+    @pytest.mark.parametrize("d, M, N, eps, bound", [
+        (2, 2, 64, 0.0, 4.3e-9),  # 4.31e-10
+        (1, 1, 256, 1e-3, 3.1e-8),  # 3.10e-9
+    ])
+    def test_mode_growth(self, d, M, N, eps, bound):
+        assert self.mode_gap(d, M, N, 0.25, eps) <= bound
+
+
 class TestStepBudget:
     # the budget bounds a CFL lane, whose state sets dt; a fixed dt sets the
     # step count up front
