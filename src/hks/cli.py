@@ -27,7 +27,7 @@ from .construction import _check_bump, _check_n_max, make_bump, make_initial_dat
 from .littlewood_paley import BesovParams, besov_norm, make_partition
 from .probe import InflationError
 from .report import render_report
-from .solver import BlowUpError, SolverConfig, Trajectory, _lane
+from .solver import BlowUpError, SolverConfig, evolve
 from .spectral import make_grid
 from .store import ResultStore, StoreExistsError
 
@@ -271,28 +271,28 @@ def _cmd_evolve(args, argv) -> int:
                        eps=args.eps, snapshot_times=snapshots)
     config = {"infile": args.infile, "t": args.t, "dt": args.dt,
               "cfl": args.cfl, "eps": args.eps, "snapshots": list(snapshots)}
-    traj = Trajectory(u0.grid, [0.0], [u0], [])  # gets the share before any step
 
     def run():
         try:
-            for t, state in _lane(u0, cfg, traj):
-                traj.times.append(t)
-                traj.states.append(state())
-        finally:  # so that an aborted run's manifest records the share too
-            config["unevolved_share"] = traj.unevolved_share
+            traj = evolve(u0, cfg)
+        except BlowUpError as exc:  # so that an aborted run's manifest records the share too
+            config["unevolved_share"] = exc.trajectory.unevolved_share
+            raise
+        config["unevolved_share"] = traj.unevolved_share
         config["times"] = [float(t) for t in traj.times]
-        return SimpleNamespace(passed=True, summary={
+        return SimpleNamespace(traj=traj, passed=True, summary={
             "steps": len(traj.steps), "t_final": args.t, "unevolved_share": traj.unevolved_share})
 
     header = ("step", "t", "dt", "mean", "max_abs", "max_speed")
     return _run(
         args, argv, run, config,
-        lambda _: {"diagnostics": (header, [(i, *map(st.get, header[1:]))
-                                            for i, st in enumerate(traj.steps)])},
-        lambda _: [f"evolved to t={args.t}: {len(traj.steps)} steps, {len(traj.states)} states",
-                   f"unevolved share of u0's L2 mass above the dealias cutoff: "
-                   f"{traj.unevolved_share!r}"],
-        lambda _: {f"u_{i:03d}": state for i, state in enumerate(traj.states)})
+        lambda res: {"diagnostics": (header, [(i, *map(st.get, header[1:]))
+                                              for i, st in enumerate(res.traj.steps)])},
+        lambda res: [f"evolved to t={args.t}: {len(res.traj.steps)} steps, "
+                     f"{len(res.traj.states)} states",
+                     f"unevolved share of u0's L2 mass above the dealias cutoff: "
+                     f"{res.traj.unevolved_share!r}"],
+        lambda res: {f"u_{i:03d}": state for i, state in enumerate(res.traj.states)})
 
 
 def _records_table(name: str):

@@ -665,10 +665,10 @@ def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     part = make_partition(grid)
     v = _matched_noise(grid, kmax, seed)
     f = _matched_noise(grid, kmax, seed + 1)
+    js = range(0, part.j_max + 1)
+    num = max(2.0 ** (j * s) * sp.lp_norm(c, 2.0)
+              for j, c in zip(js, lpmod.commutator(part, js, [v], f)))
     hs = sp.half_spectrum(grid)
-    block = lpmod._commutator_block(part, [v], hs.gradient(np.fft.rfftn(f.values)))
-    num = max(2.0 ** (j * s) * sp.lp_norm(block(j), 2.0)
-              for j in range(0, part.j_max + 1))
     dv = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(v.values), 0)))
     df = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), 0)))
     fb = lpmod.besov_norm(part, f, BesovParams(s, 2.0)).value

@@ -1,13 +1,15 @@
 """Markdown report rendering from a result store.
 
-The report inlines every table (for external plotting, no plotting
-dependency here), lists the stored fields, echoes the resolved
-configuration, lists the band checks that :func:`hks.probe.checks` makes
-of the stored summary alone (the same checks the CLI judged the run by;
-the manifest is only echoed), and reduces them and the stored pass flag
-to a single conjunction.
-Missing pieces are listed rather than fatal: a partial store still
-renders.
+The manifest's ``outputs`` is the store's one table of contents: the
+report inlines every table it lists (for external plotting, no plotting
+dependency here), lists its fields, and echoes the resolved
+configuration.  The checks section lists the band checks that
+:func:`hks.probe.checks` makes of the stored summary alone (the same
+checks the CLI judged the run by), then every other summary entry but
+``pass`` as ``- key: value`` in key order, and reduces the checks and the
+stored pass flag to a single conjunction.
+Missing pieces are listed rather than fatal: an output the manifest lists
+but the disk lacks goes under Missing, and a partial store still renders.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .store import ResultStore
 
 # Order in which known tables appear; unknown tables follow alphabetically.
 _TABLE_ORDER = ("rates", "inflation", "jk", "commutator", "v0_profile",
-                "lemmas", "norms", "diagnostics")
+                "lemmas", "diagnostics")
 
 
 def _config_section(manifest) -> list[str]:
@@ -55,18 +57,10 @@ def _summary_section(summary) -> tuple[list[str], list[bool]]:
         lines += ["_no results: summary.json missing_", ""]
         return lines, []
     judged = probe.checks(summary)
+    names = {c.name for c in judged} | {"pass"}
     lines += [f"- {c}" for c in judged]
+    lines += [f"- {key}: {summary[key]}" for key in sorted(summary) if key not in names]
     flags = [c.passed for c in judged]
-    if "c0" in summary:
-        lines.append(f"- c0 = {summary['c0']!r}, delta = "
-                     f"{summary.get('delta')!r}")
-    if "kappa" in summary:
-        lines.append(f"- kappa (peak norm growth factor) = "
-                     f"{summary['kappa']:.6g}")
-    if "eps0" in summary:
-        lines.append(f"- eps0 = {summary['eps0']!r}")
-    if "error" in summary:
-        lines.append(f"- error: {summary['error']}")
     if "pass" in summary:
         flags.append(bool(summary["pass"]))
     lines.append("")
@@ -76,26 +70,28 @@ def _summary_section(summary) -> tuple[list[str], list[bool]]:
 def render_report(store: ResultStore) -> str:
     manifest = store.manifest()
     summary = store.summary()
-    names = store.table_names()
+    listed = manifest.get("outputs", []) if manifest else []
+    missing = [p for p in dict.fromkeys(("manifest.json", "summary.json", *listed))
+               if not (store.root / p).is_file()]
+    present = [p for p in listed if p not in missing]
+    names = sorted(p.removeprefix("tables/").removesuffix(".csv")
+                   for p in present if p.startswith("tables/"))
     ordered = [n for n in _TABLE_ORDER if n in names]
     ordered += [n for n in names if n not in _TABLE_ORDER]
-
-    fields = sorted(p.name for p in (store.root / "fields").glob("*.ksf"))
+    fields = [p for p in present if p.startswith("fields/")]
 
     lines = ["# Run report", ""]
     lines += _config_section(manifest)
     for name in ordered:
         lines += _table_section(store, name)
     if fields:
-        lines += ["## Fields", "", *(f"- fields/{name}" for name in fields), ""]
+        lines += ["## Fields", "", *(f"- {path}" for path in fields), ""]
     elif not ordered:
         lines += ["## Tables", "", "_no results: no tables present_", ""]
     check_lines, flags = _summary_section(summary)
     lines += check_lines
 
-    missing = [n for n in ("manifest.json", "summary.json")
-               if (store.root / n).is_file() is False]
-    if not ordered and not fields:
+    if not any(p.startswith(("tables/", "fields/")) for p in listed):
         missing.append("tables/*.csv")
     if missing:
         lines += ["## Missing", ""]

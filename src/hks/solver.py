@@ -318,12 +318,18 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     spectrum; each step takes 4 RHS evaluations and one inverse transform
     for its diagnostics and snapshots.  Aborts with :class:`BlowUpError`
     when max|u| exceeds ten times its initial value, a stage is not finite
-    or a CFL run needs more than MAX_LANE_STEPS steps.
+    or a CFL run needs more than MAX_LANE_STEPS steps; the error carries
+    the trajectory so far as ``exc.trajectory`` (its steps, snapshots and
+    unevolved share).
     """
     traj = Trajectory(u0.grid, [0.0], [Field(u0.grid, u0.values.copy())], [])
-    for t, state in _lane(u0, cfg, traj):
-        traj.times.append(t)
-        traj.states.append(state())
+    try:
+        for t, state in _lane(u0, cfg, traj):
+            traj.times.append(t)
+            traj.states.append(state())
+    except BlowUpError as exc:
+        exc.trajectory = traj
+        raise
     return traj
 
 

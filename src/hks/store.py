@@ -120,17 +120,8 @@ class ResultStore:
             return None
         return json.loads(path.read_text())
 
-    def table_names(self) -> list[str]:
-        tdir = self.root / "tables"
-        if not tdir.is_dir():
-            return []
-        return sorted(p.stem for p in tdir.glob("*.csv"))
-
     def read_table(self, name: str):
         path = self.root / "tables" / f"{name}.csv"
         lines = path.read_text().splitlines()
         header = lines[0].split(",") if lines else []
         return header, [line.split(",") for line in lines[1:]]
-
-    def read_field(self, name: str) -> Field:
-        return ksf.read_field(self.root / "fields" / f"{name}.ksf")

@@ -9,6 +9,7 @@ import contextlib
 import functools
 import io
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -785,6 +786,68 @@ class TestReportCli:
             assert "\n".join(f"- fields/{name}.ksf" for name in fields) in stdout
             assert stdout.rstrip().endswith("**Overall: PASS**")
         assert "## Table: diagnostics" in (edir / "report.md").read_text()
+
+    INFLATION = ("inflation", "--n", 8192, "--nmax", 6, "--jmin", 5, "--jmax", 5,
+                 "--eps0", "2.0")
+
+    # a --force rerun leaves the earlier run's files on disk, and its manifest
+    # lists only its own outputs
+    @UNDER_RESOLVED_V0
+    def test_forced_rerun_reports_only_its_tables(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        run(["probe", "rates", "--n", 4096, "--nmax", 5, "--times", "1e-4,2e-4,5e-4,1e-3",
+             "--outdir", out], capsys)
+        run(["probe", "jk", "--n", 2048, "--nmax", 5, "--jmin", 4, "--jmax", 5,
+             "--outdir", out, "--force"], capsys)
+        assert (out / "tables" / "rates.csv").is_file()
+        _, stdout, _ = run(["report", "--store", out], capsys)
+        assert "## Table: jk" in stdout
+        assert "## Table: rates" not in stdout
+
+    def test_forced_rerun_reports_only_its_fields(self, tmp_path, capsys):
+        cdir, edir = tmp_path / "c", tmp_path / "e"
+        run(["construct", "--n", 2048, "--nmax", 5, "--outdir", cdir], capsys)
+        evolve = ["evolve", "--in", cdir / "fields" / "u0.ksf", "--t", "1e-3",
+                  "--dt", "1e-4", "--outdir", edir, "--force"]
+        run([*evolve, "--snapshots", "2e-4,5e-4"], capsys)
+        run(evolve, capsys)
+        assert (edir / "fields" / "u_003.ksf").is_file()
+        _, stdout, _ = run(["report", "--store", edir], capsys)
+        assert "## Fields\n\n- fields/u_000.ksf\n- fields/u_001.ksf\n\n" in stdout
+        assert "u_002" not in stdout and "u_003" not in stdout
+        assert "## Missing" not in stdout
+
+    def test_report_lists_a_deleted_table_as_missing(self, probe_store, tmp_path, capsys):
+        _, shared = probe_store(self.INFLATION)
+        out = tmp_path / "i"
+        shutil.copytree(shared, out)
+        (out / "tables" / "inflation.csv").unlink()
+        rc, stdout, _ = run(["report", "--store", out], capsys)
+        assert rc == 0
+        assert "## Table:" not in stdout
+        assert "## Missing\n\n- tables/inflation.csv\n\n" in stdout
+        assert "command: probe inflation" in stdout
+        assert "- ratio = " in stdout
+        assert stdout.rstrip().endswith("**Overall: PASS**")
+
+    def test_report_shows_every_summary_entry_once(self, probe_store, tmp_path, capsys):
+        cdir, edir = tmp_path / "c", tmp_path / "e"
+        run(["construct", "--n", 2048, "--nmax", 5, "--outdir", cdir], capsys)
+        run(["evolve", "--in", cdir / "fields" / "u0.ksf", "--t", "1e-3",
+             "--dt", "5e-4", "--outdir", edir], capsys)
+        _, idir = probe_store(self.INFLATION)
+        for store, unjudged in ((cdir, ["max_abs_u0"]),
+                                (edir, ["steps", "t_final", "unevolved_share"]),
+                                (idir, ["eps0", "kappa", "max_dev", "u0_norm"])):
+            summary = json.loads((store / "summary.json").read_text())
+            judged = [c.name for c in probe.checks(summary)]
+            assert sorted([*judged, *unjudged, "pass"]) == sorted(summary)
+            _, stdout, _ = run(["report", "--store", store], capsys)
+            for key in judged:
+                assert stdout.count(f"\n- {key} = ") == 1
+            for key in unjudged:
+                assert stdout.count(f"\n- {key}: ") == 1
+                assert f"\n- {key}: {summary[key]}\n" in stdout
 
     def test_report_empty_store(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -1,11 +1,14 @@
 """Committed store digests: the exit code, stdout and every store file of
-eleven small-geometry commands, against ``golden_stores.json``.
+eleven small-geometry commands, and the exit code and stdout (the whole
+``report.md``) of ``hks report`` on two of their stores, against
+``golden_stores.json``.
 
 The digests are kept per environment (numpy version and machine), because
 the last bits of an FFT may differ between them; on an environment with no
 recorded digests the test skips.  Paths under the scratch directory are
 masked, in ``manifest.json`` (the store path, and evolve's input path) and
-in the ``store:`` line of stdout.  A rewritten digest is a store change.
+in stdout (the ``store:`` line, and the argv and ``infile`` a report
+echoes).  A rewritten digest is a store change.
 
 Record the digests of the current environment (and only those) with
 
@@ -39,8 +42,9 @@ def _sha256(data: bytes) -> str:
 
 def digests(commands: dict, tmp: Path) -> dict:
     """Per command, run in order under ``tmp``: the exit code, the sha256 of
-    stdout with its ``store:`` line masked, and the sha256 of each file of
-    the store ``tmp/<name>``, with ``tmp`` masked in ``manifest.json``."""
+    stdout with its ``store:`` line and ``tmp`` masked, and the sha256 of
+    each file of the store ``tmp/<name>`` (none for a report), with ``tmp``
+    masked in ``manifest.json``."""
     out = {}
     for name, argv in commands.items():  # argv: one string, split on spaces
         buf = io.StringIO()
@@ -48,6 +52,7 @@ def digests(commands: dict, tmp: Path) -> dict:
             rc = dispatch([a.replace(TMP, str(tmp)) for a in argv.split()])
         stdout = "".join("store: <masked>\n" if line.startswith("store: ") else line
                          for line in buf.getvalue().splitlines(keepends=True))
+        stdout = stdout.replace(str(tmp), TMP)
         files = {}
         root = tmp / name
         for path in sorted(p for p in root.rglob("*") if p.is_file()):

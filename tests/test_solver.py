@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import dft_oracle as oracle
 from conftest import build_data
-from hks import solver
+from hks import ksf, solver
+from hks.cli import dispatch
 from hks.solver import (BlowUpError, SolverConfig, Trajectory, evolve, rhs, solve_S,
                         transport_divergence)
 from hks.spectral import Field, band_limited_noise, half_spectrum, lp_norm, make_grid
@@ -173,6 +175,35 @@ class TestEvolve:
         u0 = band_limited_noise(g, 60, seed=44)
         with pytest.raises(BlowUpError):
             evolve(u0, SolverConfig(t_final=10.0, dt=10.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t_final, dt, snapshots, accepted", [
+        (10.0, 10.0, (), ()),  # test_cli's test_blow_up_exits_one: the first step trips
+        (20.0, 4.0, (1.0,), (1.0, 5.0)),
+    ])
+    def test_blow_up_carries_the_trajectory(self, t_final, dt, snapshots, accepted,
+                                            tmp_path, capsys):
+        g = make_grid(1, 1, 256)
+        u0 = band_limited_noise(g, 60, seed=44)
+        with pytest.raises(BlowUpError) as info:
+            evolve(u0, SolverConfig(t_final=t_final, dt=dt, snapshot_times=snapshots))
+        traj = info.value.trajectory
+        assert [st["t"] for st in traj.steps] == list(accepted)
+        assert traj.times == [0.0, *snapshots]
+        if accepted:  # the steps and states of the run that stops at the last accepted step
+            ref = evolve(u0, SolverConfig(t_final=accepted[-1], dt=dt, snapshot_times=snapshots))
+            assert traj.steps == ref.steps
+            for a, b in zip(traj.states, ref.states):
+                assert np.array_equal(a.values, b.values)
+        # the aborted CLI run records the share the error carries
+        path, edir = tmp_path / "u.ksf", tmp_path / "e"
+        ksf.write_field(path, u0)
+        times = ["--snapshots", ",".join(map(str, snapshots))] if snapshots else []
+        assert dispatch(["evolve", "--in", str(path), "--t", str(t_final), "--dt", str(dt),
+                         *times, "--outdir", str(edir)]) == 1
+        capsys.readouterr()
+        manifest = json.loads((edir / "manifest.json").read_text())
+        assert manifest["config"]["unevolved_share"] == traj.unevolved_share
 
     def test_cfl_step_law(self):
         g = make_grid(1, 1, 256)
