@@ -12,7 +12,7 @@ from hks.littlewood_paley import (
     lp_block,
     make_partition,
 )
-from hks.spectral import Field, band_limited_noise, lp_norm, make_grid
+from hks.spectral import Field, band_limited_noise, half_spectrum, lp_norm, make_grid
 
 g = make_grid(d=1, M=1, N=2048)
 part = make_partition(g)
@@ -22,20 +22,22 @@ print(f"grid N={g.N}: j_max = {part.j_max}, "
 
 # Window overlap structure: adjacent annuli overlap, but two blocks that
 # are at least two octaves apart have disjoint supports, so the product
-# vanishes on every lattice point, not just approximately.
+# vanishes on every lattice point, not just approximately.  The windows are
+# radial and live on the real-FFT half spectrum, which holds every radius
+# of the lattice.
 w2, w3, w5 = (part.block_window(j) for j in (2, 3, 5))
-print("\nwindow products on the lattice:")
+print("\nwindow products on the half-spectrum lattice:")
 print(f"  max |w2 * w3| = {np.max(w2 * w3):.4f}   (neighbours overlap)")
 print(f"  max |w2 * w5| = {np.max(w2 * w5):.4f}   (two octaves apart: exact zero)")
 
 # Partition of unity inside the covered band.  Sum the low cutoff and all
 # annuli at each lattice frequency and look at the worst deviation from 1.
-r = np.sqrt(g.frequency_norm2())
+r = np.sqrt(half_spectrum(g).xi2)
 total = part.block_window(-1).copy()
 for j in range(part.j_max + 1):
     total = total + part.block_window(j)
 covered = r <= 1.5 * 2**part.j_max
-print(f"\npartition sum over {int(np.sum(covered))} covered lattice points:")
+print(f"\npartition sum over {int(np.sum(covered))} covered half-spectrum points:")
 print(f"  max |sum - 1| = {np.max(np.abs(total[covered] - 1.0)):.3e}")
 
 # Decompose a noisy field and put it back together.

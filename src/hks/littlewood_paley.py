@@ -18,8 +18,7 @@ block (Bahouri, Chemin and Danchin, *Fourier Analysis and Nonlinear PDEs*,
 
 * L^inf: the triangle inequality on the inverse sum,
   ||Delta_j f||_inf <= N^-d sum_k m_k w_k |F_k|, with m_k the full-lattice
-  multiplicity of a half-spectrum mode (1 on the zero and Nyquist planes of
-  the last axis, 2 elsewhere);
+  multiplicity of a half-spectrum mode (``spectral._multiplicities``);
 * p > 2: ||g||_p <= ||g||_2^(2/p) ||g||_inf^(1 - 2/p), with the Parseval
   L^2 norm;
 * 1 <= p < 2: Hoelder on the box of side L, ||g||_p <= L^(d(1/p - 1/2)) ||g||_2.
@@ -43,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .spectral import (_TABLES_LOCK, Field, Grid, _check_same_grid, _half_power,
-                       _tail_share, half_spectrum, lp_norm)
+                       _multiplicities, _tail_share, half_spectrum, lp_norm)
 
 __all__ = [
     "smooth_step",
@@ -103,8 +102,8 @@ class DyadicPartition:
     spectrum and are built together at the first block request.  Each window
     is stored over its support only, as flat half-spectrum indices and values,
     so the tables of all blocks take about as much memory as two dense
-    half-spectrum windows; ``block_window`` expands one onto the full lattice
-    on demand.
+    half-spectrum windows; ``block_window`` expands one into a dense
+    half-spectrum window on demand.
     """
 
     grid: Grid
@@ -178,14 +177,13 @@ class DyadicPartition:
         return half_spectrum(self.grid).irfftn(self._windowed(F, j))
 
     def block_window(self, j: int) -> np.ndarray:
-        """Window values on the full fft-ordered lattice for block j (j = -1
-        is the low ball).  The window is radial, so the half spectrum is
-        mirrored along the last axis."""
+        """The dense window of block j (j = -1 is the low ball) on the real-FFT
+        half spectrum, shape ``grid.shape[:-1] + (N//2 + 1,)``: the window
+        formula at ``sqrt(HalfSpectrum.xi2)``, for inspection."""
         idx, vals = self._window(j)
-        n = self.grid.N
-        half = np.zeros(self.grid.shape[:-1] + (n // 2 + 1,))
-        half.reshape(-1)[idx] = vals
-        return np.concatenate([half, half[..., n // 2 - 1:0:-1]], axis=-1)
+        window = np.zeros(self.grid.shape[:-1] + (self.grid.N // 2 + 1,))
+        window.reshape(-1)[idx] = vals
+        return window
 
 
 def make_partition(grid: Grid) -> DyadicPartition:
@@ -224,9 +222,7 @@ def _norm_bounds(part: DyadicPartition, Fh: np.ndarray, p: float) -> np.ndarray:
     g = part.grid
     if p < 2:
         return BOUND_MARGIN * g.length ** (g.d * (1.0 / p - 0.5)) * _block_norms(part, Fh, 2.0)
-    a = np.abs(Fh)
-    a[..., 1:-1] *= 2.0  # the multiplicities of _half_power
-    flat = a.reshape(-1)
+    flat = _multiplicities(np.abs(Fh)).reshape(-1)
     sup = np.array([np.sum(flat[idx] * w) for idx, w in part._tables()[0]]) / g.N ** g.d
     if p == math.inf:
         return BOUND_MARGIN * sup

@@ -705,7 +705,7 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     # Per-axis indices are drawn from a box inscribed in the covered ball,
     # hence the sqrt(d): the identity only holds for |xi| <= 1.5 * 2^j_max.
     # The noise below is masked on the same per-axis index.
-    kcap = int(np.floor(1.5 * 2.0 ** part.j_max
+    kcap = int(np.floor(lpmod.RESOLVED_FACTOR * 2.0 ** part.j_max
                         / (grid.freq_step * np.sqrt(grid.d))))
     ks = rng.integers(-kcap, kcap + 1, size=(200, grid.d))
     xi = np.sqrt(np.sum((ks * grid.freq_step) ** 2, axis=1))
@@ -726,10 +726,11 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     f = sp.band_limited_noise(grid, min(kcap, grid.N // 2 - 1), seed=seed + 1)
 
     # Almost orthogonality on a generic field.
+    dec = lpmod.decompose(part, f)
     worst = 0.0
     scale = sp.lp_norm(f, 2.0)
     for j in range(-1, part.j_max + 1):
-        bj = lpmod.lp_block(part, f, j)
+        bj = dec.block(j)
         for i in range(-1, part.j_max + 1):
             if abs(i - j) >= 2:
                 worst = max(worst, sp.lp_norm(lpmod.lp_block(part, bj, i), 2.0))
@@ -738,7 +739,6 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
                              f"max cross-block mass {worst:.3e}"))
 
     # Reconstruction of a resolved field.
-    dec = lpmod.decompose(part, f)
     err = np.max(np.abs(dec.reconstruct().values - f.values))
     fmax = np.max(np.abs(f.values))
     lemmas.append(LemmaCheck("reconstruction",
@@ -746,20 +746,18 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
                               Check("error", err, -math.inf, LEMMA_ROUNDOFF * fmax)],
                              f"max error {err:.3e}, resolved {dec.resolved}"))
 
-    # Two-sided Bernstein constants on annulus-supported noise.
-    bands = []
-    for p in (2.0, np.inf):
-        ratios = []
-        for j in range(2, part.j_max + 1):
-            hi = int(np.floor(1.5 * 2.0 ** j / grid.freq_step))
-            lo = int(np.ceil(0.75 * 2.0 ** j / grid.freq_step))
-            fj = lpmod.lp_block(
-                part, sp.band_limited_noise(grid, hi, seed=seed + 10 + j,
-                                            kmin=lo), j)
-            grad = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(fj.values), 0)))
-            ratios.append(sp.lp_norm(grad, p) / (2.0 ** j * sp.lp_norm(fj, p)))
-        bands.append(Check(f"spread p={p}", max(ratios) / min(ratios), -math.inf,
-                           LEMMA_SPREAD_MAX))
+    # Two-sided Bernstein constants on annulus-supported noise, both p of
+    # each block at once.
+    ps, ratios = (2.0, np.inf), []
+    for j in range(2, part.j_max + 1):
+        hi = int(np.floor(1.5 * 2.0 ** j / grid.freq_step))
+        lo = int(np.ceil(0.75 * 2.0 ** j / grid.freq_step))
+        fj = lpmod.lp_block(
+            part, sp.band_limited_noise(grid, hi, seed=seed + 10 + j, kmin=lo), j)
+        grad = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(fj.values), 0)))
+        ratios.append([sp.lp_norm(grad, p) / (2.0 ** j * sp.lp_norm(fj, p)) for p in ps])
+    bands = [Check(f"spread p={p}", max(r) / min(r), -math.inf, LEMMA_SPREAD_MAX)
+             for p, r in zip(ps, zip(*ratios))]
     lemmas.append(LemmaCheck(
         "bernstein_two_sided", bands,
         f"spread p=2: {bands[0].value:.2f}, p=inf: {bands[1].value:.2f}"))
@@ -767,7 +765,7 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     # p=2 multiplier bound for the Helmholtz inverse, per block.
     bands, worst_excess = [], 0.0
     for j in range(0, part.j_max + 1):
-        bj = lpmod.lp_block(part, f, j)
+        bj = dec.block(j)
         sm = sp.Field(grid, hs.apply(bj.values, hs.helm_inv))
         bound = sp.lp_norm(bj, 2.0) / (1.0 + (0.75 * 2.0 ** j) ** 2)
         lhs = sp.lp_norm(sm, 2.0)

@@ -10,6 +10,8 @@ checks the CLI judged the run by), then every other summary entry but
 stored pass flag to a single conjunction.
 Missing pieces are listed rather than fatal: an output the manifest lists
 but the disk lacks goes under Missing, and a partial store still renders.
+Only a run that did not finish (no summary, or one holding ``error``)
+reports "no results" and a missing ``tables/*.csv`` when it lists none.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ def render_report(store: ResultStore) -> str:
     ordered = [n for n in _TABLE_ORDER if n in names]
     ordered += [n for n in names if n not in _TABLE_ORDER]
     fields = [p for p in present if p.startswith("fields/")]
+    unfinished = not summary or "error" in summary
 
     lines = ["# Run report", ""]
     lines += _config_section(manifest)
@@ -86,12 +89,12 @@ def render_report(store: ResultStore) -> str:
         lines += _table_section(store, name)
     if fields:
         lines += ["## Fields", "", *(f"- {path}" for path in fields), ""]
-    elif not ordered:
+    elif not ordered and unfinished:
         lines += ["## Tables", "", "_no results: no tables present_", ""]
     check_lines, flags = _summary_section(summary)
     lines += check_lines
 
-    if not any(p.startswith(("tables/", "fields/")) for p in listed):
+    if unfinished and not any(p.startswith(("tables/", "fields/")) for p in listed):
         missing.append("tables/*.csv")
     if missing:
         lines += ["## Missing", ""]

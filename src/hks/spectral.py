@@ -21,8 +21,9 @@ per grid holds the tables, and :meth:`HalfSpectrum.apply` applies a
 diagonal multiplier to a real field (rfftn, multiply, irfftn).  Every
 package routine that differentiates, smooths, truncates or blocks a real
 field goes through it; the anchor is irrelevant there, since a diagonal
-multiplier commutes with the rotation.  The complex pair serves fields
-given by their coefficients and the public :class:`SpectralField` API.
+multiplier commutes with the rotation.  Frequency tables and dyadic
+windows exist only there; the full lattice appears only where a field is
+built from its coefficients: the complex pair and band_limited_noise.
 
 Dealiasing has one rule, Orszag's 2/3 truncation: a mode is kept when
 every |k_a| is at most floor(2/3 * N/2) (:func:`dealias_cutoff_index`),
@@ -113,11 +114,6 @@ class Grid:
         """Signed integer lattice indices along one axis, fft order."""
         return np.fft.fftfreq(self.N, d=1.0 / self.N)
 
-    def frequency_norm2(self) -> np.ndarray:
-        """|xi|^2 on the full lattice."""
-        xi = self.axis_wavenumbers() * self.freq_step
-        return _norm2(np.ix_(*[xi] * self.d))
-
     def origin_index(self) -> tuple[int, ...]:
         """Grid index of the physical point x = 0."""
         return (self.N // 2,) * self.d
@@ -200,11 +196,6 @@ def inverse_transform(F: SpectralField) -> Field:
     return Field(g, np.ascontiguousarray(vals.real))
 
 
-def _norm2(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """|xi|^2 from broadcast-ready per-axis frequency arrays."""
-    return sum(a**2 for a in axes)
-
-
 def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p norm with rectangle-rule quadrature weight spacing**d.
 
@@ -253,7 +244,7 @@ class HalfSpectrum:
         self.shape, self._cutoff = grid.shape, dealias_cutoff_index(grid)
         self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
         self.xi = tuple(k * grid.freq_step for k in self.k)
-        self.xi2 = _norm2(self.xi)
+        self.xi2 = sum(xi**2 for xi in self.xi)
         self.helm_inv = 1.0 / (1.0 + self.xi2)
 
     @functools.cached_property
@@ -318,13 +309,16 @@ class HalfSpectrum:
         return self.irfftn(self.kept(F))
 
 
+def _multiplicities(a: np.ndarray) -> np.ndarray:
+    """The half-spectrum array a weighted in place by each mode's full-lattice
+    multiplicity: 1 on the zero and Nyquist planes of the last axis, else 2."""
+    a[..., 1:-1] *= 2.0
+    return a
+
+
 def _half_power(Fh: np.ndarray) -> np.ndarray:
-    """|F|^2 on the half spectrum, weighted by each mode's multiplicity on
-    the full lattice: 1 on the zero and Nyquist planes of the last axis,
-    2 elsewhere."""
-    c2 = Fh.real**2 + Fh.imag**2
-    c2[..., 1:-1] *= 2.0
-    return c2
+    """|F|^2 on the half spectrum, weighted by the modes' multiplicities."""
+    return _multiplicities(Fh.real**2 + Fh.imag**2)
 
 
 def _tail_share(Fh: np.ndarray, beyond: np.ndarray) -> float:

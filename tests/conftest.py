@@ -48,6 +48,13 @@ def _flagship_child():
                "summary": sweep.summary}, sys.stdout)
 
 
+def warning_options(config):
+    """The filters pytest applies to a test (ini, then -W), as python -W
+    options for a subprocess."""
+    filters = config.getini("filterwarnings") + (config.known_args_namespace.pythonwarnings or [])
+    return [f"-W{f}" for f in filters]
+
+
 @pytest.hookimpl(trylast=True)  # after -k and --deselect
 def pytest_collection_modifyitems(config, items):
     global _flagship
@@ -57,12 +64,10 @@ def pytest_collection_modifyitems(config, items):
     items[:] = [item for item in items if item not in flagship] + flagship
     if config.option.collectonly:
         return
-    # the filters pytest applies to a test (ini, then -W), as python -W options
-    filters = config.getini("filterwarnings") + (config.known_args_namespace.pythonwarnings or [])
     code = "import json, sys; sys.path[:] = json.loads(sys.argv[1]); " \
            "import conftest; conftest._flagship_child()"
     out, err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
-    _flagship = (subprocess.Popen([sys.executable, *(f"-W{f}" for f in filters), "-c", code,
+    _flagship = (subprocess.Popen([sys.executable, *warning_options(config), "-c", code,
                                    json.dumps(sys.path)],
                                   stdin=subprocess.PIPE, stdout=out, stderr=err), out, err)
 
@@ -109,11 +114,6 @@ def derivative(f, axis):
     """The derivative of the real field f along ``axis``, on its half spectrum."""
     hs = half_spectrum(f.grid)
     return hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), axis))
-
-
-def dense_half_window(part, j):
-    """The window of block j on the whole real-FFT half spectrum."""
-    return part.block_window(j)[..., :part.grid.N // 2 + 1]
 
 
 def dense_gradient_symbol(hs):

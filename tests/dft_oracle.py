@@ -98,15 +98,20 @@ def j_max(M, N):
     return j
 
 
-def radius(d, M, N):
-    """|xi| on the full lattice, fft-ordered along every axis."""
+def radius2(d, M, N):
+    """|xi|^2 on the full lattice, fft-ordered along every axis."""
     xi = axis_frequencies(M, N)
     r2 = np.zeros((N,) * d)
     for a in range(d):
         shp = [1] * d
         shp[a] = N
         r2 = r2 + xi.reshape(shp) ** 2
-    return np.sqrt(r2)
+    return r2
+
+
+def radius(d, M, N):
+    """|xi| on the full lattice, fft-ordered along every axis."""
+    return np.sqrt(radius2(d, M, N))
 
 
 def block_mask(d, M, N, j):
@@ -200,7 +205,7 @@ def slow_rhs(u, M, eps=0.0, fraction=2.0 / 3.0):
     S = (1 - Laplacian)^{-1} u and g = trunc(u) - trunc(trunc(u)^2)."""
     u = np.asarray(u, dtype=np.float64)
     d, N = u.ndim, u.shape[0]
-    xi2 = radius(d, M, N) ** 2
+    xi2 = radius2(d, M, N)
     U = slow_transform(u, M)
     S = slow_inverse(U / (1.0 + xi2), M)
     g = slow_dealias(u, M, fraction) - slow_product(u, u, M, fraction)
@@ -208,6 +213,26 @@ def slow_rhs(u, M, eps=0.0, fraction=2.0 / 3.0):
                for a, dS in enumerate(slow_gradient(S, M)))
     if eps > 0.0:
         out = out + eps * slow_inverse(-xi2 * U, M)
+    return out
+
+
+def slow_w0(u, M, fraction=2.0 / 3.0):
+    """w0 = DF(u)[F(u)] for F = :func:`slow_rhs` with eps = 0.  S is linear in
+    u, and g = trunc(u) - trunc(trunc(u)^2) has the derivative
+    Dg[w] = trunc(w) - 2 trunc(trunc(u) trunc(w)) along w, so
+    DF(u)[w] = -sum_a d_a trunc(trunc(d_a S[w]) trunc(g) + trunc(d_a S) trunc(Dg[w]))."""
+    u = np.asarray(u, dtype=np.float64)
+    d, N = u.ndim, u.shape[0]
+    xi2 = radius2(d, M, N)
+    w = slow_rhs(u, M, 0.0, fraction)
+    S = slow_inverse(slow_transform(u, M) / (1.0 + xi2), M)
+    S_w = slow_inverse(slow_transform(w, M) / (1.0 + xi2), M)
+    g = slow_dealias(u, M, fraction) - slow_product(u, u, M, fraction)
+    Dg = slow_dealias(w, M, fraction) - 2.0 * slow_product(u, w, M, fraction)
+    out = np.zeros(u.shape)
+    for a, (dS, dS_w) in enumerate(zip(slow_gradient(S, M), slow_gradient(S_w, M))):
+        flux = slow_product(dS_w, g, M, fraction) + slow_product(dS, Dg, M, fraction)
+        out -= slow_gradient(flux, M)[a]
     return out
 
 

@@ -16,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+import dft_oracle as oracle
 from conftest import UNDER_RESOLVED_V0, build_data
 from hks import probe
 from hks.cli import dispatch
@@ -153,7 +154,7 @@ def test_criterion_03_norm_independence(family65k):
     g = data.grid
     o = g.origin_index()
     lap_S = inverse_transform(SpectralField(
-        g, transform(data.S0).coefficients * -g.frequency_norm2()))
+        g, transform(data.S0).coefficients * -oracle.radius2(g.d, g.M, g.N)))
     for name, field in (("S0", data.S0), ("u0", data.u0), ("lap_S0", lap_S)):
         value = abs(float(field.values[o]))
         scale = float(np.max(np.abs(field.values)))

@@ -787,6 +787,18 @@ class TestReportCli:
             assert stdout.rstrip().endswith("**Overall: PASS**")
         assert "## Table: diagnostics" in (edir / "report.md").read_text()
 
+    def test_report_judges_calibrate_store(self, tmp_path, capsys):
+        # calibrate finishes without writing any table or field, by design
+        out = tmp_path / "cal"
+        rc, _, _ = run(["probe", "calibrate", "--n", 4096, "--nmax", 6, "--jmin", 5,
+                        "--jmax", 6, "--outdir", out], capsys)
+        assert rc == 0
+        rc, stdout, _ = run(["report", "--store", out], capsys)
+        assert rc == 0
+        assert "_no results" not in stdout
+        assert "## Missing" not in stdout
+        assert stdout.rstrip().endswith("**Overall: PASS**")
+
     INFLATION = ("inflation", "--n", 8192, "--nmax", 6, "--jmin", 5, "--jmax", 5,
                  "--eps0", "2.0")
 

@@ -39,8 +39,9 @@ def radii(grid):
 
 def one_minus_laplacian(f):
     """(1 - Laplacian) f through the full-lattice complex transform pair."""
-    coeffs = transform(f).coefficients * (1.0 + f.grid.frequency_norm2())
-    return inverse_transform(SpectralField(f.grid, coeffs))
+    g = f.grid
+    coeffs = transform(f).coefficients * (1.0 + oracle.radius2(g.d, g.M, g.N))
+    return inverse_transform(SpectralField(g, coeffs))
 
 
 def reflected(values):
@@ -307,7 +308,7 @@ class TestInitialData:
     def test_u0_is_one_minus_laplacian_of_S0(self, data_8192_6):
         d = data_8192_6
         lhs = transform(d.u0).coefficients
-        xi2 = d.grid.frequency_norm2()
+        xi2 = oracle.radius2(d.grid.d, d.grid.M, d.grid.N)
         rhs = (1.0 + xi2) * transform(d.S0).coefficients
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 

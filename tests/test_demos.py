@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion in its own process."""
+"""Smoke test: every demo script runs to completion in its own process,
+under the suite's warning filters."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hks
+from conftest import warning_options
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("[0-9][0-9]_*.py"))
 SRC = str(Path(hks.__file__).resolve().parents[1])
@@ -18,9 +20,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_exits_zero(demo, tmp_path):
+def test_demo_exits_zero(demo, tmp_path, request):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *warning_options(request.config), str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

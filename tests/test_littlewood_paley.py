@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dft_oracle as oracle
-from conftest import build_data, dense_block_norms, dense_half_window
+from conftest import build_data, dense_block_norms
 from hks import littlewood_paley as lpmod
 from hks.littlewood_paley import (
     BOUND_MARGIN,
@@ -96,7 +96,7 @@ class TestPartition:
     def test_sums_to_one_on_covered_lattice(self):
         g = make_grid(1, 1, 512)
         part = make_partition(g)
-        r = np.sqrt(g.frequency_norm2())
+        r = np.sqrt(half_spectrum(g).xi2)
         total = part.block_window(-1).copy()
         for j in range(part.j_max + 1):
             total = total + part.block_window(j)
@@ -159,7 +159,7 @@ class TestBlocks:
         part = make_partition(g)
         f = white_noise(g, 9)
         c2 = np.abs(transform(f).coefficients) ** 2
-        beyond = np.sqrt(g.frequency_norm2()) > 1.5 * 2.0**part.j_max
+        beyond = oracle.radius(d, 1, N) > 1.5 * 2.0**part.j_max
         share = decompose(part, f).unresolved_fraction
         assert 0.0 < share < 1.0
         assert share == pytest.approx(np.sum(c2[beyond]) / np.sum(c2), rel=1e-12)
@@ -365,15 +365,12 @@ class TestHalfSpectrumBlocks:
     def test_block_window_is_the_window_formula(self, d, N):
         g = make_grid(d, 1, N)
         part = make_partition(g)
-        r = np.sqrt(g.frequency_norm2())
+        # the support-only tables expanded onto the half spectrum
+        r = np.sqrt(half_spectrum(g).xi2)
+        assert part.block_window(-1).shape == g.shape[:-1] + (N // 2 + 1,)
         assert np.array_equal(part.block_window(-1), low_cutoff_profile(r))
         for j in range(part.j_max + 1):
             assert np.array_equal(part.block_window(j), annulus_profile(r / 2.0**j))
-        # the expanded support-only tables on the half spectrum
-        r_half = np.sqrt(half_spectrum(g).xi2)
-        assert np.array_equal(dense_half_window(part, -1), low_cutoff_profile(r_half))
-        for j in range(part.j_max + 1):
-            assert np.array_equal(dense_half_window(part, j), annulus_profile(r_half / 2.0**j))
 
     @pytest.mark.parametrize("d,N", [(1, 1024), (2, 256), (3, 64)])
     def test_windowed_spectra_transform_as_dense_windows(self, d, N):
@@ -387,7 +384,7 @@ class TestHalfSpectrumBlocks:
         for j in range(-1, part.j_max + 1):
             cut = part._windowed(F, j)
             assert cut.shape[:-1] == F.shape[:-1] and cut.shape[-1] <= F.shape[-1]
-            w = dense_half_window(part, j)
+            w = part.block_window(j)
             assert np.array_equal(hs.irfftn(cut), hs.irfftn(F * w))
             assert np.array_equal(hs.irfftn(part._windowed(F[0], j)), hs.irfftn(F[0] * w))
             assert np.array_equal(part.block(F, j), hs.irfftn(F * w))
@@ -409,7 +406,7 @@ class TestHalfSpectrumBlocks:
     @given(g=grids())
     def test_half_windows_sum_to_one(self, g):
         part = make_partition(g)
-        windows = [dense_half_window(part, j) for j in range(-1, part.j_max + 1)]
+        windows = [part.block_window(j) for j in range(-1, part.j_max + 1)]
         beyond = part._tables()[1]
         r = np.sqrt(half_spectrum(g).xi2)
         total = sum(windows)
@@ -425,10 +422,11 @@ class TestHalfSpectrumBlocks:
         f = white_noise(g, seed)
         fast = block_norms(part, f, p)
         per_block = [lp_norm(lp_block(part, f, j), p) for j in range(-1, part.j_max + 1)]
-        # the same blocks through the full-lattice complex transform pair
+        # the same blocks through the full-lattice complex transform pair and
+        # the oracle's full-lattice windows
         F = transform(f).coefficients
-        full = [lp_norm(inverse_transform(SpectralField(g, F * part.block_window(j))), p)
-                for j in range(-1, part.j_max + 1)]
+        masks = [oracle.block_mask(g.d, g.M, g.N, j) for j in range(-1, part.j_max + 1)]
+        full = [lp_norm(inverse_transform(SpectralField(g, F * w)), p) for w in masks]
         assert fast.shape == (part.j_max + 2,)
         assert np.allclose(fast, per_block, rtol=1e-12, atol=0.0)
         assert np.allclose(fast, full, rtol=1e-12, atol=0.0)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import (UNDER_RESOLVED_V0, _count_ffts, build_data, dense_block_norms,
-                      dense_gradient_symbol, dense_half_window, v0_warning)
+                      dense_gradient_symbol, v0_warning)
 from hks import construction, probe, solver
 from hks import littlewood_paley as lpmod
 from hks.cli import dispatch
@@ -45,7 +45,7 @@ def serial_jk_rows(data, params, js):
     rows = []
     for j in js:
         scale = 2.0 ** (j * s)
-        blocks = hs.irfftn(du_half * dense_half_window(part, j))
+        blocks = hs.irfftn(du_half * part.block_window(j))
         J = scale * serial_norm(w[0] * blocks[0], g, p)
         K = 0.0
         for a in range(1, g.d):
@@ -79,7 +79,7 @@ def serial_commutator_values(data, params, js):
     grad_half = [np.fft.rfftn(c) for c in grad]
     values = []
     for j in js:
-        w = dense_half_window(part, j)
+        w = part.block_window(j)
         block = hs.irfftn(adv_half * w) - advect([hs.irfftn(c * w) for c in grad_half])
         values.append(2.0 ** (j * params.s) * serial_norm(block, g, params.p))
     return values
@@ -753,12 +753,15 @@ class TestLemmaSuite:
                 "reconstruction", "bernstein_two_sided", "multiplier_order_p2",
                 "embedding_factor", "commutator_stability"]
 
-    def test_one_dimensional(self):
+    def test_one_dimensional(self, fft_counts):
         report = probe.lemma_suite(make_grid(1, 1, 2048))
         assert [c.name for c in report.checks] == self.NAMES_1D
         for check in report.checks:
             assert check.passed, f"{check.name}: {check.detail}"
         assert report.passed
+        # f is decomposed once for the orthogonality, reconstruction and
+        # multiplier lemmas, and each Bernstein block is built once for both p
+        assert fft_counts == {"rfftn": 89, "irfftn": 107}
 
     def test_two_dimensional(self):
         # no cross-resolution commutator check away from d=1

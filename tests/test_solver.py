@@ -543,6 +543,25 @@ class TestDirectSummationOracle:
         slow = oracle.slow_rk4_step(u.values, dt, 1)
         assert max_rel_gap(fast - u.values, slow - u.values) <= bound
 
+    @pytest.mark.parametrize("d, N, bound", [
+        (1, 64, 2.5e-12),  # 2.5e-13
+        (2, 32, 6e-13),    # 5.6e-14
+    ])
+    def test_w0(self, d, N, bound):
+        # w0 = DF(u)[F(u)] as the central difference D(h) of rhs along
+        # w = rhs(u), extrapolated as (4 D(h/2) - D(h)) / 3: the dealiased F
+        # is cubic, so the extrapolation is exact up to roundoff, which
+        # shrinks as h grows (h = 1 moves u by about 5e-3)
+        u, cfg, h = noisy_state(d, N), SolverConfig(t_final=1.0), 1.0
+        w = rhs(u, cfg).values
+
+        def central(h):
+            return (rhs(Field(u.grid, u.values + h * w), cfg).values
+                    - rhs(Field(u.grid, u.values - h * w), cfg).values) / (2.0 * h)
+
+        fast = (4.0 * central(h / 2.0) - central(h)) / 3.0
+        assert max_rel_gap(fast, oracle.slow_w0(u.values, 1)) <= bound
+
 
 class TestSingleModeOracle:
     # u0 = c + delta prod_a cos(x_a / M) over a constant c: the mode grows
