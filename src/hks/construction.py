@@ -35,22 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .littlewood_paley import make_partition, smooth_step
 from .solver import transport_divergence
-from .spectral import (
-    Field,
-    Grid,
-    SpectralField,
-    dealiased_product,
-    half_spectrum,
-    inverse_transform,
-    make_grid,
-)
+from .spectral import Field, Grid, _once, dealiased_product, half_spectrum
 
 __all__ = [
     "Bump",
@@ -152,8 +143,8 @@ def make_bump(d: int, grid: Grid) -> Bump:
     hat = np.zeros(grid.N)
     hat[idx[r <= plateau]] = 1.0
     hat[idx[ramp]] = smooth_step((support - r[ramp]) / (support - plateau))
-    line = make_grid(1, grid.M, grid.N)
-    profile = inverse_transform(SpectralField(line, hat.astype(np.complex128))).values
+    # the anchored inverse transform of the spectral module, on one axis
+    profile = np.ascontiguousarray((np.fft.fftshift(np.fft.ifft(hat)) * grid.N).real)
     return Bump(d=d, M=grid.M, N=grid.N, hat=hat, profile=profile)
 
 
@@ -203,14 +194,10 @@ def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-# Guards the first build of every datum's drift v0; not reentrant.
-_V0_LOCK = threading.Lock()
-
-
 @dataclass
 class InitialData:
     """The constructed pair (S0, u0) and its parameters, with the drift v0
-    derived on first read."""
+    and the transport coefficients derived on first read."""
 
     grid: Grid
     bump: Bump
@@ -223,12 +210,9 @@ class InitialData:
     @property
     def v0(self) -> Field:
         """The drift ``transport_divergence(u0, S0)``, built on the first
-        read, once, from any thread (the lock makes later readers wait for
-        the first), and kept.  Read-only by convention, like u0 and S0."""
-        with _V0_LOCK:
-            if "_v0" not in self.__dict__:
-                self.__dict__["_v0"] = transport_divergence(self.u0, self.S0)
-            return self.__dict__["_v0"]
+        read, once, from any thread, and kept.  Read-only by convention,
+        like u0 and S0."""
+        return _once(self.__dict__, "_v0", lambda: transport_divergence(self.u0, self.S0))
 
     def packet(self, n: int) -> Field:
         return make_fn(n, self.bump, self.grid)
@@ -237,12 +221,16 @@ class InitialData:
         """Coefficient 2^{-n(s+2)} of packet n inside S0."""
         return 2.0 ** (-n * (self.s + 2.0))
 
-    @functools.cached_property
+    @property
     def coefficients(self) -> np.ndarray:
         """(1 - 2 u0) d_a S0 for every axis a, stacked on a first axis: the
-        transport coefficients of the linearization, built once per datum
-        and read-only.  The product is taken in place of grad S0, so that
-        few full-grid arrays are alive at once."""
+        transport coefficients of the linearization, built like v0, and
+        read-only."""
+        return _once(self.__dict__, "_coefficients", self._build_coefficients)
+
+    def _build_coefficients(self) -> np.ndarray:
+        # the product is taken in place of grad S0, so that few full-grid
+        # arrays are alive at once
         hs = half_spectrum(self.grid)
         w = hs.irfftn(hs.gradient(np.fft.rfftn(self.S0.values)))
         factor = 2.0 * self.u0.values

@@ -41,8 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import (_TABLES_LOCK, Field, Grid, _check_same_grid, _half_power,
-                       _multiplicities, _tail_share, half_spectrum, lp_norm)
+from .spectral import (Field, Grid, _check_same_grid, _half_power, _multiplicities, _once,
+                       _tail_share, half_spectrum, lp_norm)
 
 __all__ = [
     "smooth_step",
@@ -121,9 +121,13 @@ class DyadicPartition:
         object.__setattr__(self, "j_max", j)
 
     def _tables(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+        """The tables of :meth:`_build_tables`, built at the first block
+        request from any thread and kept on the grid."""
+        return _once(self.grid._cache, "lp_tables", self._build_tables)
+
+    def _build_tables(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
         """Windows of blocks -1..j_max as (flat half-spectrum indices, values)
-        over their nonzero support, and the modes beyond (3/2)*2^j_max, cached
-        on the grid at the first block request from any thread.
+        over their nonzero support, and the modes beyond (3/2)*2^j_max.
 
         Block -1 is chi on |xi| < 4/3; window j >= 0 is evaluated only on the
         lattice points with 3/4 * 2^j < |xi| < 8/3 * 2^j, as
@@ -131,25 +135,17 @@ class DyadicPartition:
         so each value is annulus_profile's bit for bit, and every window is
         exactly 0 off the points it keeps.
         """
-        cache = self.grid._cache
-        if "lp_tables" in cache:  # read without the lock once built
-            return cache["lp_tables"]
-        hs = half_spectrum(self.grid)  # taken first: the lock is not reentrant
-        with _TABLES_LOCK:
-            if "lp_tables" not in cache:
-                r_half = np.sqrt(hs.xi2)
-                r = r_half.reshape(-1)
-                idx = np.flatnonzero(r < 4.0 / 3.0)
-                candidates = [(idx, low_cutoff_profile(r[idx]))]
-                for j in range(self.j_max + 1):
-                    scale = float(2**j)
-                    idx = np.flatnonzero((r > 0.75 * scale) & (r < (8.0 / 3.0) * scale))
-                    candidates.append((idx, low_cutoff_profile(r[idx] / (2.0 * scale))
-                                       - low_cutoff_profile(r[idx] / scale)))
-                windows = tuple((idx[vals != 0.0], vals[vals != 0.0])
-                                for idx, vals in candidates)
-                cache["lp_tables"] = (windows, r_half > RESOLVED_FACTOR * 2**self.j_max)
-        return cache["lp_tables"]
+        r_half = np.sqrt(half_spectrum(self.grid).xi2)
+        r = r_half.reshape(-1)
+        idx = np.flatnonzero(r < 4.0 / 3.0)
+        candidates = [(idx, low_cutoff_profile(r[idx]))]
+        for j in range(self.j_max + 1):
+            scale = float(2**j)
+            idx = np.flatnonzero((r > 0.75 * scale) & (r < (8.0 / 3.0) * scale))
+            candidates.append((idx, low_cutoff_profile(r[idx] / (2.0 * scale))
+                               - low_cutoff_profile(r[idx] / scale)))
+        windows = tuple((idx[vals != 0.0], vals[vals != 0.0]) for idx, vals in candidates)
+        return windows, r_half > RESOLVED_FACTOR * 2**self.j_max
 
     def _window(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The flat half-spectrum indices and values of block j's window."""

@@ -22,8 +22,10 @@ diagonal multiplier to a real field (rfftn, multiply, irfftn).  Every
 package routine that differentiates, smooths, truncates or blocks a real
 field goes through it; the anchor is irrelevant there, since a diagonal
 multiplier commutes with the rotation.  Frequency tables and dyadic
-windows exist only there; the full lattice appears only where a field is
-built from its coefficients: the complex pair and band_limited_noise.
+windows exist only there.  Only band_limited_noise builds a field on the
+full lattice (the envelope profile and the lemma suite's matched noise take
+a complex inverse FFT of one axis); the complex pair (:func:`transform`,
+:func:`inverse_transform`) is public API that no package code path calls.
 
 Dealiasing has one rule, Orszag's 2/3 truncation: a mode is kept when
 every |k_a| is at most floor(2/3 * N/2) (:func:`dealias_cutoff_index`),
@@ -39,6 +41,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -58,6 +61,22 @@ __all__ = [
 ]
 
 _MAX_SAMPLES_LOG2 = 31  # reject grids with more than 2**31 samples
+
+_T = TypeVar("_T")
+_BUILDS: dict[tuple[int, str], threading.Lock] = {}  # by (id(cache), key), while built
+
+
+def _once(cache: dict, key: str, build: Callable[[], _T]) -> _T:
+    """``cache[key]``, set to ``build()`` by the first caller of key from any
+    thread.  Later callers of key wait for that build; callers of any other
+    key never do, so a build may read other keys, on any thread."""
+    if key not in cache:
+        # setdefault is atomic; the caller holds cache, so its id is not reused
+        with _BUILDS.setdefault((id(cache), key), threading.Lock()):
+            if key not in cache:
+                cache[key] = build()
+        _BUILDS.pop((id(cache), key), None)
+    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -247,11 +266,12 @@ class HalfSpectrum:
         self.xi2 = sum(xi**2 for xi in self.xi)
         self.helm_inv = 1.0 / (1.0 + self.xi2)
 
-    @functools.cached_property
+    @property
     def keep(self) -> np.ndarray:
-        """1 on modes with every |k_a| at or below the dealias cutoff, else 0."""
-        inside = functools.reduce(np.logical_and, [np.abs(k) <= self._cutoff for k in self.k])
-        return inside.astype(np.float64)
+        """1 on modes with every |k_a| at or below the dealias cutoff, else 0;
+        built on the first read."""
+        return _once(self.__dict__, "_keep", lambda: functools.reduce(
+            np.logical_and, [np.abs(k) <= self._cutoff for k in self.k]).astype(np.float64))
 
     def kept(self, F: np.ndarray) -> np.ndarray:
         """The modes of the half spectrum F that the dealias rule keeps, in
@@ -262,11 +282,11 @@ class HalfSpectrum:
         c = self._cutoff + 1
         return F[..., :c] if len(self.shape) == 1 else F[..., :c] * self.keep[..., :c]
 
-    @functools.cached_property
+    @property
     def masked_xi(self) -> tuple[np.ndarray, ...]:
         """The d dense tables xi_a * keep: each axis frequency with the modes
-        above the dealias cutoff zeroed."""
-        return tuple(xi * self.keep for xi in self.xi)
+        above the dealias cutoff zeroed; built on the first read."""
+        return _once(self.__dict__, "_masked_xi", lambda: tuple(xi * self.keep for xi in self.xi))
 
     def differentiate(self, F: np.ndarray, axis: int) -> np.ndarray:
         """Multiply the half spectrum F by the symbol i*xi_axis in place and
@@ -331,17 +351,10 @@ def _tail_share(Fh: np.ndarray, beyond: np.ndarray) -> float:
     return float(np.sum(c2[beyond]) / total)
 
 
-# Guards the first build of every per-grid table (the half spectrum here,
-# the dyadic windows in littlewood_paley); not reentrant.
-_TABLES_LOCK = threading.Lock()
-
-
 def half_spectrum(grid: Grid) -> HalfSpectrum:
-    """The half-spectrum tables of ``grid``, built once from any thread."""
-    with _TABLES_LOCK:
-        if "half" not in grid._cache:
-            grid._cache["half"] = HalfSpectrum(grid)
-        return grid._cache["half"]
+    """The half-spectrum tables of ``grid``, built on the first call from any
+    thread and kept on the grid."""
+    return _once(grid._cache, "half", lambda: HalfSpectrum(grid))
 
 
 def dealiased_product(a: Field, b: Field) -> Field:

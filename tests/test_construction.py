@@ -8,7 +8,7 @@ import pytest
 
 import dft_oracle as oracle
 from conftest import build_data, derivative
-from hks import construction
+from hks import construction, probe
 from hks.construction import (
     Bump,
     _packet_sum_half,
@@ -109,6 +109,19 @@ class TestAgainstFullAxisFormulas:
             bump, ref = make_bump(d, g), reference_bump(d, g)
             assert bump.hat.tobytes() == ref.hat.tobytes(), log2n
             assert bump.profile.tobytes() == ref.profile.tobytes(), log2n
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("log2n", [9, 12, 14])
+    def test_matched_noise(self, log2n, seed):
+        g = make_grid(1, 1, 2**log2n)
+        for kmax in (8, 50, g.N // 8):
+            rng = np.random.default_rng(seed)
+            coeffs = np.zeros(g.N, dtype=np.complex128)
+            for k in range(1, kmax + 1):
+                coeffs[k] = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(kmax)
+                coeffs[-k] = np.conj(coeffs[k])
+            ref = inverse_transform(SpectralField(g, coeffs)).values
+            assert probe._matched_noise(g, kmax, seed).values.tobytes() == ref.tobytes(), kmax
 
     def test_datum(self):
         g = make_grid(1, 1, 65536)
@@ -372,24 +385,29 @@ class TestDrift:
         assert sum(fft_counts.values()) == 0
         assert v0.values.tobytes() == expected.values.tobytes()
 
-    def test_first_read_from_many_threads_builds_once(self, monkeypatch):
-        # eight threads first-read v0 behind a barrier; a slow build widens
-        # the race, and the count shows whether v0 was built twice
+    @pytest.mark.parametrize("table,build", [("v0", "transport_divergence"),
+                                             ("coefficients", "half_spectrum")],
+                             ids=["v0", "coefficients"])
+    def test_first_read_from_many_threads_builds_once(self, monkeypatch, table, build):
+        # eight threads first-read the table behind a barrier; a slow build
+        # (the one call of ``build`` in it) widens the race, and the count
+        # shows whether the table was built twice
         data = build_data(1, 1, 2048, 5)
         calls, lock = [], threading.Lock()
+        fast = getattr(construction, build)
 
-        def slow_build(u, S):
+        def slow_build(*args):
             with lock:
                 calls.append(1)
             time.sleep(0.002)
-            return transport_divergence(u, S)
+            return fast(*args)
 
-        monkeypatch.setattr(construction, "transport_divergence", slow_build)
+        monkeypatch.setattr(construction, build, slow_build)
         barrier, results = threading.Barrier(8), []
 
         def first_read():
             barrier.wait(timeout=60)
-            results.append(data.v0)
+            results.append(getattr(data, table))
 
         threads = [threading.Thread(target=first_read) for _ in range(8)]
         interval = sys.getswitchinterval()

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import dft_oracle as oracle
 from conftest import build_data, dense_block_norms
+from hks import construction
 from hks import littlewood_paley as lpmod
+from hks import spectral as spmod
 from hks.littlewood_paley import (
     BOUND_MARGIN,
     BesovParams,
@@ -27,6 +29,7 @@ from hks.littlewood_paley import (
     make_partition,
     smooth_step,
 )
+from hks.solver import transport_divergence
 from hks.spectral import (
     Field,
     SpectralField,
@@ -312,19 +315,27 @@ def white_noise(g, seed):
 
 
 class TestHalfSpectrumBlocks:
-    def test_first_use_from_many_threads_builds_once(self, monkeypatch):
-        # eight threads race on a fresh grid; a slow window profile widens
-        # the race, and the count shows whether the windows were built twice
+    @pytest.mark.parametrize("table", ["half_spectrum", "windows"])
+    def test_first_use_from_many_threads_builds_once(self, monkeypatch, table):
+        # eight threads race on a fresh grid; a slow build of one table widens
+        # the race, and the count shows whether that table was built twice
         g = make_grid(2, 1, 128)
         calls, lock = [], threading.Lock()
 
-        def slow_profile(r):
-            with lock:
-                calls.append(1)
-            time.sleep(0.002)
-            return low_cutoff_profile(r)
+        def slow(build):
+            def slow_build(*args):
+                with lock:
+                    calls.append(1)
+                time.sleep(0.002)
+                return build(*args)
+            return slow_build
 
-        monkeypatch.setattr(lpmod, "low_cutoff_profile", slow_profile)
+        if table == "half_spectrum":
+            monkeypatch.setattr(spmod, "HalfSpectrum", slow(spmod.HalfSpectrum))
+            expected = 1
+        else:
+            monkeypatch.setattr(lpmod, "low_cutoff_profile", slow(low_cutoff_profile))
+            expected = 1 + 2 * (make_partition(g).j_max + 1)  # chi, then two per annulus
         barrier, results = threading.Barrier(8), []
 
         def first_use():
@@ -345,8 +356,37 @@ class TestHalfSpectrumBlocks:
         assert len(results) == 8
         assert len({id(hs) for hs, _ in results}) == 1
         assert len({id(tables) for _, tables in results}) == 1
-        j_max = make_partition(g).j_max
-        assert len(calls) == 1 + 2 * (j_max + 1)  # chi, then two per annulus
+        assert len(calls) == expected
+
+    def test_windows_do_not_wait_for_a_drift_build(self, monkeypatch):
+        # while one thread builds a datum's v0 slowly, another thread's first
+        # block request on a fresh grid builds the windows and returns
+        data = build_data(1, 1, 2048, 5)
+        expected = transport_divergence(data.u0, data.S0)  # builds the tables v0 needs
+        g = make_grid(1, 1, 4096)
+        started, release = threading.Event(), threading.Event()
+
+        def slow_build(u, S):
+            started.set()
+            release.wait(timeout=60)
+            return transport_divergence(u, S)
+
+        monkeypatch.setattr(construction, "transport_divergence", slow_build)
+        reader = threading.Thread(target=lambda: data.v0, daemon=True)
+        reader.start()
+        try:
+            assert started.wait(timeout=60)
+            windows = []
+            other = threading.Thread(target=lambda: windows.append(make_partition(g)._tables()),
+                                     daemon=True)
+            other.start()
+            other.join(timeout=30)
+            assert not other.is_alive() and len(windows) == 1
+            assert "_v0" not in data.__dict__  # the drift is still being built
+        finally:
+            release.set()
+            reader.join(timeout=60)
+        assert data.v0.values.tobytes() == expected.values.tobytes()
 
     def test_grid_does_not_keep_partition_alive(self):
         # No grid <-> partition cycle: dropping the last reference frees it.
