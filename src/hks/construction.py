@@ -41,7 +41,7 @@ import numpy as np
 
 from .littlewood_paley import make_partition, smooth_step
 from .solver import transport_divergence
-from .spectral import Field, Grid, _once, dealiased_product, half_spectrum
+from .spectral import Field, Grid, _once, half_spectrum
 
 __all__ = [
     "Bump",
@@ -50,7 +50,6 @@ __all__ = [
     "make_fn",
     "InitialData",
     "make_initial_data",
-    "expanded_v0",
 ]
 
 N_MIN_PACKET = 3  # smallest packet index with exact one-block confinement
@@ -289,28 +288,3 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
     u0 = Field(grid, np.fft.fftshift(hs.irfftn(u0_half)) * grid.N**grid.d)
     return InitialData(grid=grid, bump=bump, s=s, n_min=N_MIN_PACKET, n_max=n_max, S0=S0, u0=u0)
 
-
-def expanded_v0(data: InitialData) -> Field:
-    """The drift in expanded form (1-2u0) grad S0 . grad u0 + u0(1-u0) Lap S0.
-
-    Agrees with the conservative form ``data.v0``, which is
-    ``transport_divergence(data.u0, data.S0)``, to roundoff once the grid
-    retains every pairwise product of packet frequencies below the dealias
-    cutoff; on coarser grids the two differ by the truncation the products
-    suffer.
-    """
-    g, hs = data.grid, half_spectrum(data.grid)
-    u0, S0 = data.u0, data.S0
-    dS = hs.irfftn(hs.gradient(np.fft.rfftn(S0.values)))
-    du = hs.irfftn(hs.gradient(np.fft.rfftn(u0.values)))
-    grad_dot = None
-    for a in range(g.d):
-        term = dealiased_product(Field(g, dS[a]), Field(g, du[a]))
-        grad_dot = term if grad_dot is None else grad_dot + term
-    lap_S = Field(g, hs.apply(S0.values, -hs.xi2))
-    u_lap = dealiased_product(u0, lap_S)
-    u2 = dealiased_product(u0, u0)
-    u2_lap = dealiased_product(u2, lap_S)
-    u_grad = dealiased_product(u0, grad_dot)
-    vals = grad_dot.values - 2.0 * u_grad.values + u_lap.values - u2_lap.values
-    return Field(g, vals)

@@ -50,7 +50,6 @@ __all__ = [
     "annulus_profile",
     "DyadicPartition",
     "make_partition",
-    "block_norms",
     "block_sups",
     "lp_block",
     "BlockDecomposition",
@@ -226,27 +225,19 @@ def _norm_bounds(part: DyadicPartition, Fh: np.ndarray, p: float) -> np.ndarray:
     return BOUND_MARGIN * l2 ** (2.0 / p) * sup ** (1.0 - 2.0 / p)
 
 
-def block_norms(part: DyadicPartition, f: Field, p: float) -> np.ndarray:
-    """L^p norm of every block of f, index 0 holding block -1.
-
-    One real FFT of f; at p = 2 Parseval gives the norms without any
-    inverse transform, other p take one inverse real FFT per block.
-    """
-    return _block_norms(part, np.fft.rfftn(f.values), p)
-
-
 def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float],
                blocks: Sequence[int] = ()) -> tuple[list[float], np.ndarray]:
     """The weighted sups max_j 2^{sigma j} ||Delta_j f||_p, one per sigma of
     sigmas, and the L^p norms of the blocks ``blocks``, in their order.
 
     Each sup is the max of the products the full profile gives, so it equals
-    ``np.max(2.0 ** (sigma * js) * block_norms(part, f, p))`` bit for bit.
-    One real FFT of f; at p = 2 the whole Parseval profile.  At other p the
-    named blocks are transformed first; then, per sigma, the blocks in
-    descending order of 2^{sigma j} times their coefficient bound
-    (``_norm_bounds``), until the next bound is at most the largest product
-    in hand.  No block is transformed twice.
+    ``np.max(2.0 ** (sigma * js) * _block_norms(part, rfftn(f), p))`` bit for
+    bit, with ``rfftn(f) = np.fft.rfftn(f.values)``.  One real FFT of f; at
+    p = 2 the whole Parseval profile.  At other p the named blocks are
+    transformed first; then, per sigma, the blocks in descending order of
+    2^{sigma j} times their coefficient bound (``_norm_bounds``), until the
+    next bound is at most the largest product in hand.  No block is
+    transformed twice.
     """
     js = np.arange(-1, part.j_max + 1)
     named = [int(j) for j in blocks]

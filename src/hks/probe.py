@@ -123,13 +123,6 @@ def fit_loglog(xs, ys) -> float:
     return float(np.polyfit(np.log2(xs), np.log2(ys), 1)[0])
 
 
-def h_field(u_t: sp.Field, u0: sp.Field, v0: sp.Field, t: float) -> sp.Field:
-    """Second-order remainder u(t) - u0 + t*v0 of the short-time expansion."""
-    sp._check_same_grid(u_t.grid, u0.grid)
-    sp._check_same_grid(v0.grid, u0.grid)
-    return sp.Field(u0.grid, u_t.values - u0.values + t * v0.values)
-
-
 def _lane_outcomes(lane, times, measure) -> list:
     """Per t of ``times``: ``measure(t, state())`` over the ``(t, state)``
     stream of a solver lane, on one worker thread while the lane steps on,
@@ -170,8 +163,8 @@ def _deviation_sups(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Fiel
     """The sups of the deviation u(t) - u0 at ``sigmas``, the B^{s-2} sup of
     the remainder h = u(t) - u0 + t*v0, and the L^p norms of the blocks
     ``blocks`` of each.  The deviation is built in place of u_t's values,
-    which this consumes, and h in place of the deviation with the
-    arithmetic of :func:`h_field`, once the deviation's spectrum is taken."""
+    which this consumes, and h = (u_t - u0) + t v0 in place of the
+    deviation, once the deviation's spectrum is taken."""
     diff = np.subtract(u_t.values, data.u0.values, out=u_t.values)
     dev, dn = block_sups(part, sp.Field(data.grid, diff), params.p, sigmas, blocks)
     diff += t * data.v0.values

@@ -56,7 +56,6 @@ from .spectral import Field, Grid, HalfSpectrum, _tail_share, half_spectrum
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "solve_S",
     "transport_divergence",
     "rhs",
     "evolve",
@@ -126,12 +125,6 @@ class Trajectory:
     states: list[Field]
     steps: list[dict]  # per accepted step: t, dt, mean, max_abs, max_speed
     unevolved_share: float = field(default=0.0, init=False)
-
-    def state_at(self, t: float) -> Field:
-        for ti, ui in zip(self.times, self.states):
-            if math.isclose(ti, t, rel_tol=1e-12, abs_tol=1e-15):
-                return ui
-        raise KeyError(f"no snapshot at t={t}")
 
 
 def _check_stage(values: np.ndarray, stage: str) -> None:
@@ -264,12 +257,6 @@ def _div_flux_half(uh: np.ndarray, hs: HalfSpectrum, with_speed: bool = False,
             task.cancel()
         wait(tasks)
     return out, speed
-
-
-def solve_S(u: Field) -> Field:
-    """Chemoattractant from density: S = (1 - Laplacian)^{-1} u."""
-    hs = half_spectrum(u.grid)
-    return Field(u.grid, hs.apply(u.values, hs.helm_inv))
 
 
 def transport_divergence(u: Field, S: Field) -> Field:

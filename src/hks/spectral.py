@@ -72,10 +72,12 @@ def _once(cache: dict, key: str, build: Callable[[], _T]) -> _T:
     key never do, so a build may read other keys, on any thread."""
     if key not in cache:
         # setdefault is atomic; the caller holds cache, so its id is not reused
-        with _BUILDS.setdefault((id(cache), key), threading.Lock()):
-            if key not in cache:
-                cache[key] = build()
-        _BUILDS.pop((id(cache), key), None)
+        try:
+            with _BUILDS.setdefault((id(cache), key), threading.Lock()):
+                if key not in cache:
+                    cache[key] = build()
+        finally:
+            _BUILDS.pop((id(cache), key), None)
     return cache[key]
 
 
@@ -169,11 +171,6 @@ class Field:
         return Field(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
-
-    def pointwise(self, other: "Field") -> "Field":
-        """Plain grid-pointwise product (no dealiasing)."""
-        _check_same_grid(self.grid, other.grid)
-        return Field(self.grid, self.values * other.values)
 
 
 @dataclass

@@ -181,35 +181,24 @@ class TestFitLoglog:
             probe.fit_loglog([1.0, 2.0], [1.0, -2.0])
 
 
+def remainder(u_t, data, t):
+    """Second-order remainder u(t) - u0 + t*v0 of the short-time expansion,
+    with the arithmetic the rate records use."""
+    return Field(data.grid, u_t.values - data.u0.values + t * data.v0.values)
+
+
 class TestHField:
     def test_unchanged_state_gives_t_v0(self, data_2048_5):
         d = data_2048_5
-        h = probe.h_field(d.u0, d.u0, d.v0, 0.25)
+        h = remainder(d.u0, d, 0.25)
         assert np.array_equal(h.values, 0.25 * d.v0.values)
 
     def test_linear_motion_cancels(self, data_2048_5):
         # (u0 - t v0) - u0 + t v0: zero up to the subtraction roundoff
         d = data_2048_5
         u_t = Field(d.grid, d.u0.values - 0.125 * d.v0.values)
-        h = probe.h_field(u_t, d.u0, d.v0, 0.125)
+        h = remainder(u_t, d, 0.125)
         assert np.max(np.abs(h.values)) <= 1e-14 * np.max(np.abs(d.u0.values))
-
-    def test_grid_mismatch(self, data_2048_5):
-        d = data_2048_5
-        other = make_grid(1, 1, 4096)
-        stranger = Field(other, np.zeros(other.shape))
-        with pytest.raises(ValueError, match="different grids"):
-            probe.h_field(stranger, d.u0, d.v0, 0.1)
-        with pytest.raises(ValueError, match="different grids"):
-            probe.h_field(d.u0, d.u0, stranger, 0.1)
-
-    def test_v0_on_other_box_with_same_shape(self, data_2048_5):
-        # Same N, different M: the shapes agree but the geometry does not.
-        d = data_2048_5
-        other = make_grid(1, 2, d.grid.N)
-        stranger = Field(other, np.zeros(other.shape))
-        with pytest.raises(ValueError, match="different grids"):
-            probe.h_field(d.u0, d.u0, stranger, 0.1)
 
 
 class TestRateSweep:
@@ -260,9 +249,9 @@ class TestRateSweep:
 
         expected = []
         for t in times:
-            u_t = traj.state_at(t)
+            u_t = traj.states[traj.times.index(t)]
             dn = dense_block_norms(part, u_t - d.u0, p)
-            hn = dense_block_norms(part, probe.h_field(u_t, d.u0, d.v0, t), p)
+            hn = dense_block_norms(part, remainder(u_t, d, t), p)
             expected.append(probe.RateRecord(t, sup(dn, s), sup(dn, s - 1),
                                              sup(dn, s - 2), sup(hn, s - 2)))
         assert sweep.records == expected
@@ -442,7 +431,7 @@ class TestInflationSweep:
             t = eps0 * 2.0**-j
             u_t = evolve(data.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
             dn = dense_block_norms(part, u_t - data.u0, p)
-            hn = dense_block_norms(part, probe.h_field(u_t, data.u0, data.v0, t), p)
+            hn = dense_block_norms(part, remainder(u_t, data, t), p)
             w = 2.0 ** (j * s)
             expected.append(probe.InflationRecord(
                 j, t, sup(dn, s), sup(dn, s - 1), sup(dn, s - 2), sup(hn, s - 2),
@@ -843,7 +832,7 @@ class TestCalibration:
                     t = att["eps0"] * 2.0**-j
                     u_t = evolve(d.u0, SolverConfig(t_final=t, cfl=0.4)).states[-1]
                     dn = dense_block_norms(part, u_t - d.u0, p)
-                    hn = dense_block_norms(part, probe.h_field(u_t, d.u0, d.v0, t), p)
+                    hn = dense_block_norms(part, remainder(u_t, d, t), p)
                     ratio = np.max(hn) / np.max(dn)
                     assert att[f"j{j}"] == f"h-ratio {ratio:.4f}"
             assert list(result.attempts[0]) == ["eps0", "passed", "j4", "j5"]

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import dft_oracle as oracle
 from conftest import derivative
+from hks import spectral as spmod
 from hks.spectral import (
     Field,
     SpectralField,
+    _once,
     band_limited_noise,
     dealias_cutoff_index,
     dealiased_product,
@@ -27,6 +29,23 @@ from hks.spectral import (
 def lattice_mode(grid, k, kind=np.cos):
     x = grid.axis_coordinates()
     return Field(grid, kind(k * grid.freq_step * x))
+
+
+class TestOnce:
+    def test_failed_build_leaves_no_lock_and_builds_again(self):
+        cache, builds = {}, []
+
+        def failing():
+            builds.append("failed")
+            raise MemoryError("no room for the table")
+
+        before = dict(spmod._BUILDS)
+        with pytest.raises(MemoryError):
+            _once(cache, "table", failing)
+        assert spmod._BUILDS == before and cache == {}
+        assert _once(cache, "table", lambda: builds.append("built") or 7) == 7
+        assert builds == ["failed", "built"] and cache == {"table": 7}
+        assert spmod._BUILDS == before
 
 
 class TestGrid:
@@ -77,7 +96,6 @@ class TestField:
         assert np.array_equal((a + b).values, np.arange(64.0) + 1)
         assert np.array_equal((a - b).values, np.arange(64.0) - 1)
         assert np.array_equal((2.0 * a).values, 2.0 * np.arange(64.0))
-        assert np.array_equal(a.pointwise(b).values, a.values)
 
     def test_cross_grid_rejected(self):
         a = Field(make_grid(1, 1, 64), np.zeros(64))
