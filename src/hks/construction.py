@@ -41,7 +41,7 @@ import numpy as np
 
 from .littlewood_paley import make_partition, smooth_step
 from .solver import transport_divergence
-from .spectral import Field, Grid, _once, half_spectrum
+from .spectral import Field, Grid, _anchored_ifft, _check_same_grid, _once, half_spectrum
 
 __all__ = [
     "Bump",
@@ -69,41 +69,31 @@ class Bump:
     order; ``profile`` holds the physical samples on the 1-D coordinate
     axis.  The envelope is even, real, nonnegative in frequency, and its
     d-dimensional version is the tensor product of ``profile`` along each
-    axis.
+    axis.  It is built for ``grid`` and used on that grid only.
     """
 
-    d: int
-    M: int
-    N: int
+    grid: Grid
     hat: np.ndarray
     profile: np.ndarray
 
     @property
     def plateau_radius(self) -> float:
-        return 4.0 ** (-self.d)
+        return 4.0 ** (-self.grid.d)
 
     @property
     def support_radius(self) -> float:
-        return 2.0 ** (-self.d)
+        return 2.0 ** (-self.grid.d)
 
     def value_at_origin(self) -> float:
-        return float(self.profile[self.N // 2])
+        return float(self.profile[self.grid.N // 2])
 
     def envelope(self, grid: Grid) -> Field:
         """Tensor-product envelope prod_i phi(x_i) on the full grid."""
-        _check_bump_grid(self, grid)
+        _check_same_grid(self.grid, grid)
         vals = self.profile
         for _ in range(grid.d - 1):
             vals = np.multiply.outer(vals, self.profile)
         return Field(grid, vals)
-
-
-def _check_bump_grid(bump: Bump, grid: Grid) -> None:
-    if (bump.d, bump.M, bump.N) != (grid.d, grid.M, grid.N):
-        raise ValueError(
-            f"bump built for (d={bump.d}, M={bump.M}, N={bump.N}) used on "
-            f"(d={grid.d}, M={grid.M}, N={grid.N})"
-        )
 
 
 def _check_bump(d: int, grid: Grid) -> None:
@@ -142,9 +132,7 @@ def make_bump(d: int, grid: Grid) -> Bump:
     hat = np.zeros(grid.N)
     hat[idx[r <= plateau]] = 1.0
     hat[idx[ramp]] = smooth_step((support - r[ramp]) / (support - plateau))
-    # the anchored inverse transform of the spectral module, on one axis
-    profile = np.ascontiguousarray((np.fft.fftshift(np.fft.ifft(hat)) * grid.N).real)
-    return Bump(d=d, M=grid.M, N=grid.N, hat=hat, profile=profile)
+    return Bump(grid=grid, hat=hat, profile=_anchored_ifft(hat))
 
 
 def _carrier_index(n: int, grid: Grid) -> int:
@@ -176,7 +164,7 @@ def _carrier_period(n: int, grid: Grid) -> np.ndarray:
 
 def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
     """The n-th packet f_n = phi(x_1) sin(c_n x_1) phi(x_2) ... phi(x_d)."""
-    _check_bump_grid(bump, grid)
+    _check_same_grid(bump.grid, grid)
     if n < N_MIN_PACKET:
         raise ValueError(f"packet index must be >= {N_MIN_PACKET}, got {n}")
     c = carrier_frequency(n)

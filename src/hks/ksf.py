@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .spectral import Field, Grid, make_grid
+from .spectral import Field, make_grid
 
 MAGIC = b"KSF1"
 _HEADER = struct.Struct("<IIII")
@@ -28,8 +28,8 @@ def write_field(path, field: Field) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def read_field(path, grid: Grid | None = None) -> Field:
-    """Load a field; if ``grid`` is given the file must match it exactly."""
+def read_field(path) -> Field:
+    """Load a field onto the grid its header names."""
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC) + _HEADER.size)
         if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
@@ -41,13 +41,9 @@ def read_field(path, grid: Grid | None = None) -> Field:
             file_grid = make_grid(d, m, n)
         except ValueError as exc:
             raise ValueError(f"{path}: invalid geometry d={d} M={m} N={n}: {exc}") from None
-        if grid is not None and (grid.d, grid.M, grid.N) != (d, m, n):
-            raise ValueError(
-                f"{path}: geometry ({d},{m},{n}) does not match the target grid"
-            )
         size = os.fstat(fh.fileno()).st_size - len(head)
         expected = n**d * 8
         if size != expected:
             raise ValueError(f"{path}: payload holds {size} bytes, expected {expected}")
         vals = np.fromfile(fh, dtype="<f8", count=n**d)
-    return Field(grid or file_grid, vals.reshape(file_grid.shape))
+    return Field(file_grid, vals.reshape(file_grid.shape))

@@ -146,6 +146,11 @@ class DyadicPartition:
         windows = tuple((idx[vals != 0.0], vals[vals != 0.0]) for idx, vals in candidates)
         return windows, r_half > RESOLVED_FACTOR * 2**self.j_max
 
+    def _rfftn(self, f: Field) -> np.ndarray:
+        """The half spectrum of f, which must live on the partition's grid."""
+        _check_same_grid(f.grid, self.grid)
+        return np.fft.rfftn(f.values)
+
     def _window(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The flat half-spectrum indices and values of block j's window."""
         if j < -1 or j > self.j_max:
@@ -243,7 +248,7 @@ def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float
     named = [int(j) for j in blocks]
     if any(not -1 <= j <= part.j_max for j in named):
         raise ValueError(f"block index outside [-1, {part.j_max}]: {named}")
-    Fh = np.fft.rfftn(f.values)
+    Fh = part._rfftn(f)
     if p == 2:
         norms, done = _block_norms(part, Fh, p), np.ones(js.size, dtype=bool)
     else:
@@ -273,7 +278,7 @@ def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float
 
 def lp_block(part: DyadicPartition, f: Field, j: int) -> Field:
     """The j-th dyadic block of f as a physical field."""
-    return Field(part.grid, part.block(np.fft.rfftn(f.values), j))
+    return Field(part.grid, part.block(part._rfftn(f), j))
 
 
 @dataclass
@@ -299,7 +304,7 @@ def decompose(part: DyadicPartition, f: Field) -> BlockDecomposition:
     When the unresolved coefficient mass fraction exceeds 1e-12 the block
     sum no longer reconstructs f and a warning is emitted.
     """
-    Fh = np.fft.rfftn(f.values)
+    Fh = part._rfftn(f)
     blocks = [Field(part.grid, part.block(Fh, j)) for j in range(-1, part.j_max + 1)]
     resolved, frac = _check_resolved(
         part, Fh, "field has {:.3e} of its spectral mass beyond the resolved band")
@@ -341,7 +346,7 @@ def besov_norm(part: DyadicPartition, f: Field, params: BesovParams) -> BesovNor
     l^r aggregation of the profile (sup for r = inf).  Block -1 is always
     included.
     """
-    Fh = np.fft.rfftn(f.values)
+    Fh = part._rfftn(f)
     resolved, _ = _check_resolved(
         part, Fh, "besov_norm on under-resolved field ({:.3e} mass beyond band)")
     js = np.arange(-1, part.j_max + 1)
@@ -367,7 +372,7 @@ def commutator(
     on j and are built once for all blocks.
     """
     hs = half_spectrum(part.grid)
-    block = _commutator_block(part, velocity, hs.gradient(np.fft.rfftn(f.values)))
+    block = _commutator_block(part, velocity, hs.gradient(part._rfftn(f)))
     return [block(j) for j in js]
 
 

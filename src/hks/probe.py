@@ -650,9 +650,7 @@ def _matched_noise(grid: sp.Grid, kmax: int, seed: int) -> sp.Field:
         c = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(kmax)
         coeffs[k] = c
         coeffs[-k] = np.conj(c)
-    # the anchored inverse transform of the spectral module
-    vals = np.fft.fftshift(np.fft.ifft(coeffs)) * grid.N
-    return sp.Field(grid, np.ascontiguousarray(vals.real))
+    return sp.Field(grid, sp._anchored_ifft(coeffs))
 
 
 def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:

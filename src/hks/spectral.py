@@ -24,8 +24,9 @@ field goes through it; the anchor is irrelevant there, since a diagonal
 multiplier commutes with the rotation.  Frequency tables and dyadic
 windows exist only there.  Only band_limited_noise builds a field on the
 full lattice (the envelope profile and the lemma suite's matched noise take
-a complex inverse FFT of one axis); the complex pair (:func:`transform`,
-:func:`inverse_transform`) is public API that no package code path calls.
+the inverse of one axis, ``_anchored_ifft``); the complex pair
+(:func:`transform`, :func:`inverse_transform`) is public API that no
+package code path calls.
 
 Dealiasing has one rule, Orszag's 2/3 truncation: a mode is kept when
 every |k_a| is at most floor(2/3 * N/2) (:func:`dealias_cutoff_index`),
@@ -63,21 +64,18 @@ __all__ = [
 _MAX_SAMPLES_LOG2 = 31  # reject grids with more than 2**31 samples
 
 _T = TypeVar("_T")
-_BUILDS: dict[tuple[int, str], threading.Lock] = {}  # by (id(cache), key), while built
 
 
 def _once(cache: dict, key: str, build: Callable[[], _T]) -> _T:
     """``cache[key]``, set to ``build()`` by the first caller of key from any
     thread.  Later callers of key wait for that build; callers of any other
-    key never do, so a build may read other keys, on any thread."""
+    key never do, so a build may read other keys, on any thread.  The lock of
+    key stays in cache beside it, under ``key + ".lock"``, so after a failed
+    build the callers of key still build it one at a time."""
     if key not in cache:
-        # setdefault is atomic; the caller holds cache, so its id is not reused
-        try:
-            with _BUILDS.setdefault((id(cache), key), threading.Lock()):
-                if key not in cache:
-                    cache[key] = build()
-        finally:
-            _BUILDS.pop((id(cache), key), None)
+        with cache.setdefault(key + ".lock", threading.Lock()):  # setdefault is atomic
+            if key not in cache:
+                cache[key] = build()
     return cache[key]
 
 
@@ -188,8 +186,15 @@ class SpectralField:
 
 
 def _check_same_grid(a: Grid, b: Grid) -> None:
+    """The package's one same-grid rule: a and b have one geometry."""
     if a is not b and (a.d, a.M, a.N) != (b.d, b.M, b.N):
-        raise ValueError("fields live on different grids")
+        raise ValueError(f"different grids: {a} and {b}")
+
+
+def _anchored_ifft(c: np.ndarray) -> np.ndarray:
+    """The real samples of sum_k c_k e^{i x xi_k} on one axis of c.size
+    points: :func:`inverse_transform` in one dimension, on a bare array."""
+    return np.ascontiguousarray((np.fft.fftshift(np.fft.ifft(c)) * c.size).real)
 
 
 def transform(f: Field) -> SpectralField:

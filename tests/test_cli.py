@@ -64,13 +64,6 @@ class TestKsf:
         assert back.values.dtype == np.float64
         assert back.values.tobytes() == f.values.tobytes()
 
-    def test_read_onto_matching_grid(self, tmp_path):
-        g, f = self._sample()
-        path = tmp_path / "f.ksf"
-        ksf.write_field(path, f)
-        back = ksf.read_field(path, grid=g)
-        assert back.grid is g
-
     def test_rejects_bad_magic(self, tmp_path):
         g, f = self._sample()
         path = tmp_path / "f.ksf"
@@ -116,13 +109,6 @@ class TestKsf:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="payload holds"):
             ksf.read_field(path)
-
-    def test_rejects_grid_mismatch(self, tmp_path):
-        g, f = self._sample()
-        path = tmp_path / "f.ksf"
-        ksf.write_field(path, f)
-        with pytest.raises(ValueError, match="does not match the target grid"):
-            ksf.read_field(path, grid=make_grid(1, 1, 64))
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,25 @@ class TestPartition:
                 assert np.max(part.block_window(j) * part.block_window(i)) == 0.0
 
 
+ENTRY_POINTS = {
+    "block_sups": lambda part, f: block_sups(part, f, math.inf, (1.0,)),
+    "lp_block": lambda part, f: lp_block(part, f, 0),
+    "decompose": decompose,
+    "besov_norm": lambda part, f: besov_norm(part, f, BesovParams(1.0, 2.0)),
+    "commutator": lambda part, f: commutator(
+        part, [0], [Field(part.grid, np.zeros(part.grid.shape))], f),
+}
+
+
 class TestBlocks:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("M,N", [(1, 512), (2, 256)], ids=["other M", "other N"])
+    def test_rejects_field_from_another_grid(self, entry, M, N):
+        part = make_partition(make_grid(1, 2, 512))
+        f = band_limited_noise(make_grid(1, M, N), 30, seed=20)
+        with pytest.raises(ValueError, match="different grids"):
+            ENTRY_POINTS[entry](part, f)
+
     def test_single_carrier_mode(self):
         # |xi| = 17/12 lies in the plateau of block 0 and nowhere else.
         g = make_grid(1, 1, 512)

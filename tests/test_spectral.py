@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 import dft_oracle as oracle
 from conftest import derivative
-from hks import spectral as spmod
 from hks.spectral import (
     Field,
     SpectralField,
@@ -39,13 +40,60 @@ class TestOnce:
             builds.append("failed")
             raise MemoryError("no room for the table")
 
-        before = dict(spmod._BUILDS)
         with pytest.raises(MemoryError):
             _once(cache, "table", failing)
-        assert spmod._BUILDS == before and cache == {}
+        assert "table" not in cache and not cache["table.lock"].locked()
         assert _once(cache, "table", lambda: builds.append("built") or 7) == 7
-        assert builds == ["failed", "built"] and cache == {"table": 7}
-        assert spmod._BUILDS == before
+        assert builds == ["failed", "built"] and cache["table"] == 7
+
+    def test_build_after_a_failure_runs_alone(self):
+        # a failing build, a caller waiting for it, and a late caller that
+        # arrives while the waiter builds: two builds, never two at once
+        cache, builds, running, peak = {}, [], [0], [0]
+        count = threading.Lock()
+
+        def call(name, value, out):
+            started, go = threading.Event(), threading.Event()
+
+            def build():
+                with count:
+                    builds.append(name)
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                started.set()
+                go.wait(10.0)
+                with count:
+                    running[0] -= 1
+                if value is None:
+                    raise MemoryError("no room for the table")
+                return value
+
+            def run():
+                try:
+                    out.append(_once(cache, "table", build))
+                except MemoryError:
+                    out.append(None)
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            return thread, started, go
+
+        failed, waited, late = [], [], []
+        first, first_started, first_go = call("failing", None, failed)
+        assert first_started.wait(10.0)
+        waiter, waiter_started, waiter_go = call("waiter", 1, waited)
+        time.sleep(0.2)  # the waiter reaches the key's lock
+        first_go.set()
+        first.join(10.0)
+        assert waiter_started.wait(10.0)
+        third, third_started, third_go = call("late", 2, late)
+        third_go.set()
+        third_started.wait(0.2)  # a second build would start now
+        waiter_go.set()
+        waiter.join(10.0)
+        third.join(10.0)
+        assert builds == ["failing", "waiter"] and peak[0] == 1
+        assert (failed, waited, late) == ([None], [1], [1]) and cache["table"] == 1
 
 
 class TestGrid:
