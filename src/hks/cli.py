@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure (a measured quantity missed its
-band, a lemma check failed, or an evolve aborted), 2 usage error (bad
-flags, missing files, refusing to overwrite without --force).
+Exit codes: 0 success, 1 a failed run (a measured quantity missed its
+band, a lemma check failed, or the run raised a RuntimeError), 2 usage
+error (bad flags, missing files, refusing to overwrite without --force).
 
-Every run that writes an output directory also writes manifest.json with
-the resolved configuration; re-running the same command reproduces every
-CSV byte for byte.  One runner, ``_run``, writes every store and decides
-its exit code; a handler runs its validator and names its call, manifest
-config, fields, tables and own stdout lines.  Every store, a failed run's
-included, gets summary.json and manifest.json: a run that fails with an
-error records it in the summary with ``"pass": false``.
+One runner, ``_run``, writes every store and decides its exit code; a
+handler runs its validator and names its call, manifest config, fields,
+tables and own stdout lines.  Every store gets summary.json and
+manifest.json (the resolved configuration; re-running the command
+reproduces every CSV byte for byte).  A RuntimeError from the run or its
+outputs is a failed run, whose summary holds the error and ``"pass":
+false``; only an InflationError keeps tables, of its completed blocks.
 """
 
 from __future__ import annotations
@@ -206,34 +206,34 @@ def _pval(p: float):
 
 def _run(args, argv, run, config: dict, tables=lambda result: {},
          lines=lambda result: (), fields=lambda result: {}) -> int:
-    """Create the store (optional for the lemmas), ``run()`` the command,
-    write ``fields(result)`` ({name: Field}), ``tables(result)`` ({name:
-    (header, rows)}) and the summary with its pass flag, print the band
-    checks and ``lines(result)``, write the manifest and print the store.
-    A BlowUpError is a failed run that writes the summary of its error and
-    the manifest, and no fields or tables; an InflationError also writes
-    the tables of its completed blocks."""
+    """Create the store (optional for the lemmas), ``run()`` the command
+    and build ``fields(result)`` ({name: Field}) and ``tables(result)``
+    ({name: (header, rows)}); write those, the summary with its pass flag
+    and the manifest; print the band checks, ``lines(result)`` and the
+    store.  A RuntimeError from any of these calls (other errors are bugs
+    and propagate) writes no fields, the error's summary and the manifest,
+    and is printed; an InflationError keeps its completed blocks' tables."""
     store = ResultStore.create(args.outdir, force=args.force) if args.outdir else None
     try:
         result = run()
         summary, passed = result.summary, result.passed
-    except (InflationError, BlowUpError) as exc:
+        out_fields, out_tables = fields(result), tables(result)
+    except RuntimeError as exc:
         result, summary, passed = exc, {"error": str(exc)}, False
+        out_fields, out_tables = {}, tables(exc) if isinstance(exc, InflationError) else {}
     if store:
-        if not isinstance(result, BlowUpError):
-            for name, field in fields(result).items():
-                store.write_field(name, field)
-            for name, (header, rows) in tables(result).items():
-                store.write_table(name, header, rows)
+        for name, field in out_fields.items():
+            store.write_field(name, field)
+        for name, (header, rows) in out_tables.items():
+            store.write_table(name, header, rows)
         store.write_summary({**summary, "pass": passed})
-    if isinstance(result, RuntimeError):
         store.write_manifest(argv, config)
+    if isinstance(result, RuntimeError):
         print(f"error: {result}", file=sys.stderr)
         return 1
     for line in (*probe.checks(summary), *lines(result)):
         print(line)
     if store:
-        store.write_manifest(argv, config)
         print(f"store: {store.root}")
     return 0 if passed else 1
 

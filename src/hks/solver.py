@@ -102,7 +102,7 @@ class SolverConfig:
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be nonnegative and finite, got {self.eps}")
         ts = tuple(float(t) for t in self.snapshot_times)
-        if not all(0.0 < t <= self.t_final + 1e-15 for t in ts):
+        if not all(0.0 < t <= self.t_final * (1 + 1e-15) for t in ts):
             raise ValueError("snapshot times must lie in (0, t_final]")
         object.__setattr__(self, "snapshot_times", ts)
 

@@ -2,7 +2,8 @@
 
 Everything drives :func:`hks.cli.dispatch` in-process; one test covers the
 installed entry point via ``python -m hks.cli``.  Exit code contract:
-0 success, 1 a measured check failed or the integrator aborted, 2 usage.
+0 success, 1 a measured check failed or the run raised a RuntimeError,
+2 usage.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import UNDER_RESOLVED_V0, build_data, v0_warning
-from hks import ksf, probe, solver
+from hks import construction, ksf, probe, solver
 from hks.cli import build_parser, dispatch
 from hks.littlewood_paley import BesovParams, besov_norm, make_partition
 from hks.spectral import Field, band_limited_noise, make_grid
@@ -43,6 +44,13 @@ def probe_store(tmp_path_factory):
             rc = dispatch(["probe", *argv, "--outdir", str(out)])
         return rc, out
     return lambda argv: run_once(tuple(map(str, argv)))
+
+
+def assert_failed_store(out, error):
+    """A failed run's store: the error in the summary, and the manifest."""
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "summary.json"]
+    assert json.loads((out / "summary.json").read_text()) == {"error": error, "pass": False}
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["summary.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,28 @@ class TestConstructNorms:
         rc, _, _ = run(["construct", "--n", 2048, "--nmax", 5,
                         "--outdir", out, "--force"], capsys)
         assert rc == 0
+
+    def test_failed_v0_is_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        # construct builds v0 in its fields, after the run itself
+        def failing_v0(u, S):
+            raise solver.BlowUpError("non-finite values produced at stage 'divergence'")
+
+        monkeypatch.setattr(construction, "transport_divergence", failing_v0)
+        out = tmp_path / "c"
+        rc, stdout, err = run(["construct", "--n", 2048, "--nmax", 5, "--outdir", out], capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert err == "error: non-finite values produced at stage 'divergence'\n"
+        assert_failed_store(out, "non-finite values produced at stage 'divergence'")
+
+    def test_other_errors_propagate(self, tmp_path, capsys, monkeypatch):
+        # only a RuntimeError is a failed run; a bug keeps its traceback
+        def broken_v0(u, S):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(construction, "transport_divergence", broken_v0)
+        with pytest.raises(TypeError, match="a bug"):
+            run(["construct", "--n", 2048, "--nmax", 5, "--outdir", tmp_path / "c"], capsys)
 
     def test_norms_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -451,6 +481,28 @@ class TestProbeJkCli:
         assert "k_slope" in names
         assert "v0_slope" in summary and "v0_slope" not in names
 
+    @UNDER_RESOLVED_V0
+    def test_failed_check_is_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        jk_row = probe._jk_row
+
+        def failing_row(*args):
+            row = jk_row(*args)
+
+            def fn(j):
+                if j == 4:
+                    raise RuntimeError("lower-bound split violated at block 4")
+                return row(j)
+            return fn
+
+        monkeypatch.setattr(probe, "_jk_row", failing_row)
+        out = tmp_path / "jk"
+        rc, stdout, err = run(["probe", "jk", "--n", 2048, "--nmax", 5, "--jmin", 4,
+                               "--jmax", 5, "--outdir", out], capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert err == "error: lower-bound split violated at block 4\n"
+        assert_failed_store(out, "lower-bound split violated at block 4")
+
     def test_narrow_window_rejected(self, tmp_path, capsys):
         rc, _, err = run(["probe", "jk", "--n", 2048, "--nmax", 5,
                           "--jmin", 5, "--jmax", 5,
@@ -497,6 +549,16 @@ class TestLemmasCli:
         assert len(lines) == 1 + 7
         assert all(",pass," in line for line in lines[1:])
         assert lines[1].startswith("partition_sum,")
+
+    def test_failed_suite_without_a_store(self, capsys, monkeypatch):
+        def failing_suite(*args, **kwargs):
+            raise solver.BlowUpError("non-finite values produced at stage 'rhs'")
+
+        monkeypatch.setattr(probe, "lemma_suite", failing_suite)
+        rc, stdout, err = run(["lemmas", "--n", 256], capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert err == "error: non-finite values produced at stage 'rhs'\n"
 
     def test_store_written(self, tmp_path, capsys):
         out = tmp_path / "lem"

@@ -87,6 +87,7 @@ class TestConfig:
         dict(t_final=1.0, cfl=1.5),
         dict(t_final=1.0, eps=-1e-6),
         dict(t_final=1.0, snapshot_times=(2.0,)),
+        dict(t_final=1e-17, snapshot_times=(9e-16,)),  # the slack is relative
         dict(t_final=1.0, snapshot_times=(-0.5,)),
         dict(t_final=math.inf),
         dict(t_final=1.0, snapshot_times=(math.nan,)),
