@@ -15,6 +15,8 @@ from hks.littlewood_paley import (
 from hks.spectral import Field, band_limited_noise, half_spectrum, lp_norm, make_grid
 
 g = make_grid(d=1, M=1, N=2048)
+# The partition holds the windows on the half spectrum; the block norms
+# below take it from the grid of the field they are given.
 part = make_partition(g)
 print(f"grid N={g.N}: j_max = {part.j_max}, "
       f"blocks cover |xi| <= {1.5 * 2**part.j_max:g} "
@@ -42,7 +44,7 @@ print(f"  max |sum - 1| = {np.max(np.abs(total[covered] - 1.0)):.3e}")
 
 # Decompose a noisy field and put it back together.
 f = band_limited_noise(g, 300, seed=11)
-dec = decompose(part, f)
+dec = decompose(f)
 err = np.max(np.abs(dec.reconstruct().values - f.values))
 print(f"\ndecompose/reconstruct on band-limited noise (kmax=300):")
 print(f"  {len(dec.blocks)} blocks, resolved={dec.resolved}, "
@@ -55,13 +57,13 @@ x = g.axis_coordinates()
 two = Field(g, np.cos(144 * g.freq_step * x) + 0.1 * np.cos(528 * g.freq_step * x))
 print("\ntwo-tone field, L2 norm of each block:")
 for j in range(-1, part.j_max + 1):
-    nrm = lp_norm(lp_block(part, two, j), 2.0)
+    nrm = lp_norm(lp_block(two, j), 2.0)
     tag = "  <- holds a tone" if nrm > 1e-8 else ""
     print(f"  j={j:2d}   {nrm:10.6f}{tag}")
 
 # The Besov profile weights each block norm by 2^{s j}; with s = 2 the
 # faint high tone dominates the norm despite its small amplitude.
-res = besov_norm(part, two, BesovParams(s=2.0, p=2.0))
+res = besov_norm(two, BesovParams(s=2.0, p=2.0))
 print(f"\nBesov profile, s=2, p=2 (norm = sup over blocks = {res.value:.3f}):")
 for j, val in zip(res.js, res.profile):
     if val > 1e-6:

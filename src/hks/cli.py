@@ -24,10 +24,10 @@ import numpy as np
 
 from . import ksf, probe
 from .construction import _check_bump, _check_n_max, make_bump, make_initial_data
-from .littlewood_paley import BesovParams, besov_norm, make_partition
+from .littlewood_paley import BesovParams, besov_norm
 from .probe import InflationError
 from .report import render_report
-from .solver import BlowUpError, SolverConfig, evolve
+from .solver import DEFAULT_CFL, BlowUpError, SolverConfig, evolve
 from .spectral import make_grid
 from .store import ResultStore, StoreExistsError
 
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="KSF1 input field")
     p.add_argument("--t", type=float, required=True, help="final time")
     p.add_argument("--dt", type=float, default=None, help="fixed time step")
-    p.add_argument("--cfl", type=float, default=0.4, help="Courant factor")
+    p.add_argument("--cfl", type=float, default=DEFAULT_CFL, help="Courant factor")
     p.add_argument("--eps", type=float, default=0.0, help="viscosity epsilon")
     p.add_argument("--snapshots", type=_parse_times, default=None,
                    help="comma-separated output times")
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--times", type=_parse_times, default=None,
                     help="comma-separated output times (default: log ladder "
                          "in [1e-4, 1e-2])")
-    pr.add_argument("--cfl", type=float, default=0.4)
+    pr.add_argument("--cfl", type=float, default=DEFAULT_CFL)
     _add_outdir(pr)
 
     pi = _add_probe(psub, g, "inflation", _cmd_probe_inflation,
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--eps0", type=float, default=probe.DEFAULT_EPS0)
     pi.add_argument("--jmin", type=int, default=5)
     pi.add_argument("--jmax", type=int, default=8)
-    pi.add_argument("--cfl", type=float, default=0.4)
+    pi.add_argument("--cfl", type=float, default=DEFAULT_CFL)
     _add_outdir(pi)
 
     pj = _add_probe(psub, g, "jk", _cmd_probe_jk,
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="starting value of the halving search")
     pc.add_argument("--jmin", type=int, default=5)
     pc.add_argument("--jmax", type=int, default=8)
-    pc.add_argument("--cfl", type=float, default=0.4)
+    pc.add_argument("--cfl", type=float, default=DEFAULT_CFL)
     _add_outdir(pc)
 
     _add_lemmas(sub, g, "alias for probe lemmas on the default grid")
@@ -253,8 +253,7 @@ def _cmd_construct(args, argv) -> int:
 
 def _cmd_norms(args, argv) -> int:
     field = ksf.read_field(args.infile)
-    part = make_partition(field.grid)
-    result = besov_norm(part, field, BesovParams(args.s, args.p, args.r))
+    result = besov_norm(field, BesovParams(args.s, args.p, args.r))
     print(f"besov_norm s={args.s} p={_pval(args.p)} r={_pval(args.r)}: "
           f"{float(result)!r}")
     print(f"resolved: {result.resolved}")

@@ -69,7 +69,7 @@ class Bump:
     order; ``profile`` holds the physical samples on the 1-D coordinate
     axis.  The envelope is even, real, nonnegative in frequency, and its
     d-dimensional version is the tensor product of ``profile`` along each
-    axis.  It is built for ``grid`` and used on that grid only.
+    axis.  It is built for ``grid``, and its packets and envelope live there.
     """
 
     grid: Grid
@@ -87,13 +87,12 @@ class Bump:
     def value_at_origin(self) -> float:
         return float(self.profile[self.grid.N // 2])
 
-    def envelope(self, grid: Grid) -> Field:
+    def envelope(self) -> Field:
         """Tensor-product envelope prod_i phi(x_i) on the full grid."""
-        _check_same_grid(self.grid, grid)
         vals = self.profile
-        for _ in range(grid.d - 1):
+        for _ in range(self.grid.d - 1):
             vals = np.multiply.outer(vals, self.profile)
-        return Field(grid, vals)
+        return Field(self.grid, vals)
 
 
 def _check_bump(d: int, grid: Grid) -> None:
@@ -162,9 +161,10 @@ def _carrier_period(n: int, grid: Grid) -> np.ndarray:
     return np.sin(x, out=x)
 
 
-def make_fn(n: int, bump: Bump, grid: Grid) -> Field:
-    """The n-th packet f_n = phi(x_1) sin(c_n x_1) phi(x_2) ... phi(x_d)."""
-    _check_same_grid(bump.grid, grid)
+def make_fn(n: int, bump: Bump) -> Field:
+    """The n-th packet f_n = phi(x_1) sin(c_n x_1) phi(x_2) ... phi(x_d) on
+    the bump's grid."""
+    grid = bump.grid
     if n < N_MIN_PACKET:
         raise ValueError(f"packet index must be >= {N_MIN_PACKET}, got {n}")
     c = carrier_frequency(n)
@@ -189,7 +189,6 @@ class InitialData:
     grid: Grid
     bump: Bump
     s: float
-    n_min: int
     n_max: int
     S0: Field
     u0: Field
@@ -202,7 +201,7 @@ class InitialData:
         return _once(self.__dict__, "_v0", lambda: transport_divergence(self.u0, self.S0))
 
     def packet(self, n: int) -> Field:
-        return make_fn(n, self.bump, self.grid)
+        return make_fn(n, self.bump)
 
     def amplitude(self, n: int) -> float:
         """Coefficient 2^{-n(s+2)} of packet n inside S0."""
@@ -260,13 +259,15 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
     first read.
 
     The packet sum is truncated at n_max, which must not exceed the
-    grid's top resolvable block.  The probes check s against their own
-    hypotheses (s > 1 + d/p and the like) when they are called.
+    grid's top resolvable block, and the bump must be built for ``grid``.
+    The probes check s against their own hypotheses (s > 1 + d/p and the
+    like) when they are called.
     """
+    _check_same_grid(bump.grid, grid)
     _check_n_max(n_max, grid)
     vals = np.zeros(grid.shape)
     for n in range(N_MIN_PACKET, n_max + 1):
-        f = make_fn(n, bump, grid).values
+        f = make_fn(n, bump).values
         f *= 2.0 ** (-n * (s + 2.0))
         vals += f
     S0 = Field(grid, vals)
@@ -274,5 +275,5 @@ def make_initial_data(s: float, n_max: int, bump: Bump, grid: Grid) -> InitialDa
     u0_half = _packet_sum_half(s, n_max, bump, grid) * (1.0 + hs.xi2)
     # fftshift moves numpy's origin (index 0) to the anchored one (index N/2)
     u0 = Field(grid, np.fft.fftshift(hs.irfftn(u0_half)) * grid.N**grid.d)
-    return InitialData(grid=grid, bump=bump, s=s, n_min=N_MIN_PACKET, n_max=n_max, S0=S0, u0=u0)
+    return InitialData(grid=grid, bump=bump, s=s, n_max=n_max, S0=S0, u0=u0)
 

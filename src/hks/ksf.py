@@ -46,4 +46,7 @@ def read_field(path) -> Field:
         if size != expected:
             raise ValueError(f"{path}: payload holds {size} bytes, expected {expected}")
         vals = np.fromfile(fh, dtype="<f8", count=n**d)
-    return Field(file_grid, vals.reshape(file_grid.shape))
+    try:
+        return Field(file_grid, vals.reshape(file_grid.shape))
+    except ValueError as exc:  # a non-finite sample
+        raise ValueError(f"{path}: {exc}") from None

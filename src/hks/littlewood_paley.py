@@ -146,11 +146,6 @@ class DyadicPartition:
         windows = tuple((idx[vals != 0.0], vals[vals != 0.0]) for idx, vals in candidates)
         return windows, r_half > RESOLVED_FACTOR * 2**self.j_max
 
-    def _rfftn(self, f: Field) -> np.ndarray:
-        """The half spectrum of f, which must live on the partition's grid."""
-        _check_same_grid(f.grid, self.grid)
-        return np.fft.rfftn(f.values)
-
     def _window(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The flat half-spectrum indices and values of block j's window."""
         if j < -1 or j > self.j_max:
@@ -187,7 +182,8 @@ class DyadicPartition:
 
 
 def make_partition(grid: Grid) -> DyadicPartition:
-    """The dyadic partition of ``grid``; its windows live on the grid."""
+    """The dyadic partition of ``grid``; its windows live on the grid.  The
+    entry points that take a field build it from the field's grid."""
     return DyadicPartition(grid)
 
 
@@ -230,25 +226,27 @@ def _norm_bounds(part: DyadicPartition, Fh: np.ndarray, p: float) -> np.ndarray:
     return BOUND_MARGIN * l2 ** (2.0 / p) * sup ** (1.0 - 2.0 / p)
 
 
-def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float],
+def block_sups(f: Field, p: float, sigmas: Sequence[float],
                blocks: Sequence[int] = ()) -> tuple[list[float], np.ndarray]:
     """The weighted sups max_j 2^{sigma j} ||Delta_j f||_p, one per sigma of
     sigmas, and the L^p norms of the blocks ``blocks``, in their order.
 
     Each sup is the max of the products the full profile gives, so it equals
     ``np.max(2.0 ** (sigma * js) * _block_norms(part, rfftn(f), p))`` bit for
-    bit, with ``rfftn(f) = np.fft.rfftn(f.values)``.  One real FFT of f; at
+    bit, with ``part = make_partition(f.grid)`` and
+    ``rfftn(f) = np.fft.rfftn(f.values)``.  One real FFT of f; at
     p = 2 the whole Parseval profile.  At other p the named blocks are
     transformed first; then, per sigma, the blocks in descending order of
     2^{sigma j} times their coefficient bound (``_norm_bounds``), until the
     next bound is at most the largest product in hand.  No block is
     transformed twice.
     """
+    part = make_partition(f.grid)
     js = np.arange(-1, part.j_max + 1)
     named = [int(j) for j in blocks]
     if any(not -1 <= j <= part.j_max for j in named):
         raise ValueError(f"block index outside [-1, {part.j_max}]: {named}")
-    Fh = part._rfftn(f)
+    Fh = np.fft.rfftn(f.values)
     if p == 2:
         norms, done = _block_norms(part, Fh, p), np.ones(js.size, dtype=bool)
     else:
@@ -276,14 +274,13 @@ def block_sups(part: DyadicPartition, f: Field, p: float, sigmas: Sequence[float
     return sups, norms[np.array(named, dtype=int) + 1]
 
 
-def lp_block(part: DyadicPartition, f: Field, j: int) -> Field:
+def lp_block(f: Field, j: int) -> Field:
     """The j-th dyadic block of f as a physical field."""
-    return Field(part.grid, part.block(part._rfftn(f), j))
+    return Field(f.grid, make_partition(f.grid).block(np.fft.rfftn(f.values), j))
 
 
 @dataclass
 class BlockDecomposition:
-    part: DyadicPartition
     blocks: list[Field]  # index 0 is block -1
     resolved: bool
     unresolved_fraction: float
@@ -298,17 +295,17 @@ class BlockDecomposition:
         return out
 
 
-def decompose(part: DyadicPartition, f: Field) -> BlockDecomposition:
+def decompose(f: Field) -> BlockDecomposition:
     """All blocks j = -1..j_max of f, plus a resolvedness flag.
 
     When the unresolved coefficient mass fraction exceeds 1e-12 the block
     sum no longer reconstructs f and a warning is emitted.
     """
-    Fh = part._rfftn(f)
-    blocks = [Field(part.grid, part.block(Fh, j)) for j in range(-1, part.j_max + 1)]
+    part, Fh = make_partition(f.grid), np.fft.rfftn(f.values)
+    blocks = [Field(f.grid, part.block(Fh, j)) for j in range(-1, part.j_max + 1)]
     resolved, frac = _check_resolved(
         part, Fh, "field has {:.3e} of its spectral mass beyond the resolved band")
-    return BlockDecomposition(part, blocks, resolved, frac)
+    return BlockDecomposition(blocks, resolved, frac)
 
 
 @dataclass(frozen=True)
@@ -339,14 +336,14 @@ class BesovNormResult:
         return self.value
 
 
-def besov_norm(part: DyadicPartition, f: Field, params: BesovParams) -> BesovNormResult:
+def besov_norm(f: Field, params: BesovParams) -> BesovNormResult:
     """Dyadic Besov norm together with its per-block profile.
 
     profile[i] = 2^{s*j} * ||Delta_j f||_{L^p} for j = js[i]; the norm is the
     l^r aggregation of the profile (sup for r = inf).  Block -1 is always
     included.
     """
-    Fh = part._rfftn(f)
+    part, Fh = make_partition(f.grid), np.fft.rfftn(f.values)
     resolved, _ = _check_resolved(
         part, Fh, "besov_norm on under-resolved field ({:.3e} mass beyond band)")
     js = np.arange(-1, part.j_max + 1)
@@ -358,21 +355,17 @@ def besov_norm(part: DyadicPartition, f: Field, params: BesovParams) -> BesovNor
     return BesovNormResult(value, js, profile, resolved)
 
 
-def commutator(
-    part: DyadicPartition,
-    js: Sequence[int],
-    velocity: Sequence[Field],
-    f: Field,
-) -> list[Field]:
+def commutator(js: Sequence[int], velocity: Sequence[Field], f: Field) -> list[Field]:
     """Block commutators [Delta_j, v . grad] f = Delta_j(v . grad f) - v . Delta_j grad f,
     one field for every j in js.
 
     All pointwise products are dealiased by the 2/3 rule.  grad f,
     v . grad f, their half spectra and the truncated velocity do not depend
-    on j and are built once for all blocks.
+    on j and are built once for all blocks.  The velocity must live on f's
+    grid.
     """
-    hs = half_spectrum(part.grid)
-    block = _commutator_block(part, velocity, hs.gradient(part._rfftn(f)))
+    grad_f_half = half_spectrum(f.grid).gradient(np.fft.rfftn(f.values))
+    block = _commutator_block(make_partition(f.grid), velocity, grad_f_half)
     return [block(j) for j in js]
 
 

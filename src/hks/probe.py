@@ -45,9 +45,10 @@ from . import littlewood_paley as lpmod
 from . import spectral as sp
 from .construction import N_MIN_PACKET, InitialData
 from .littlewood_paley import BesovParams, block_sups, make_partition
+from .solver import DEFAULT_CFL, BlowUpError, SolverConfig, Trajectory, _lane
 # evolve is not called here; it stays bound as hks.probe.evolve for tools
 # that patch the package's names, such as the benchmark's tracer.
-from .solver import BlowUpError, SolverConfig, Trajectory, _lane, evolve  # noqa: F401
+from .solver import evolve  # noqa: F401
 
 # Frozen tolerance bands of the acceptance suite.  Slope bands are a priori
 # (+-0.2 on the first-order rate, +-0.3 on the others); the inflation
@@ -157,8 +158,7 @@ class RateRecord:
     h_s2: float
 
 
-def _deviation_sups(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
-                    t: float, params: BesovParams, sigmas,
+def _deviation_sups(data: InitialData, u_t: sp.Field, t: float, params: BesovParams, sigmas,
                     blocks: tuple = ()) -> tuple[list, float, np.ndarray, np.ndarray]:
     """The sups of the deviation u(t) - u0 at ``sigmas``, the B^{s-2} sup of
     the remainder h = u(t) - u0 + t*v0, and the L^p norms of the blocks
@@ -166,20 +166,19 @@ def _deviation_sups(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Fiel
     which this consumes, and h = (u_t - u0) + t v0 in place of the
     deviation, once the deviation's spectrum is taken."""
     diff = np.subtract(u_t.values, data.u0.values, out=u_t.values)
-    dev, dn = block_sups(part, sp.Field(data.grid, diff), params.p, sigmas, blocks)
+    dev, dn = block_sups(sp.Field(data.grid, diff), params.p, sigmas, blocks)
     diff += t * data.v0.values
-    (h_s2,), hn = block_sups(part, sp.Field(data.grid, diff), params.p, (params.s - 2,), blocks)
+    (h_s2,), hn = block_sups(sp.Field(data.grid, diff), params.p, (params.s - 2,), blocks)
     return dev, h_s2, dn, hn
 
 
-def _rate_record(part: lpmod.DyadicPartition, data: InitialData, u_t: sp.Field,
-                 t: float, params: BesovParams,
+def _rate_record(data: InitialData, u_t: sp.Field, t: float, params: BesovParams,
                  blocks: tuple = ()) -> tuple[RateRecord, np.ndarray, np.ndarray]:
     """The rate record of u(t), which consumes u_t, with the L^p norms of
     the blocks ``blocks`` of the deviation and of the remainder
     (:func:`_deviation_sups`)."""
     s = params.s
-    (dev_s, dev_s1, dev_s2), h_s2, dn, hn = _deviation_sups(part, data, u_t, t, params,
+    (dev_s, dev_s1, dev_s2), h_s2, dn, hn = _deviation_sups(data, u_t, t, params,
                                                             (s, s - 1, s - 2), blocks)
     return RateRecord(t=t, dev_s=dev_s, dev_s1=dev_s1, dev_s2=dev_s2, h_s2=h_s2), dn, hn
 
@@ -219,7 +218,7 @@ def validate_rate_sweep(params: BesovParams, d: int, times) -> list:
 
 
 def rate_sweep(data: InitialData, params: BesovParams, times,
-               cfl: float = 0.4) -> RateSweep:
+               cfl: float = DEFAULT_CFL) -> RateSweep:
     """Deviation and remainder norms along a ladder of output times.
 
     The ladder must span at least a decade and carry at least four points
@@ -229,12 +228,11 @@ def rate_sweep(data: InitialData, params: BesovParams, times,
     first error propagates after the measurements already started finish.
     """
     times = validate_rate_sweep(params, data.grid.d, times)
-    part = make_partition(data.grid)
     data.v0  # built here, before the lane and its worker start
     cfg = SolverConfig(t_final=times[-1], cfl=cfl, snapshot_times=tuple(times))
 
     records = _lane_outcomes(_lane(data.u0, cfg, Trajectory(data.grid, [], [], [])), times,
-                             lambda t, u_t: _rate_record(part, data, u_t, t, params)[0])
+                             lambda t, u_t: _rate_record(data, u_t, t, params)[0])
     for rec in records:
         if isinstance(rec, RuntimeError):
             raise rec
@@ -337,7 +335,7 @@ def validate_inflation_sweep(params: BesovParams, d: int, n_max: int,
 
 
 def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
-                    j_range, cfl: float = 0.4) -> InflationSweep:
+                    j_range, cfl: float = DEFAULT_CFL) -> InflationSweep:
     """Evolve to t_j = eps0 * 2^-j for each j and measure the deviation.
 
     The signature of the discontinuity at t = 0 is that dev_s stays
@@ -349,13 +347,12 @@ def inflation_sweep(data: InitialData, params: BesovParams, eps0: float,
     """
     js = validate_inflation_sweep(params, data.grid.d, data.n_max, eps0, j_range)
     s, p = params.s, params.p
-    part = make_partition(data.grid)
-    v0_norms = dict(zip(js, block_sups(part, data.v0, p, (), js)[1]))
-    (u0_norm,), _ = block_sups(part, data.u0, p, (s,))
+    v0_norms = dict(zip(js, block_sups(data.v0, p, (), js)[1]))
+    (u0_norm,), _ = block_sups(data.u0, p, (s,))
 
     def record(j: int, t_j: float, u_t: sp.Field) -> tuple[InflationRecord, float]:
-        (u_norm,), _ = block_sups(part, u_t, p, (s,))  # before the record consumes u_t
-        rate, (dn_j,), (hn_j,) = _rate_record(part, data, u_t, t_j, params, (j,))
+        (u_norm,), _ = block_sups(u_t, p, (s,))  # before the record consumes u_t
+        rate, (dn_j,), (hn_j,) = _rate_record(data, u_t, t_j, params, (j,))
         w = 2.0 ** (j * s)
         rec = InflationRecord(j=j, **vars(rate), block_j=w * dn_j,
                               tv0_block_j=w * t_j * v0_norms[j], h_block_j=w * hn_j)
@@ -531,7 +528,7 @@ def jk_sweep(data: InitialData, params: BesovParams, j_range) -> JKSweep:
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         try:
-            profile = pool.submit(lambda: lpmod.besov_norm(part, data.v0, params))
+            profile = pool.submit(lambda: lpmod.besov_norm(data.v0, params))
             vel = [sp.Field(g, c) for c in data.coefficients]  # built before any worker
             du_half = sp.half_spectrum(g).gradient(np.fft.rfftn(data.u0.values))
             row = _jk_row(data, params, du_half)
@@ -579,12 +576,12 @@ def c0_anchor(data: InitialData) -> AnchorReport:
     of the one before it where it can be, so that few are alive at once.
     """
     g = data.grid
-    anchor = data.coefficients[0] * data.bump.envelope(g).values
+    anchor = data.coefficients[0] * data.bump.envelope().values
     np.abs(anchor, out=anchor)
     measured = float(anchor[g.origin_index()])
     phi0 = float(data.bump.value_at_origin())
     formula = (17.0 / 12.0) * phi0 ** (2 * g.d) * sum(
-        2.0 ** (-n * (data.s + 1.0)) for n in range(data.n_min, data.n_max + 1))
+        2.0 ** (-n * (data.s + 1.0)) for n in range(N_MIN_PACKET, data.n_max + 1))
     below = anchor < 0.5 * measured
     del anchor
     radius = functools.reduce(np.add, (a * a for a in np.ix_(*[g.axis_coordinates()] * g.d)))
@@ -655,17 +652,16 @@ def _matched_noise(grid: sp.Grid, kmax: int, seed: int) -> sp.Field:
 
 def _commutator_ratio(grid: sp.Grid, seed: int, kmax: int, s: float) -> float:
     """Measured constant of the commutator estimate on a matched family."""
-    part = make_partition(grid)
     v = _matched_noise(grid, kmax, seed)
     f = _matched_noise(grid, kmax, seed + 1)
-    js = range(0, part.j_max + 1)
+    js = range(0, make_partition(grid).j_max + 1)
     num = max(2.0 ** (j * s) * sp.lp_norm(c, 2.0)
-              for j, c in zip(js, lpmod.commutator(part, js, [v], f)))
+              for j, c in zip(js, lpmod.commutator(js, [v], f)))
     hs = sp.half_spectrum(grid)
     dv = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(v.values), 0)))
     df = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(f.values), 0)))
-    fb = lpmod.besov_norm(part, f, BesovParams(s, 2.0)).value
-    dvb = lpmod.besov_norm(part, dv, BesovParams(s - 1.0, 2.0)).value
+    fb = lpmod.besov_norm(f, BesovParams(s, 2.0)).value
+    dvb = lpmod.besov_norm(dv, BesovParams(s - 1.0, 2.0)).value
     den = (np.max(np.abs(dv.values)) * fb + np.max(np.abs(df.values)) * dvb)
     return num / den
 
@@ -719,7 +715,7 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     f = sp.band_limited_noise(grid, min(kcap, grid.N // 2 - 1), seed=seed + 1)
 
     # Almost orthogonality on a generic field.
-    dec = lpmod.decompose(part, f)
+    dec = lpmod.decompose(f)
     worst = 0.0
     scale = sp.lp_norm(f, 2.0)
     for j in range(-1, part.j_max + 1):
@@ -745,8 +741,7 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     for j in range(2, part.j_max + 1):
         hi = int(np.floor(1.5 * 2.0 ** j / grid.freq_step))
         lo = int(np.ceil(0.75 * 2.0 ** j / grid.freq_step))
-        fj = lpmod.lp_block(
-            part, sp.band_limited_noise(grid, hi, seed=seed + 10 + j, kmin=lo), j)
+        fj = lpmod.lp_block(sp.band_limited_noise(grid, hi, seed=seed + 10 + j, kmin=lo), j)
         grad = sp.Field(grid, hs.irfftn(hs.differentiate(np.fft.rfftn(fj.values), 0)))
         ratios.append([sp.lp_norm(grad, p) / (2.0 ** j * sp.lp_norm(fj, p)) for p in ps])
     bands = [Check(f"spread p={p}", max(r) / min(r), -math.inf, LEMMA_SPREAD_MAX)
@@ -770,8 +765,8 @@ def lemma_suite(grid: sp.Grid, seed: int = 42) -> LemmaSuiteReport:
     # Embedding factor between smoothness indices.
     bands = []
     for s_hi, s_lo in ((2.0, 1.0), (1.5, 0.25)):
-        hi_n = lpmod.besov_norm(part, f, BesovParams(s_hi, 2.0)).value
-        lo_n = lpmod.besov_norm(part, f, BesovParams(s_lo, 2.0)).value
+        hi_n = lpmod.besov_norm(f, BesovParams(s_hi, 2.0)).value
+        lo_n = lpmod.besov_norm(f, BesovParams(s_lo, 2.0)).value
         bands.append(Check(f"B^{s_lo}", lo_n, -math.inf,
                            2.0 ** (s_hi - s_lo) * hi_n * (1 + LEMMA_ROUNDOFF)))
     lemmas.append(LemmaCheck("embedding_factor", bands, "factor 2^(s-t)"))
@@ -815,7 +810,7 @@ def validate_calibration(n_max: int, start: float, j_range) -> list:
 
 
 def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
-                   start: float = DEFAULT_EPS0, cfl: float = 0.4) -> CalibrationResult:
+                   start: float = DEFAULT_EPS0, cfl: float = DEFAULT_CFL) -> CalibrationResult:
     """Halve eps0 until the blow-up guard and the Taylor check both pass,
     at most CALIBRATION_MAX_HALVINGS times.
 
@@ -829,13 +824,12 @@ def calibrate_eps0(data: InitialData, params: BesovParams, j_range,
     passed, or, when every attempt failed, the smallest.
     """
     js = validate_calibration(data.n_max, start, j_range)
-    part = make_partition(data.grid)
     data.v0  # built here, before the lanes and their workers start
     probe_js = (js[0], js[-1]) if len(js) > 1 else (js[0],)
 
     def h_ratio(j: int, t_j: float, u_t: sp.Field) -> float:
         # the ratio reads only the B^{s-2} sups of the rate record
-        (dev_s2,), h_s2, _, _ = _deviation_sups(part, data, u_t, t_j, params, (params.s - 2,))
+        (dev_s2,), h_s2, _, _ = _deviation_sups(data, u_t, t_j, params, (params.s - 2,))
         return h_s2 / max(dev_s2, 1e-300)
 
     ratio_max = math.nextafter(TAYLOR_H_RATIO_MAX, 0.0)  # the strict bound as a band

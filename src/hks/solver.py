@@ -64,6 +64,9 @@ __all__ = [
 
 _SPEED_FLOOR = 1e-8
 
+# The Courant factor of a CFL lane unless the caller gives one.
+DEFAULT_CFL = 0.4
+
 # The most steps a CFL lane may need to reach its last output time: 130x
 # the longest documented lane (the flagship sweep's 75 steps).  At N = 2^20
 # that many steps take over an hour, for times far beyond the short-time
@@ -88,7 +91,7 @@ class SolverConfig:
 
     t_final: float
     dt: float | None = None
-    cfl: float = 0.4
+    cfl: float = DEFAULT_CFL
     eps: float = 0.0
     snapshot_times: tuple[float, ...] = ()
 

@@ -99,14 +99,14 @@ def test_criterion_01_partition_identities(base_data):
             worst_window = max(worst_window, float(np.max(np.abs(prod))))
             worst_mass = max(
                 worst_mass,
-                lp_norm(lp_block(part, lp_block(part, f, j), i), 2.0))
+                lp_norm(lp_block(lp_block(f, j), i), 2.0))
     print(f"criterion 1: window product sup {worst_window!r}, "
           f"cross-block mass {worst_mass:.3e} (<= 1e-12 rel)")
     assert worst_window == 0.0
     assert worst_mass <= 1e-12 * scale
 
     # (c) the blocks of a resolved field sum back to the field
-    dec = decompose(part, f)
+    dec = decompose(f)
     err = float(np.max(np.abs(dec.reconstruct().values - f.values)))
     fmax = float(np.max(np.abs(f.values)))
     print(f"criterion 1: reconstruction error {err:.3e} (<= 1e-12 rel)")
@@ -119,9 +119,9 @@ def test_criterion_02_packet_block_dichotomy(base_data):
     for n in range(4, 9):
         f = base_data.packet(n)
         norm = lp_norm(f, 2.0)
-        own = lp_norm(Field(f.grid, lp_block(part, f, n).values - f.values),
+        own = lp_norm(Field(f.grid, lp_block(f, n).values - f.values),
                       2.0)
-        foreign = max(lp_norm(lp_block(part, f, j), 2.0)
+        foreign = max(lp_norm(lp_block(f, j), 2.0)
                       for j in range(-1, part.j_max + 1) if j != n)
         print(f"criterion 2: n={n} own-block defect {own / norm:.3e}, "
               f"foreign-block mass {foreign / norm:.3e} (<= 1e-10)")
@@ -133,20 +133,17 @@ def test_criterion_03_norm_independence(family65k):
     for p in P_GRID:
         norms = []
         for nmax, data in sorted(family65k.items()):
-            part = make_partition(data.grid)
-            norms.append(float(besov_norm(part, data.u0,
-                                          BesovParams(2.0, p))))
+            norms.append(float(besov_norm(data.u0, BesovParams(2.0, p))))
         spread = (max(norms) - min(norms)) / min(norms)
         print(f"criterion 3: p={p} norms {norms} spread {spread:.3e} (< 1%)")
         assert spread < 0.01
     # regression pins for the three integrabilities at n_max=10
-    part = make_partition(family65k[10].grid)
     u0 = family65k[10].u0
-    assert float(besov_norm(part, u0, BesovParams(2.0, 1.0))) == pytest.approx(
+    assert float(besov_norm(u0, BesovParams(2.0, 1.0))) == pytest.approx(
         154.38375687, rel=1e-6)
-    assert float(besov_norm(part, u0, BesovParams(2.0, 2.0))) == pytest.approx(
+    assert float(besov_norm(u0, BesovParams(2.0, 2.0))) == pytest.approx(
         36.034539911043744, rel=1e-9)
-    assert float(besov_norm(part, u0, BesovParams(2.0, float("inf")))
+    assert float(besov_norm(u0, BesovParams(2.0, float("inf")))
                  ) == pytest.approx(18.20130522, rel=1e-6)
 
     # odd symmetry pins every constructed field to zero at the origin
@@ -194,9 +191,8 @@ def test_criterion_06_inflation_signature(inflation_full):
 def test_criterion_07_block_anatomy(base_data, family65k, data2d):
     # forcing profile: one dyadic doubling per block on the deep family
     deep = family65k[10]
-    part10 = make_partition(deep.grid)
     for p in P_GRID:
-        prof = besov_norm(part10, deep.v0, BesovParams(2.0, p))
+        prof = besov_norm(deep.v0, BesovParams(2.0, p))
         window = [(j, float(v)) for j, v in zip(prof.js, prof.profile)
                   if 6 <= j <= 10]
         slope = probe.fit_loglog([2.0**j for j, _ in window],

@@ -21,7 +21,7 @@ import pytest
 from conftest import UNDER_RESOLVED_V0, build_data, v0_warning
 from hks import construction, ksf, probe, solver
 from hks.cli import build_parser, dispatch
-from hks.littlewood_paley import BesovParams, besov_norm, make_partition
+from hks.littlewood_paley import BesovParams, besov_norm
 from hks.spectral import Field, band_limited_noise, make_grid
 from hks.store import ResultStore
 
@@ -117,6 +117,20 @@ class TestKsf:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="payload holds"):
             ksf.read_field(path)
+
+    @pytest.mark.parametrize("command", ["norms", "evolve"])
+    def test_non_finite_sample_names_the_file(self, tmp_path, capsys, command):
+        # norms writes no store; evolve must not create one
+        path, out = tmp_path / "f.ksf", tmp_path / "out"
+        values = np.zeros(16)
+        values[3] = np.nan
+        path.write_bytes(b"KSF1" + struct.pack("<IIII", 1, 1, 16, 0)
+                         + values.astype("<f8").tobytes())
+        flags = ["--t", "0.1", "--outdir", out] if command == "evolve" else []
+        rc, _, err = run([command, "--in", path, *flags], capsys)
+        assert rc == 2
+        assert f"error: {path}: field values must be finite" in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +250,7 @@ class TestConstructNorms:
         lines = stdout.splitlines()
         printed = float(lines[0].split(": ")[1])
         data = build_data(1, 1, 2048, 5)
-        part = make_partition(data.grid)
-        expected = float(besov_norm(part, data.u0, BesovParams(2.0, 2.0)))
+        expected = float(besov_norm(data.u0, BesovParams(2.0, 2.0)))
         assert printed == expected
         assert lines[1] == "resolved: True"
         assert lines[2] == "j,profile"

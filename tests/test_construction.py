@@ -93,7 +93,7 @@ class TestAgainstFullAxisFormulas:
         g = make_grid(d, M, 2**log2n)
         bump = make_bump(d, g)
         for n in admissible_packets(g):
-            assert make_fn(n, bump, g).values.tobytes() == \
+            assert make_fn(n, bump).values.tobytes() == \
                 reference_packet(n, bump, g).tobytes(), n
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -205,7 +205,7 @@ class TestBump:
     def test_envelope_is_tensor_product(self):
         g2 = make_grid(2, 1, 64)
         bump = make_bump(2, g2)
-        env = bump.envelope(g2)
+        env = bump.envelope()
         assert np.max(np.abs(env.values - np.outer(bump.profile,
                                                    bump.profile))) == 0.0
 
@@ -221,29 +221,29 @@ class TestBump:
     def test_grid_mismatch_on_use(self):
         bump = make_bump(1, make_grid(1, 1, 512))
         with pytest.raises(ValueError, match="different grids"):
-            make_fn(3, bump, make_grid(1, 1, 1024))
+            make_initial_data(2.0, 4, bump, make_grid(1, 1, 1024))
 
 
 class TestPacket:
     def test_origin_zero_and_odd(self):
         g = make_grid(1, 1, 1024)
-        f = make_fn(4, make_bump(1, g), g)
+        f = make_fn(4, make_bump(1, g))
         assert abs(f.values[g.origin_index()]) <= 1e-15
         assert np.max(np.abs(reflected(f.values) + f.values)) <= 1e-13
 
     def test_index_floor(self):
         g = make_grid(1, 1, 1024)
         with pytest.raises(ValueError, match=">= 3"):
-            make_fn(2, make_bump(1, g), g)
+            make_fn(2, make_bump(1, g))
 
     def test_nyquist_guard(self):
         g = make_grid(1, 1, 1024)  # nyquist 42.67, c_5 = 45.3 does not fit
         with pytest.raises(ValueError, match="Nyquist"):
-            make_fn(5, make_bump(1, g), g)
+            make_fn(5, make_bump(1, g))
 
     def test_spectrum_confined_to_carrier_band(self):
         g = make_grid(1, 1, 4096)
-        f = make_fn(5, make_bump(1, g), g)
+        f = make_fn(5, make_bump(1, g))
         F = transform(f).coefficients
         r = radii(g)
         outside = np.abs(r - carrier_frequency(5)) > 0.5
@@ -254,20 +254,19 @@ class TestPacket:
         bump = make_bump(1, g)
         part = make_partition(g)
         for n in range(3, 8):
-            f = make_fn(n, bump, g)
+            f = make_fn(n, bump)
             scale = lp_norm(f, 2.0)
             for j in range(-1, part.j_max + 1):
-                blk = lp_block(part, f, j)
+                blk = lp_block(f, j)
                 target = f.values if j == n else 0.0
                 err = lp_norm(Field(g, blk.values - target), 2.0)
                 assert err <= 1e-12 * scale, (n, j)
 
     def test_besov_norm_is_weighted_lp(self):
         g = make_grid(1, 1, 4096)
-        f = make_fn(4, make_bump(1, g), g)
-        part = make_partition(g)
+        f = make_fn(4, make_bump(1, g))
         for p in (2.0, math.inf):
-            val = besov_norm(part, f, BesovParams(2.0, p)).value
+            val = besov_norm(f, BesovParams(2.0, p)).value
             assert val == pytest.approx(2.0 ** (2.0 * 4) * lp_norm(f, p),
                                         rel=1e-12)
 
@@ -275,8 +274,7 @@ class TestPacket:
         # Direct-summation check that the packet pair splits block by block.
         g = make_grid(1, 1, 4096)
         bump = make_bump(1, g)
-        part = make_partition(g)
-        f4, f6 = make_fn(4, bump, g), make_fn(6, bump, g)
+        f4, f6 = make_fn(4, bump), make_fn(6, bump)
         f = f4 + f6
         scale = np.max(np.abs(f.values))
         F = oracle.slow_transform(f.values, 1)
@@ -284,7 +282,7 @@ class TestPacket:
         slows = oracle.slow_inverse(
             np.stack([F * oracle.block_mask(1, 1, 4096, j) for j, _ in cases], axis=-1), 1, d=1)
         for (j, expected), slow in zip(cases, slows.T):
-            fast = lp_block(part, f, j).values
+            fast = lp_block(f, j).values
             assert np.max(np.abs(fast - slow)) <= 1e-12 * scale
             target = expected.values if expected is not None else 0.0
             assert np.max(np.abs(slow - target)) <= 1e-12 * scale
@@ -301,7 +299,6 @@ class TestInitialData:
 
     def test_amplitudes(self, data_8192_6):
         assert data_8192_6.amplitude(4) == 2.0 ** (-4 * 4)
-        assert data_8192_6.n_min == 3
         assert data_8192_6.n_max == 6
 
     def test_S0_is_packet_sum(self, data_8192_6):
@@ -326,12 +323,11 @@ class TestInitialData:
 
     def test_block_identities(self, data_8192_6):
         d = data_8192_6
-        part = make_partition(d.grid)
         for j in range(3, 7):
-            blk_S = lp_block(part, d.S0, j)
+            blk_S = lp_block(d.S0, j)
             target = d.amplitude(j) * d.packet(j).values
             assert np.max(np.abs(blk_S.values - target)) <= 1e-13
-            blk_u = lp_block(part, d.u0, j)
+            blk_u = lp_block(d.u0, j)
             helm = one_minus_laplacian(d.packet(j))
             assert np.max(np.abs(blk_u.values - d.amplitude(j) * helm.values)) \
                 <= 1e-10
@@ -340,9 +336,8 @@ class TestInitialData:
         # The top blocks of u0 are ~1e-6 of max|u0| here; roundoff of the low
         # packets amplified by 1 + |xi|^2 would show at 1e-7 relative.
         d = build_data(1, 1, 65536, 10)
-        part = make_partition(d.grid)
         for j in (9, 10):
-            blk = lp_block(part, d.u0, j).values
+            blk = lp_block(d.u0, j).values
             target = d.amplitude(j) * one_minus_laplacian(d.packet(j)).values
             assert np.max(np.abs(blk - target)) <= 1e-10 * np.max(np.abs(target))
 

@@ -112,50 +112,78 @@ class TestPartition:
                 assert np.max(part.block_window(j) * part.block_window(i)) == 0.0
 
 
-ENTRY_POINTS = {
-    "block_sups": lambda part, f: block_sups(part, f, math.inf, (1.0,)),
-    "lp_block": lambda part, f: lp_block(part, f, 0),
-    "decompose": decompose,
-    "besov_norm": lambda part, f: besov_norm(part, f, BesovParams(1.0, 2.0)),
-    "commutator": lambda part, f: commutator(
-        part, [0], [Field(part.grid, np.zeros(part.grid.shape))], f),
-}
-
-
 class TestBlocks:
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("M,N", [(1, 512), (2, 256)], ids=["other M", "other N"])
-    def test_rejects_field_from_another_grid(self, entry, M, N):
-        part = make_partition(make_grid(1, 2, 512))
+    @pytest.mark.parametrize("M,N", [(1, 512), (2, 256)],
+                             ids=["other M-commutator", "other N-commutator"])
+    def test_rejects_field_from_another_grid(self, M, N):
+        # the velocity is a second field: on another grid than f it is refused
+        g = make_grid(1, 2, 512)
         f = band_limited_noise(make_grid(1, M, N), 30, seed=20)
         with pytest.raises(ValueError, match="different grids"):
-            ENTRY_POINTS[entry](part, f)
+            commutator([0], [Field(g, np.zeros(g.shape))], f)
+
+    def test_entry_points_take_the_partition_of_the_field_grid(self):
+        # M = 2 stops the partition one block below M = 1 at this N; every
+        # entry point runs to the field's j_max, and its values are frozen
+        # from a partition built explicitly on f.grid
+        g = make_grid(1, 2, 2048)
+        top = 4
+        assert make_partition(g).j_max == top < make_partition(make_grid(1, 1, 2048)).j_max
+        f = band_limited_noise(g, 560, seed=5)  # resolved: 560 / 24 < 1.5 * 2^4
+        v = band_limited_noise(g, 560, seed=6)
+
+        sups, norms = block_sups(f, math.inf, (1.0,), (top,))
+        assert sups == pytest.approx([7.182640943253102], rel=1e-12)
+        assert list(norms) == pytest.approx([0.4489150589533189], rel=1e-12)
+        with pytest.raises(ValueError, match=f"outside \\[-1, {top}\\]"):
+            block_sups(f, math.inf, (1.0,), (top + 1,))
+
+        assert lp_norm(lp_block(f, top), 2.0) == pytest.approx(1.697856181177308, rel=1e-12)
+        with pytest.raises(ValueError, match=f"outside \\[-1, {top}\\]"):
+            lp_block(f, top + 1)
+
+        dec = decompose(f)
+        assert dec.resolved
+        assert [lp_norm(b, 2.0) for b in dec.blocks] == pytest.approx(
+            [0.7140571582488315, 0.6852509817471877, 0.9124900745173025,
+             1.3856542649578638, 1.9121321797214295, 1.697856181177308], rel=1e-12)
+
+        res = besov_norm(f, BesovParams(1.0, 2.0))
+        assert list(res.js) == list(range(-1, top + 1))
+        assert list(res.profile) == pytest.approx(
+            [0.35702857912441577, 0.6852509817471877, 1.824980149034605,
+             5.542617059831455, 15.297057437771436, 27.16569889883693], rel=1e-12)
+
+        js = range(-1, top + 1)
+        assert [lp_norm(c, 2.0) for c in commutator(js, [v], f)] == pytest.approx(
+            [2.9954584017149544, 2.602724846014126, 3.870153675179517,
+             5.268950391350856, 7.289365286485127, 8.184516542210247], rel=1e-12)
+        with pytest.raises(ValueError, match=f"outside \\[-1, {top}\\]"):
+            commutator([top + 1], [v], f)
 
     def test_single_carrier_mode(self):
         # |xi| = 17/12 lies in the plateau of block 0 and nowhere else.
         g = make_grid(1, 1, 512)
-        part = make_partition(g)
         x = g.axis_coordinates()
         f = Field(g, np.cos(17.0 * g.freq_step * x))
-        b0 = lp_block(part, f, 0)
+        b0 = lp_block(f, 0)
         assert np.max(np.abs(b0.values - f.values)) <= 1e-13
         for j in (-1, 1, 2, 3):
-            assert np.max(np.abs(lp_block(part, f, j).values)) <= 1e-13
+            assert np.max(np.abs(lp_block(f, j).values)) <= 1e-13
 
     def test_block_matches_oracle(self):
         g = make_grid(1, 1, 256)
         part = make_partition(g)
         f = band_limited_noise(g, 30, seed=21)
         for j in range(-1, part.j_max + 1):
-            fast = lp_block(part, f, j).values
+            fast = lp_block(f, j).values
             slow = oracle.slow_block(f.values, 1, j)
             assert np.max(np.abs(fast - slow)) <= 1e-12
 
     def test_decompose_reconstructs(self):
         g = make_grid(1, 1, 512)
-        part = make_partition(g)
         f = band_limited_noise(g, 140, seed=22)  # inside 1.5 * 2^3 = 12, k <= 144
-        dec = decompose(part, f)
+        dec = decompose(f)
         assert dec.resolved
         assert dec.unresolved_fraction <= 1e-12
         err = np.max(np.abs(dec.reconstruct().values - f.values))
@@ -163,11 +191,10 @@ class TestBlocks:
 
     def test_decompose_warns_when_unresolved(self):
         g = make_grid(1, 1, 512)
-        part = make_partition(g)
         x = g.axis_coordinates()
         f = Field(g, np.cos(200.0 * g.freq_step * x))  # beyond k = 144
         with pytest.warns(UserWarning, match="resolved"):
-            dec = decompose(part, f)
+            dec = decompose(f)
         assert not dec.resolved
 
     @pytest.mark.filterwarnings("ignore:field has")
@@ -180,7 +207,7 @@ class TestBlocks:
         f = white_noise(g, 9)
         c2 = np.abs(transform(f).coefficients) ** 2
         beyond = oracle.radius(d, 1, N) > 1.5 * 2.0**part.j_max
-        share = decompose(part, f).unresolved_fraction
+        share = decompose(f).unresolved_fraction
         assert 0.0 < share < 1.0
         assert share == pytest.approx(np.sum(c2[beyond]) / np.sum(c2), rel=1e-12)
 
@@ -189,10 +216,10 @@ class TestBlocks:
         part = make_partition(g)
         f = band_limited_noise(g, 140, seed=23)
         for j in range(-1, part.j_max + 1):
-            bj = lp_block(part, f, j)
+            bj = lp_block(f, j)
             for i in range(-1, part.j_max + 1):
                 if abs(i - j) >= 2:
-                    assert lp_norm(lp_block(part, bj, i), 2.0) <= 1e-13
+                    assert lp_norm(lp_block(bj, i), 2.0) <= 1e-13
 
 
 class TestBesovNorm:
@@ -215,73 +242,65 @@ class TestBesovNorm:
 
     def test_single_block_field(self):
         g = make_grid(1, 1, 512)
-        part = make_partition(g)
         x = g.axis_coordinates()
         f = Field(g, np.cos(17.0 * 4.0 * g.freq_step * x))  # block 2 plateau
         for p in (2.0, math.inf):
-            res = besov_norm(part, f, BesovParams(1.5, p))
+            res = besov_norm(f, BesovParams(1.5, p))
             assert res.value == pytest.approx(2.0 ** (1.5 * 2) * lp_norm(f, p),
                                               rel=1e-12)
 
     def test_profile_matches_oracle(self):
         g = make_grid(1, 1, 256)
-        part = make_partition(g)
         f = band_limited_noise(g, 30, seed=24)
         for p in (2.0, math.inf):
-            res = besov_norm(part, f, BesovParams(2.0, p))
+            res = besov_norm(f, BesovParams(2.0, p))
             slow = oracle.slow_besov_profile(f.values, 1, 2.0, p)
             assert np.max(np.abs(res.profile - slow)) <= 1e-10
             assert res.value == pytest.approx(float(np.max(slow)), rel=1e-10)
 
     def test_finite_r_aggregation(self):
         g = make_grid(1, 1, 256)
-        part = make_partition(g)
         f = band_limited_noise(g, 30, seed=25)
-        res_inf = besov_norm(part, f, BesovParams(1.0, 2.0))
-        res_2 = besov_norm(part, f, BesovParams(1.0, 2.0, 2.0))
+        res_inf = besov_norm(f, BesovParams(1.0, 2.0))
+        res_2 = besov_norm(f, BesovParams(1.0, 2.0, 2.0))
         manual = float(np.sqrt(np.sum(res_inf.profile**2)))
         assert res_2.value == pytest.approx(manual, rel=1e-12)
         assert res_2.value >= res_inf.value
 
     def test_homogeneity(self):
         g = make_grid(1, 1, 256)
-        part = make_partition(g)
         f = band_limited_noise(g, 30, seed=26)
-        a = besov_norm(part, f, BesovParams(2.0, 2.0))
-        b = besov_norm(part, 3.0 * f, BesovParams(2.0, 2.0))
+        a = besov_norm(f, BesovParams(2.0, 2.0))
+        b = besov_norm(3.0 * f, BesovParams(2.0, 2.0))
         assert b.value == pytest.approx(3.0 * a.value, rel=1e-12)
         assert np.allclose(b.profile, 3.0 * a.profile, rtol=1e-12)
 
     def test_float_conversion(self):
         g = make_grid(1, 1, 256)
-        part = make_partition(g)
         f = band_limited_noise(g, 30, seed=27)
-        res = besov_norm(part, f, BesovParams(2.0, 2.0))
+        res = besov_norm(f, BesovParams(2.0, 2.0))
         assert float(res) == res.value
 
 
 class TestCommutator:
     def test_velocity_arity(self):
         g = make_grid(1, 1, 256)
-        part = make_partition(g)
         f = band_limited_noise(g, 30, seed=28)
         with pytest.raises(ValueError, match="components"):
-            commutator(part, [1], [f, f], f)
+            commutator([1], [f, f], f)
 
     def test_constant_velocity_commutes(self):
         g = make_grid(1, 1, 256)
-        part = make_partition(g)
         f = band_limited_noise(g, 30, seed=29)
         v = Field(g, np.full(g.shape, 0.7))
-        (out,) = commutator(part, [1], [v], f)
+        (out,) = commutator([1], [v], f)
         assert np.max(np.abs(out.values)) <= 1e-13
 
     def test_matches_oracle(self):
         g = make_grid(1, 1, 128)
         v = band_limited_noise(g, 40, seed=30)
         f = band_limited_noise(g, 40, seed=31)
-        part = make_partition(g)
-        fast = commutator(part, [1], [v], f)[0].values
+        fast = commutator([1], [v], f)[0].values
         slow = oracle.slow_commutator([v.values], f.values, 1, 1)
         assert np.max(np.abs(fast - slow)) <= 1e-11
 
@@ -292,22 +311,21 @@ class TestCommutator:
         v = [band_limited_noise(g, N // 4, seed=32 + a) for a in range(d)]
         f = band_limited_noise(g, N // 4, seed=35)
         js = list(range(-1, part.j_max + 1))
-        for j, c in zip(js, commutator(part, js, v, f)):
-            assert np.array_equal(c.values, commutator(part, [j], v, f)[0].values)
+        for j, c in zip(js, commutator(js, v, f)):
+            assert np.array_equal(c.values, commutator([j], v, f)[0].values)
 
     @pytest.mark.parametrize("d, N", [(1, 256), (2, 64)])
     def test_fft_count_per_block(self, d, N, fft_counts):
         # each block takes 1 + d inverse transforms of the shared half
         # spectra and 4d for the dealiased advection of Delta_j grad f
         g = make_grid(d, 1, N)
-        part = make_partition(g)
         v = [band_limited_noise(g, N // 4, seed=32 + a) for a in range(d)]
         f = band_limited_noise(g, N // 4, seed=35)
         fft_counts.clear()
-        commutator(part, [-1], v, f)
+        commutator([-1], v, f)
         one = sum(fft_counts.values())
         fft_counts.clear()
-        commutator(part, [-1, 0], v, f)
+        commutator([-1, 0], v, f)
         assert sum(fft_counts.values()) - one == 1 + 5 * d
 
 
@@ -413,9 +431,9 @@ class TestHalfSpectrumBlocks:
 
     def test_windows_built_at_first_block_request(self):
         g = make_grid(1, 1, 512)
-        part = make_partition(g)
+        make_partition(g)
         assert "lp_tables" not in g._cache
-        lp_block(part, band_limited_noise(g, 30, seed=1), 0)
+        lp_block(band_limited_noise(g, 30, seed=1), 0)
         assert "lp_tables" in g._cache
 
     @pytest.mark.parametrize("d,N", [(1, 1024), (2, 256), (3, 128)])
@@ -478,7 +496,7 @@ class TestHalfSpectrumBlocks:
         part = make_partition(g)
         f = white_noise(g, seed)
         fast = lpmod._block_norms(part, np.fft.rfftn(f.values), p)
-        per_block = [lp_norm(lp_block(part, f, j), p) for j in range(-1, part.j_max + 1)]
+        per_block = [lp_norm(lp_block(f, j), p) for j in range(-1, part.j_max + 1)]
         # the same blocks through the full-lattice complex transform pair and
         # the oracle's full-lattice windows
         F = transform(f).coefficients
@@ -507,7 +525,7 @@ class TestHalfSpectrumBlocks:
         part = make_partition(g)
         f = white_noise(g, seed)
         with pytest.warns(UserWarning, match="under-resolved"):
-            res = besov_norm(part, f, BesovParams(1.5, 2.0))
+            res = besov_norm(f, BesovParams(1.5, 2.0))
         assert not res.resolved
         assert np.array_equal(res.js, np.arange(-1, part.j_max + 1))
         norms = lpmod._block_norms(part, np.fft.rfftn(f.values), 2.0)
@@ -551,7 +569,7 @@ class TestBlockSups:
         with pytest.raises(ValueError, match="p must be >= 1 or inf"):
             lpmod._block_norms(part, np.fft.rfftn(f.values), math.nan)
         with pytest.raises(ValueError, match="p must be >= 1 or inf"):
-            block_sups(part, f, math.nan, [2.0])
+            block_sups(f, math.nan, [2.0])
 
     @pytest.mark.parametrize("p", SUP_PS)
     def test_block_norms_within_their_bounds(self, p, sup_fields):
@@ -584,7 +602,7 @@ class TestBlockSups:
             named = [part.j_max, -1, part.j_max]
             for s in (2.0, 1.5, 2.7):
                 sigmas = (s, s - 1, s - 2)
-                sups, norms = block_sups(part, f, p, sigmas, named)
+                sups, norms = block_sups(f, p, sigmas, named)
                 assert sups == [float(np.max(2.0 ** (sigma * js) * full)) for sigma in sigmas]
                 assert np.array_equal(norms, full[np.array(named) + 1])
 
@@ -596,7 +614,7 @@ class TestBlockSups:
         f = white_noise(g, seed)
         full = lpmod._block_norms(part, np.fft.rfftn(f.values), p)
         js = np.arange(-1, part.j_max + 1)
-        sups, norms = block_sups(part, f, p, (s, s - 1, s - 2), [0])
+        sups, norms = block_sups(f, p, (s, s - 1, s - 2), [0])
         assert sups == [float(np.max(2.0 ** (sigma * js) * full)) for sigma in (s, s - 1, s - 2)]
         assert np.array_equal(norms, full[1:2])
 
@@ -606,7 +624,7 @@ class TestBlockSups:
         f = build_data(1, 1, 4096, 6).u0
         part = make_partition(f.grid)
         fft_counts.clear()
-        (sup,), norms = block_sups(part, f, math.inf, (2.0,))
+        (sup,), norms = block_sups(f, math.inf, (2.0,))
         assert fft_counts == {"rfftn": 1, "irfftn": 1} and norms.size == 0
         js = np.arange(-1, part.j_max + 1)
         full = lpmod._block_norms(part, np.fft.rfftn(f.values), math.inf)
@@ -617,4 +635,4 @@ class TestBlockSups:
         part = make_partition(f.grid)
         for j in (-2, part.j_max + 1):
             with pytest.raises(ValueError, match="outside"):
-                block_sups(part, f, math.inf, (2.0,), [j])
+                block_sups(f, math.inf, (2.0,), [j])

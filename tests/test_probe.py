@@ -149,8 +149,7 @@ def serial(anatomy):
             rows, commutator = rows.result(), low.result() + high
         with pytest.MonkeyPatch.context() as mp, v0_warning(d):
             ffts = _count_ffts(mp, lambda name: name)
-            profile = besov_norm(make_partition(data.grid),
-                                 transport_divergence(data.u0, data.S0), P2)
+            profile = besov_norm(transport_divergence(data.u0, data.S0), P2)
         return SerialAnatomy(rows, commutator, profile, dict(ffts), probe.c0_anchor(data))
     return run
 
@@ -348,7 +347,7 @@ class TestInflationSweep:
         part = make_partition(d.grid)
         traj = evolve(d.u0, SolverConfig(t_final=2.0 * 2.0**-5, cfl=0.4))
         diff = Field(d.grid, traj.states[-1].values - d.u0.values)
-        profile = {j: 2.0 ** (2.0 * j) * lp_norm(lp_block(part, diff, j), 2.0)
+        profile = {j: 2.0 ** (2.0 * j) * lp_norm(lp_block(diff, j), 2.0)
                    for j in range(-1, part.j_max + 1)}
         assert max(profile, key=profile.get) == 5
         sweep = probe.inflation_sweep(d, BesovParams(2.0, 2.0), 2.0, [5])
@@ -647,7 +646,7 @@ class TestAnatomySchedule:
             row = probe._jk_row(data, P2, hs.gradient(np.fft.rfftn(data.u0.values)))
             for j in range(3, n_max + 1):
                 row(j)
-            besov_norm(part, transport_divergence(data.u0, data.S0), P2)
+            besov_norm(transport_divergence(data.u0, data.S0), P2)
 
         fft_counts.clear()
         # the rows, the commutator blocks and v0's build and profile, each
@@ -887,7 +886,6 @@ class TestCalibration:
         # five attempts, where the full rate records take 48 for the same
         # ratios
         data, P = build_data(1, 1, 16384, 8), BesovParams(2.0, math.inf)
-        part = make_partition(data.grid)
         transformed = {"calibration": 0, "records": 0}
         block_norms, block_outcomes = lpmod._block_norms, probe._block_outcomes
         where = threading.local()
@@ -902,7 +900,7 @@ class TestCalibration:
                 where.name = "calibration"
                 ratio = measure(j, t, Field(u_t.grid, u_t.values.copy()))
                 where.name = "records"
-                rate = probe._rate_record(part, data, u_t, t, P)[0]
+                rate = probe._rate_record(data, u_t, t, P)[0]
                 assert ratio == rate.h_s2 / max(rate.dev_s2, 1e-300)
                 return ratio
             return block_outcomes(data, eps0, js, cfl, both)
